@@ -16,28 +16,30 @@ k-element separable subsets equals the number of k-critical swaps.  At
 ``k = n/2`` (even ``n``) each swap at the middle site cuts off a halving
 set on *both* sides, hence counts twice.
 
-Everything is computed exactly.  Directions are primitive integer vectors;
-the rotation order of the swaps is obtained by sorting each pair's critical
-direction (the 90-degree rotation of the pair's difference vector) around
-the start direction with cross-product comparisons.  Pairs sharing a slope
-flip simultaneously; they are disjoint and non-adjacent (a shared endpoint
-would force a collinear triple), so their swaps commute and are executed by
-increasing left site for determinism.
+Everything is computed exactly.  Directions are primitive integer vectors.
+One pass over the pairs groups them by critical direction (the 90-degree
+rotation of the pair's difference vector; ``geometry.critical_direction_pairs``,
+which also rejects degenerate sets), and the classes are sorted once,
+counterclockwise over the upper half plane.  That sorted list gives
+everything else: the default start direction (inside the narrowest gap
+between consecutive classes), one sample direction inside each gap, and the
+order of the swaps, which is the list rotated to begin at the first class
+ahead of the start direction.  Pairs of one class flip simultaneously; they
+are disjoint (a shared endpoint would be a collinear triple), so their swaps
+commute and are executed by increasing left site for determinism.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
 from typing import Iterator
 
 from .errors import GeneralPositionError, LabelingError
-from .geometry import KSetVector, Point, PointSet, require_general_position
+from .geometry import Direction, KSetVector, Pairs, Point, PointSet, critical_direction_pairs
 
-Direction = tuple[int, int]
+Classes = list[tuple[Direction, Pairs]]
 
 
 def _cross(u: Direction, v: Direction) -> int:
@@ -48,34 +50,37 @@ def _dot_point(u: Direction, p: Point) -> Fraction:
     return u[0] * p.x + u[1] * p.y
 
 
-def _primitive_upper(dx: Fraction, dy: Fraction) -> Direction:
-    """Canonical primitive integer vector for the line direction (dx, dy),
-    normalized into the upper half plane (y > 0, or y = 0 and x > 0)."""
-    common = dx.denominator * dy.denominator
-    ix = int(dx * common)
-    iy = int(dy * common)
-    g = math.gcd(ix, iy)
-    ix //= g
-    iy //= g
-    if iy < 0 or (iy == 0 and ix < 0):
-        ix, iy = -ix, -iy
-    return (ix, iy)
+def critical_direction_classes(ps: PointSet) -> Classes:
+    """The pairs of ``ps`` grouped by critical direction (mod a half turn),
+    sorted counterclockwise within the upper half plane."""
+    return sorted(
+        critical_direction_pairs(ps).items(),
+        key=cmp_to_key(lambda a, b: -_cross(a[0], b[0])),
+    )
 
 
-def critical_direction_classes(ps: PointSet) -> list[Direction]:
-    """Directions (mod a half turn) along which some pair of points projects
-    to the same value: the 90-degree rotations of all pair differences,
-    deduplicated and sorted counterclockwise within the upper half plane.
-    """
-    classes = set()
-    pts = ps.points
-    for p, q in combinations(pts, 2):
-        dx, dy = q.x - p.x, q.y - p.y
-        if dx == 0 and dy == 0:
-            raise GeneralPositionError("coincident points")
-        classes.add(_primitive_upper(-dy, dx))
-    ordered = sorted(classes, key=cmp_to_key(lambda a, b: -_cross(a, b)))
-    return ordered
+def _gaps(classes: Classes) -> list[tuple[Direction, int, int]]:
+    """The angular gaps between consecutive critical directions, covering a
+    half turn: a tie-free direction strictly inside each gap, and the dot
+    and cross products of its two bounding directions (the gap's cotangent
+    is ``dot / cross``; placeholders when there is only one gap)."""
+    if not classes:
+        return [((1, 0), 0, 1)]
+    dirs = [w for w, _ in classes]
+    if len(dirs) == 1:
+        w = dirs[0]
+        return [((-w[1], w[0]), 0, 1)]
+    return [
+        ((a[0] + b[0], a[1] + b[1]), a[0] * b[0] + a[1] * b[1], _cross(a, b))
+        for a, b in zip(dirs, dirs[1:] + [(-dirs[0][0], -dirs[0][1])])
+    ]
+
+
+def _narrowest_gap(classes: Classes) -> Direction:
+    # cot is strictly decreasing on (0, pi), so the narrowest gap has the
+    # largest dot / cross; max keeps the first of equals.
+    by_cot = cmp_to_key(lambda g, h: g[1] * h[2] - h[1] * g[2])
+    return max(_gaps(classes), key=by_cot)[0]
 
 
 def interval_sample_directions(ps: PointSet) -> list[Direction]:
@@ -83,41 +88,13 @@ def interval_sample_directions(ps: PointSet) -> list[Direction]:
     consecutive critical directions, covering a half turn.  The negations of
     the returned vectors sample the other half turn.
     """
-    classes = critical_direction_classes(ps)
-    if not classes:
-        return [(1, 0)]
-    if len(classes) == 1:
-        w = classes[0]
-        return [(-w[1], w[0])]
-    samples = []
-    for a, b in zip(classes, classes[1:] + [(-classes[0][0], -classes[0][1])]):
-        samples.append((a[0] + b[0], a[1] + b[1]))
-    return samples
+    return [mid for mid, _, _ in _gaps(critical_direction_classes(ps))]
 
 
 def default_start_direction(ps: PointSet) -> Direction:
     """Deterministic tie-free start direction: an interior direction of the
-    narrowest angular gap between consecutive critical directions.
-
-    Gap widths are compared exactly through cotangents (``cot`` is strictly
-    decreasing on (0, pi), so larger ``dot * cross'`` means a smaller gap).
-    """
-    classes = critical_direction_classes(ps)
-    if not classes:
-        return (1, 0)
-    if len(classes) == 1:
-        w = classes[0]
-        return (-w[1], w[0])
-    best: Direction | None = None
-    best_cot: tuple[int, int] | None = None  # (dot, cross) of the best gap
-    for a, b in zip(classes, classes[1:] + [(-classes[0][0], -classes[0][1])]):
-        d = a[0] * b[0] + a[1] * b[1]
-        c = _cross(a, b)
-        if best_cot is None or d * best_cot[1] > best_cot[0] * c:
-            best_cot = (d, c)
-            best = (a[0] + b[0], a[1] + b[1])
-    assert best is not None
-    return best
+    narrowest angular gap between consecutive critical directions."""
+    return _narrowest_gap(critical_direction_classes(ps))
 
 
 @dataclass(frozen=True)
@@ -146,13 +123,10 @@ class Halfperiod:
     def permutations(self) -> Iterator[tuple[int, ...]]:
         """Yield all C(n,2) + 1 permutations in rotation order."""
         perm = list(self.initial_permutation)
-        pos = {v: i for i, v in enumerate(perm)}
         yield tuple(perm)
         for t in self.transpositions:
             i = t.position - 1
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            pos[perm[i]] = i
-            pos[perm[i + 1]] = i + 1
             yield tuple(perm)
 
     def position_counts(self) -> dict[int, int]:
@@ -167,43 +141,29 @@ def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfpe
     """Build the halfperiod of ``ps`` starting at ``direction`` (default: a
     deterministic tie-free direction).  The supplied direction must not be
     perpendicular to any pair line, i.e. the initial projection order must
-    be strict."""
-    require_general_position(ps)
+    be strict.  Raises ``GeneralPositionError`` on a degenerate set."""
     pts = ps.points
     n = len(pts)
+    classes = critical_direction_classes(ps)
 
-    u = direction if direction is not None else default_start_direction(ps)
+    u = direction if direction is not None else _narrowest_gap(classes)
     initial = tuple(sorted(range(n), key=lambda i: _dot_point(u, pts[i])))
     for a, b in zip(initial, initial[1:]):
         if _dot_point(u, pts[a]) == _dot_point(u, pts[b]):
             raise ValueError(f"start direction {u} ties a pair of projections")
 
-    # Each pair flips where the rotating direction crosses the pair's
-    # critical direction; pick the representative on the forward half turn
-    # (cross(u, w) > 0) and sort counterclockwise from u.
-    flips: list[tuple[Direction, tuple[int, int]]] = []
-    for i, j in combinations(range(n), 2):
-        dx, dy = pts[j].x - pts[i].x, pts[j].y - pts[i].y
-        w = _primitive_upper(-dy, dx)
-        if _cross(u, w) < 0:
-            w = (-w[0], -w[1])
-        flips.append((w, (i, j)))
-
-    flips.sort(key=cmp_to_key(lambda f1, f2: -_cross(f1[0], f2[0])))
+    # Each class flips where the rotating direction crosses it.  Turning
+    # counterclockwise from u, the first class met is the first one ahead
+    # of u taken mod a half turn; the classes then follow in sorted order.
+    upper = u if u[1] > 0 or (u[1] == 0 and u[0] > 0) else (-u[0], -u[1])
+    start = next((k for k, (w, _) in enumerate(classes) if _cross(upper, w) > 0), 0)
 
     perm = list(initial)
     pos = {v: i for i, v in enumerate(perm)}
     steps: list[Transposition] = []
-    idx = 0
-    while idx < len(flips):
-        group = [flips[idx]]
-        while idx + 1 < len(flips) and _cross(flips[idx][0], flips[idx + 1][0]) == 0:
-            idx += 1
-            group.append(flips[idx])
-        idx += 1
+    for _, pairs in classes[start:] + classes[:start]:
         # Simultaneous flips are pairwise disjoint; execute left to right.
-        group.sort(key=lambda f: min(pos[f[1][0]], pos[f[1][1]]))
-        for _, (i, j) in group:
+        for i, j in sorted(pairs, key=lambda p: min(pos[p[0]], pos[p[1]])):
             a, b = pos[i], pos[j]
             if a > b:
                 a, b = b, a
@@ -330,12 +290,6 @@ class ValidSwapDigraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def indegree(self, j: int) -> int:
-        return sum(1 for e in self.edges if e[1] == j)
-
-    def outdegree(self, j: int) -> int:
-        return sum(1 for e in self.edges if e[0] == j)
 
     def indegrees(self) -> list[int]:
         ind = [0] * (self.order + 1)

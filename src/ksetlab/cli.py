@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import circular, decompose, verify
-from .errors import GeneralPositionError, LabelingError
+from .errors import OracleSizeError
 from .geometry import PointSet, require_general_position
 from .io import load_point_set, save_point_set
 
@@ -112,12 +112,8 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         ps = load_point_set(args.input)
-    except (OSError, ValueError, KeyError, LabelingError) as exc:
-        print(f"error: cannot read point set: {exc}", file=sys.stderr)
-        return 2
-    try:
         require_general_position(ps)
-    except GeneralPositionError as exc:
+    except (OSError, ValueError) as exc:  # GeneralPositionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.require_decomp:
@@ -198,6 +194,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     "cr_ratio_dec": f"{ratio:.8f}",
                 }
             )
+    if not rows:
+        print("error: no k with 1 <= k < n/2 for the given n", file=sys.stderr)
+        return 2
     _write_csv(args.out, BOUNDS_COLUMNS, rows)
     return 0
 
@@ -215,7 +214,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             kwargs = {"max_b": args.max_b, "max_n": args.max_n or 300}
         elif name == "series":
             kwargs = {"terms": args.terms}
-        results.append(verify.run_suite(name, **kwargs))
+        try:
+            results.append(verify.run_suite(name, **kwargs))
+        except OracleSizeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     ok = all(r.ok for r in results)
     payload = results[0].to_dict() if len(results) == 1 else {
         "ok": ok,

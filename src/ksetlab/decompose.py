@@ -34,7 +34,7 @@ from .circular import (
     interval_sample_directions,
 )
 from .errors import LabelingError
-from .geometry import CLASS_NAMES, Point, PointSet, is_general_position, require_general_position
+from .geometry import CLASS_NAMES, Point, PointSet, is_general_position
 
 GENERATOR_SHAPES = ("triangle-clusters", "near-optimal-template")
 
@@ -62,18 +62,8 @@ def _normalize_partition(ps: PointSet, labels: Iterable[str] | None) -> tuple[st
         if ps.labels is None:
             raise LabelingError("no partition given and the point set is unlabeled")
         return ps.labels
-    out = tuple(str(c).lower() for c in labels)
-    n = ps.n
-    if len(out) != n:
-        raise LabelingError("partition must assign a class to every point")
-    if n % 3 != 0:
-        raise LabelingError("3-decomposition needs n divisible by 3")
-    for c in CLASS_NAMES:
-        if out.count(c) != n // 3:
-            raise LabelingError(f"class {c!r} must have exactly n/3 points")
-    if any(c not in CLASS_NAMES for c in out):
-        raise LabelingError("classes must be 'a', 'b' or 'c'")
-    return out
+    # PointSet validates the labels (LabelingError on a malformed partition).
+    return ps.with_labels(labels).labels
 
 
 def _realizes_order(
@@ -106,7 +96,6 @@ def check_partition(
     if mode not in ("three", "two"):
         raise ValueError(f"mode must be 'three' or 'two', got {mode!r}")
     part = _normalize_partition(ps, labels)
-    require_general_position(ps)
     samples = interval_sample_directions(ps)
     candidates = samples + [(-u[0], -u[1]) for u in samples]
     wanted: list[tuple[str, str, str]] = [("a", "b", "c"), ("b", "a", "c")]
@@ -136,7 +125,6 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     deduplicated candidate is handed to ``check_partition``.  Returns the
     first witness found, or None after exhausting all candidates.
     """
-    require_general_position(ps)
     n = ps.n
     if n % 3 != 0 or n < 3:
         raise LabelingError("3-decomposition needs n divisible by 3")

@@ -22,6 +22,7 @@ against:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,20 +31,13 @@ from typing import Iterable, Sequence
 
 from .errors import GeneralPositionError, LabelingError, OracleSizeError
 
-#: Exact scalar type used for all coordinates and counted quantities.
-Rational = Fraction
-
 DEFAULT_ORACLE_CAP = 15
 ORACLE_CAP_ENV = "KSETLAB_ORACLE_CAP"
 
 CLASS_NAMES = ("a", "b", "c")
 
-
-def as_rational(value: Fraction | int | str) -> Fraction:
-    """Coerce ints and 'p/q' strings to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+Direction = tuple[int, int]
+Pairs = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ class Point:
 
     @classmethod
     def of(cls, x: Fraction | int | str, y: Fraction | int | str) -> "Point":
-        return cls(as_rational(x), as_rational(y))
+        return cls(Fraction(x), Fraction(y))
 
 
 @dataclass(frozen=True)
@@ -62,8 +56,9 @@ class PointSet:
     equal-size classes 'a', 'b', 'c'.
 
     Labels, when present, must split the points into thirds; this is checked
-    at construction.  General position is *not* checked here (it is an O(n^3)
-    predicate); operations that require it validate explicitly.
+    at construction.  General position is *not* checked here: it falls out
+    of grouping the pairs by critical direction
+    (``critical_direction_pairs``), which the operations that need it do.
     """
 
     points: tuple[Point, ...]
@@ -115,22 +110,57 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
+def _primitive_upper(dx: Fraction, dy: Fraction) -> Direction:
+    """Canonical primitive integer vector for the line direction (dx, dy),
+    normalized into the upper half plane (y > 0, or y = 0 and x > 0)."""
+    ix = dx.numerator * dy.denominator
+    iy = dy.numerator * dx.denominator
+    g = math.gcd(ix, iy)
+    ix //= g
+    iy //= g
+    if iy < 0 or (iy == 0 and ix < 0):
+        ix, iy = -ix, -iy
+    return (ix, iy)
+
+
+def critical_direction_pairs(ps: PointSet) -> dict[Direction, Pairs]:
+    """The index pairs ``(i, j)``, ``i < j``, grouped by critical direction:
+    the 90-degree rotation of the pair's difference vector, along which the
+    pair projects to one value, as a primitive integer vector in the upper
+    half plane.
+
+    This is also the general-position test; it raises ``GeneralPositionError``
+    on coincident points or a collinear triple.  Three collinear points put
+    two pairs sharing a point into one class, and two such pairs are three
+    collinear points.
+    """
+    pts = ps.points
+    classes: dict[Direction, Pairs] = {}
+    for i, j in combinations(range(len(pts)), 2):
+        dx, dy = pts[j].x - pts[i].x, pts[j].y - pts[i].y
+        if not dx and not dy:
+            raise GeneralPositionError(f"points {i} and {j} coincide")
+        w = _primitive_upper(-dy, dx)
+        # Tuples, not lists: most classes hold one pair, and a tuple of one
+        # is the smallest container for it.
+        classes[w] = classes.get(w, ()) + ((i, j),)
+    for pairs in classes.values():
+        if len(pairs) > 1 and len({p for pair in pairs for p in pair}) < 2 * len(pairs):
+            raise GeneralPositionError("point set has a collinear triple")
+    return classes
+
+
 def is_general_position(ps: PointSet) -> bool:
     """True iff all points are distinct and no triple is collinear."""
-    pts = ps.points
-    if len(set(pts)) != len(pts):
+    try:
+        critical_direction_pairs(ps)
+    except GeneralPositionError:
         return False
-    for p, q, r in combinations(pts, 3):
-        if orientation(p, q, r) == 0:
-            return False
     return True
 
 
 def require_general_position(ps: PointSet) -> None:
-    if not is_general_position(ps):
-        raise GeneralPositionError(
-            "point set has coincident points or a collinear triple"
-        )
+    critical_direction_pairs(ps)
 
 
 def _in_triangle(a: Point, b: Point, c: Point, p: Point) -> bool:

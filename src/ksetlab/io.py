@@ -26,7 +26,10 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def point_set_to_dict(ps: PointSet) -> dict:
@@ -40,12 +43,25 @@ def point_set_to_dict(ps: PointSet) -> dict:
 
 
 def point_set_from_dict(data: dict) -> PointSet:
-    points = data["points"]
+    """Validate and build a point set; any malformed input raises
+    ``ValueError`` (``LabelingError`` for bad labels) with a one-line
+    message."""
+    if not isinstance(data, dict):
+        raise ValueError("a point-set file must hold a JSON object")
+    points = data.get("points")
+    if not isinstance(points, list):
+        raise ValueError("'points' must be a list of [x, y] pairs")
     if "n" in data and data["n"] != len(points):
         raise ValueError(f"declared n={data['n']} but {len(points)} points given")
-    pts = tuple(Point(parse_fraction(x), parse_fraction(y)) for x, y in points)
     labels = data.get("labels")
-    return PointSet(pts, tuple(labels) if labels is not None else None)
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError("'labels' must be a list")
+    pts = []
+    for idx, p in enumerate(points):
+        if not isinstance(p, list) or len(p) != 2:
+            raise ValueError(f"point {idx} is not an [x, y] pair")
+        pts.append(Point(parse_fraction(p[0]), parse_fraction(p[1])))
+    return PointSet(tuple(pts), tuple(labels) if labels is not None else None)
 
 
 def save_point_set(ps: PointSet, path: str | Path) -> None:

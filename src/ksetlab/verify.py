@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, circular, decompose
-from .geometry import Point, PointSet, is_general_position, k_set_oracle
+from .errors import OracleSizeError
+from .geometry import Point, PointSet, _oracle_cap, is_general_position, k_set_oracle
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,11 @@ def oracle_suite(
 ) -> SuiteResult:
     """Halfperiod k-set counts must equal the brute-force pair-line oracle,
     on random sets of every size 4..max_n and on generated 3-decomposable
-    sets."""
+    sets.  Raises ``OracleSizeError`` up front when ``max_n`` exceeds the
+    oracle's cap."""
+    cap = _oracle_cap(None)
+    if max_n > cap:
+        raise OracleSizeError(f"oracle capped at n <= {cap}, got max_n = {max_n}")
     checks: list[CheckResult] = []
     for n in range(4, max_n + 1):
         bad = 0

@@ -5,6 +5,9 @@ pair-line enumeration: a subset is separable iff the convex hulls of the
 subset and its complement are disjoint, decided with exact orientation
 tests (hull edges may not cross and neither hull may contain a vertex of
 the other).  General position rules out all degenerate sign cases.
+
+The general-position oracle is the plain O(n^3) scan over all triples, kept
+apart from the library's grouping of pairs by critical direction.
 """
 
 from __future__ import annotations
@@ -12,6 +15,25 @@ from __future__ import annotations
 from itertools import combinations
 
 from ksetlab.geometry import Point, PointSet, orientation
+
+
+# Six-point sets with a collinear triple on which replaying the flips alone
+# raises nothing (the non-adjacent-swap guard never fires), plus one with a
+# repeated point.
+DEGENERATE_SETS = [
+    PointSet.from_coords([(0, 0), (1, 0), (2, 0), (0, 3), (5, 4), (-2, 7)]),
+    PointSet.from_coords([(0, 0), (2, 1), (4, 2), (1, 5), (-3, 1), (5, -2)]),
+    PointSet.from_coords([(0, 0), (1, 1), (2, 2), (0, 5), (3, -1), (-2, 3)]),
+    PointSet.from_coords([(0, 0), (4, 1), (0, 0), (1, 3), (3, 3), (2, -3)]),
+]
+
+
+def general_position_by_triples(ps: PointSet) -> bool:
+    """True iff all points are distinct and no triple is collinear."""
+    pts = ps.points
+    if len(set(pts)) != len(pts):
+        return False
+    return all(orientation(p, q, r) != 0 for p, q, r in combinations(pts, 3))
 
 
 def convex_hull(points: list[Point]) -> list[Point]:

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from ksetlab import (
+    GeneralPositionError,
     LabelingError,
     PointSet,
     build_halfperiod,
@@ -15,6 +16,8 @@ from ksetlab import (
 )
 from ksetlab.circular import block_classes
 from ksetlab.verify import random_general_position_set
+
+from support import DEGENERATE_SETS
 
 TRIANGLE = PointSet.from_coords([(0, 0), (1, 0), (0, 1)])
 HEXAGON = PointSet.from_coords([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
@@ -72,12 +75,20 @@ class TestBuildHalfperiod:
         assert kset_vector_from_halfperiod(build_halfperiod(ps)) == k_set_oracle(ps)
 
     def test_start_direction_invariance_of_counts(self):
+        # The negated samples point into the lower half plane, where the
+        # flip order starts from the class ahead of -u.
         ps = random_general_position_set(8, 123)
         base = kset_vector_from_halfperiod(build_halfperiod(ps))
         from ksetlab.circular import interval_sample_directions
 
-        for u in interval_sample_directions(ps)[:5]:
+        samples = interval_sample_directions(ps)[:5]
+        for u in samples + [(-x, -y) for x, y in samples]:
             assert kset_vector_from_halfperiod(build_halfperiod(ps, u)) == base
+
+    @pytest.mark.parametrize("ps", DEGENERATE_SETS)
+    def test_degenerate_sets_rejected(self, ps):
+        with pytest.raises(GeneralPositionError):
+            build_halfperiod(ps)
 
 
 class TestConvexHexagon:

@@ -5,6 +5,7 @@ import pytest
 
 import ksetlab.decompose as decompose_mod
 from ksetlab import (
+    GeneralPositionError,
     LabelingError,
     PointSet,
     build_halfperiod,
@@ -18,6 +19,8 @@ from ksetlab import (
 )
 from ksetlab.circular import _dot_point
 from ksetlab.verify import random_general_position_set
+
+from support import DEGENERATE_SETS
 
 # Frozen 6-point set on which the exhaustive search finds no decomposition
 # (the search itself is the oracle here).
@@ -119,6 +122,14 @@ class TestFindPartition:
         # exhaustive search is its own oracle; verify whichever way it lands
         if w is not None:
             assert check_partition(hexagon, w.partition) is not None
+
+
+@pytest.mark.parametrize("ps", DEGENERATE_SETS)
+def test_degenerate_sets_rejected(ps):
+    with pytest.raises(GeneralPositionError):
+        check_partition(ps, ["a", "b", "c"] * 2)
+    with pytest.raises(GeneralPositionError):
+        find_partition(ps)
 
 
 class TestCheckHalfperiod:

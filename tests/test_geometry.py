@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksetlab import (
     GeneralPositionError,
@@ -17,7 +19,7 @@ from ksetlab import (
 from ksetlab.geometry import KSetVector
 from ksetlab.verify import random_general_position_set
 
-from support import kset_counts_by_hulls
+from support import general_position_by_triples, kset_counts_by_hulls
 
 HEXAGON = PointSet.from_coords([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
 
@@ -64,6 +66,23 @@ class TestGeneralPosition:
         for p, q, r in combinations(HEXAGON.points, 3):
             assert det(p, q, r) != 0
         assert is_general_position(HEXAGON)
+
+    # Coordinates on a small grid of thirds, so that repeated points and
+    # collinear triples are common.
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([1, 2, 3])
+            ),
+            max_size=8,
+        )
+    )
+    def test_matches_triple_scan(self, coords):
+        ps = PointSet.from_coords(
+            [(Fraction(x, d), Fraction(y, d)) for x, y, d in coords]
+        )
+        assert is_general_position(ps) == general_position_by_triples(ps)
 
 
 class TestCrossingNumber:

@@ -220,6 +220,41 @@ class TestVerifyCommand:
         assert payload["ok"] is True
 
 
+TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, code",
+    [
+        (["analyze"], TRIANGLE_JSON, 0),
+        (["analyze"], {"points": [["1/0", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}, 2),
+        (["analyze"], {**TRIANGLE_JSON, "labels": "abc"}, 2),
+        (["analyze"], {**TRIANGLE_JSON, "labels": 3}, 2),
+        (["analyze"], [["0/1", "0/1"]], 2),
+        (["analyze"], {"points": "0/1 0/1"}, 2),
+        (["analyze"], {"points": ["12", "35", "57"]}, 2),
+        (["analyze"], {"points": [["0/1", "0/1", "1/1"]]}, 2),
+        (["analyze"], {}, 2),
+        (["analyze"], {**TRIANGLE_JSON, "labels": ["a", "b"]}, 2),
+        (["analyze"], {"points": [["0/1", "0/1"], ["1/1", "1/1"], ["2/1", "2/1"]]}, 2),
+        (["verify", "--suite", "oracle", "--max-n", "16"], None, 2),
+        (["bounds", "--n", "9", "--k", "0"], None, 2),
+        (["bounds", "--n", "9", "--k", "7"], None, 2),
+        (["bounds", "--n", "9", "--k", "3"], None, 0),
+    ],
+)
+def test_exit_codes(tmp_path, capsys, argv, payload, code):
+    # 0 success, 2 usage or input error with a one-line message on stderr.
+    if payload is not None:
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(payload))
+        argv = argv + ["--input", str(src)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_sweep_serial(self, tmp_path):
         out = tmp_path / "sweep.csv"
