@@ -27,6 +27,11 @@ order of the swaps, which is the list rotated to begin at the first class
 ahead of the start direction.  Pairs of one class flip simultaneously; they
 are disjoint (a shared endpoint would be a collinear triple), so their swaps
 commute and are executed by increasing left site for determinism.
+
+``sweep`` is the one replay of the swaps.  ``build_halfperiod`` records it,
+and the decomposition check in ``decompose`` reads it class by class: after
+each class, the permutation is the projection order along the sample
+direction of the gap that follows it.
 """
 
 from __future__ import annotations
@@ -34,12 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 from typing import Iterator
 
 from .errors import GeneralPositionError, LabelingError
 from .geometry import Direction, KSetVector, Pairs, Point, PointSet, critical_direction_pairs
 
 Classes = list[tuple[Direction, Pairs]]
+#: One adjacent swap: the left site (1-based) and the two points swapped.
+Swap = tuple[int, int, int]
 
 
 def _cross(u: Direction, v: Direction) -> int:
@@ -76,11 +84,21 @@ def _gaps(classes: Classes) -> list[tuple[Direction, int, int]]:
     ]
 
 
-def _narrowest_gap(classes: Classes) -> Direction:
+def narrowest_gap(classes: Classes) -> Direction:
+    """The sample direction of the narrowest gap between consecutive
+    critical directions (the first of equals)."""
     # cot is strictly decreasing on (0, pi), so the narrowest gap has the
     # largest dot / cross; max keeps the first of equals.
     by_cot = cmp_to_key(lambda g, h: g[1] * h[2] - h[1] * g[2])
     return max(_gaps(classes), key=by_cot)[0]
+
+
+def gap_samples(classes: Classes) -> list[Direction]:
+    """One tie-free direction strictly inside each gap between consecutive
+    critical directions, covering a half turn: gap ``g`` lies between
+    ``classes[g]`` and the next class (the last one between the last class
+    and the negated first)."""
+    return [mid for mid, _, _ in _gaps(classes)]
 
 
 def interval_sample_directions(ps: PointSet) -> list[Direction]:
@@ -88,13 +106,63 @@ def interval_sample_directions(ps: PointSet) -> list[Direction]:
     consecutive critical directions, covering a half turn.  The negations of
     the returned vectors sample the other half turn.
     """
-    return [mid for mid, _, _ in _gaps(critical_direction_classes(ps))]
+    return gap_samples(critical_direction_classes(ps))
 
 
 def default_start_direction(ps: PointSet) -> Direction:
     """Deterministic tie-free start direction: an interior direction of the
     narrowest angular gap between consecutive critical directions."""
-    return _narrowest_gap(critical_direction_classes(ps))
+    return narrowest_gap(critical_direction_classes(ps))
+
+
+def sweep(
+    ps: PointSet, classes: Classes, u: Direction
+) -> tuple[tuple[int, ...], Iterator[list[Swap]]]:
+    """Replay the swaps of the halfperiod of ``ps`` that starts at ``u``.
+
+    ``classes`` is ``critical_direction_classes(ps)``.  Returns the initial
+    permutation (point indices ordered along ``u``, which must tie no pair)
+    and an iterator that yields, class by class in the order a direction
+    turning counterclockwise from ``u`` meets them, the swaps that class
+    makes.  The iterator replays lazily: a consumer may stop early.  Run to
+    the end, it checks that the last permutation reverses the first.
+    """
+    pts = ps.points
+    initial = tuple(sorted(range(len(pts)), key=lambda i: _dot_point(u, pts[i])))
+    for a, b in zip(initial, initial[1:]):
+        if _dot_point(u, pts[a]) == _dot_point(u, pts[b]):
+            raise ValueError(f"start direction {u} ties a pair of projections")
+    # Each class flips where the rotating direction crosses it.  Turning
+    # counterclockwise from u, the first class met is the first one ahead
+    # of u taken mod a half turn; the classes then follow in sorted order.
+    upper = u if u[1] > 0 or (u[1] == 0 and u[0] > 0) else (-u[0], -u[1])
+    start = next((k for k, (w, _) in enumerate(classes) if _cross(upper, w) > 0), 0)
+    return initial, _replay(initial, classes[start:] + classes[:start])
+
+
+def _replay(initial: tuple[int, ...], classes: Classes) -> Iterator[list[Swap]]:
+    perm = list(initial)
+    pos = [0] * len(perm)
+    for i, v in enumerate(perm):
+        pos[v] = i
+    for _, pairs in classes:
+        swaps = []
+        # Simultaneous flips are pairwise disjoint; execute left to right.
+        for i, j in sorted(pairs, key=lambda p: min(pos[p[0]], pos[p[1]])):
+            a, b = pos[i], pos[j]
+            if a > b:
+                a, b = b, a
+            if b != a + 1:
+                raise GeneralPositionError(
+                    "swap of a non-adjacent pair; the input is degenerate"
+                )
+            perm[a], perm[b] = perm[b], perm[a]
+            pos[perm[a]] = a
+            pos[perm[b]] = b
+            swaps.append((a + 1, i, j))
+        yield swaps
+    if perm != list(reversed(initial)):
+        raise GeneralPositionError("halfperiod replay did not reverse the order")
 
 
 @dataclass(frozen=True)
@@ -142,43 +210,14 @@ def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfpe
     deterministic tie-free direction).  The supplied direction must not be
     perpendicular to any pair line, i.e. the initial projection order must
     be strict.  Raises ``GeneralPositionError`` on a degenerate set."""
-    pts = ps.points
-    n = len(pts)
     classes = critical_direction_classes(ps)
-
-    u = direction if direction is not None else _narrowest_gap(classes)
-    initial = tuple(sorted(range(n), key=lambda i: _dot_point(u, pts[i])))
-    for a, b in zip(initial, initial[1:]):
-        if _dot_point(u, pts[a]) == _dot_point(u, pts[b]):
-            raise ValueError(f"start direction {u} ties a pair of projections")
-
-    # Each class flips where the rotating direction crosses it.  Turning
-    # counterclockwise from u, the first class met is the first one ahead
-    # of u taken mod a half turn; the classes then follow in sorted order.
-    upper = u if u[1] > 0 or (u[1] == 0 and u[0] > 0) else (-u[0], -u[1])
-    start = next((k for k, (w, _) in enumerate(classes) if _cross(upper, w) > 0), 0)
-
-    perm = list(initial)
-    pos = {v: i for i, v in enumerate(perm)}
-    steps: list[Transposition] = []
-    for _, pairs in classes[start:] + classes[:start]:
-        # Simultaneous flips are pairwise disjoint; execute left to right.
-        for i, j in sorted(pairs, key=lambda p: min(pos[p[0]], pos[p[1]])):
-            a, b = pos[i], pos[j]
-            if a > b:
-                a, b = b, a
-            if b != a + 1:
-                raise GeneralPositionError(
-                    "swap of a non-adjacent pair; the input is degenerate"
-                )
-            perm[a], perm[b] = perm[b], perm[a]
-            pos[perm[a]] = a
-            pos[perm[b]] = b
-            steps.append(Transposition(len(steps) + 1, a + 1, (i, j)))
-
-    if perm != list(reversed(initial)):
-        raise GeneralPositionError("halfperiod replay did not reverse the order")
-    return Halfperiod(n, initial, tuple(steps), u, ps.labels)
+    u = direction if direction is not None else narrowest_gap(classes)
+    initial, flips = sweep(ps, classes, u)
+    steps = tuple(
+        Transposition(step, site, (i, j))
+        for step, (site, i, j) in enumerate(chain.from_iterable(flips), 1)
+    )
+    return Halfperiod(ps.n, initial, steps, u, ps.labels)
 
 
 def _is_homogeneous(t: Transposition, labels: tuple[str, ...]) -> bool:

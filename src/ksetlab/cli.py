@@ -139,6 +139,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.k_range:
         k_lo, k_hi = _parse_range(args.k_range, "k")
         k_lo, k_hi = max(1, k_lo), min(k_max, k_hi)
+        if k_lo > k_hi:
+            print(f"error: --k-range {args.k_range} holds no k in 1..{k_max}",
+                  file=sys.stderr)
+            return 2
     rows, violation = _analyze_rows(ps, k_lo, k_hi)
     _write_csv(args.out, ANALYZE_COLUMNS, rows)
     return 1 if violation else 0
@@ -203,6 +207,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    if "slack" in names and args.max_b < 0:
+        print(f"error: --max-b must be at least 0, got {args.max_b}", file=sys.stderr)
+        return 2
     results = []
     for name in names:
         kwargs = {}
@@ -336,7 +343,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen" and (args.n % 3 != 0 or args.n < 3):
         parser.error(f"--n must be a positive multiple of 3, got {args.n}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,15 +2,24 @@
 
 A labeled point set (equal classes a, b, c) is 3-decomposable when three
 directed lines realize the block projection orders a,b,c / b,a,c / b,c,a.
-Block order is constant on each angular interval between consecutive
-critical directions, so checking one exact sample direction per interval
-(plus its reverse) decides each condition completely, with no floating
-point and no randomness.
+Block order is constant on each angular gap between consecutive critical
+directions, so the projection orders of the circular sequence decide it
+exactly, with no floating point and no randomness.  ``check_partition``
+replays one halfperiod, started inside the first gap, and keeps a label
+count for each third of the permutation; only a swap at site s or 2s
+(s = n/3) moves a point between thirds.  After each class of simultaneous
+flips the permutation is the order along the sample direction of the gap
+that class opens, and its reversal the order along the negated sample, so
+each wanted block order is read off with its first realizing direction.
+The direction-sampling check it replaces (project every point along each
+sample direction and its negation) is kept as a test oracle.
 
 An unlabeled set is decided exhaustively: the block order a,b,c forces the
 three classes to appear as contiguous thirds of some permutation of the
 full circular sequence, so the contiguous-thirds partitions of the
 halfperiod's permutations and their reversals enumerate every candidate.
+They change only at a swap at site s or 2s, so there are at most
+2 (1 + that many swaps) of them.
 
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
@@ -21,17 +30,22 @@ radius until the checker passes always terminates.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .circular import (
+    Classes,
     Direction,
     Halfperiod,
-    _dot_point,
     block_classes,
     build_halfperiod,
-    interval_sample_directions,
+    critical_direction_classes,
+    gap_samples,
+    narrowest_gap,
+    sweep,
 )
 from .errors import LabelingError
 from .geometry import CLASS_NAMES, Point, PointSet, is_general_position
@@ -66,54 +80,97 @@ def _normalize_partition(ps: PointSet, labels: Iterable[str] | None) -> tuple[st
     return ps.with_labels(labels).labels
 
 
-def _realizes_order(
-    ps: PointSet, labels: tuple[str, ...], u: Direction, order: tuple[str, str, str]
-) -> bool:
-    """True iff along u every point of order[0] projects strictly before
-    every point of order[1], which projects strictly before order[2]."""
-    lo: dict[str, Fraction] = {}
-    hi: dict[str, Fraction] = {}
-    for p, c in zip(ps.points, labels):
-        v = _dot_point(u, p)
-        if c not in lo:
-            lo[c] = hi[c] = v
-        else:
-            lo[c] = min(lo[c], v)
-            hi[c] = max(hi[c], v)
-    x, y, z = order
-    return hi[x] < lo[y] and hi[y] < lo[z]
+class _Thirds:
+    """Which third of a permutation of n = 3s points each point sits in and,
+    given labels, how many points of each class every third holds.  An
+    adjacent swap moves points between thirds only at site s or 2s."""
+
+    def __init__(self, perm: Sequence[int], labels: Sequence[str] | None = None):
+        self.s = s = len(perm) // 3
+        self.third = [0] * len(perm)
+        for site, p in enumerate(perm):
+            self.third[p] = site // s
+        self.labels = labels
+        if labels is not None:
+            self.counts = [
+                Counter(labels[p] for p in perm[t * s : (t + 1) * s]) for t in range(3)
+            ]
+
+    def swap(self, site: int, i: int, j: int) -> bool:
+        """Record the swap of points i and j at ``site``; True iff they
+        changed thirds."""
+        if site % self.s:
+            return False
+        third, labels = self.third, self.labels
+        ti, tj = third[i], third[j]
+        third[i], third[j] = tj, ti
+        if labels is not None and labels[i] != labels[j]:
+            ci, cj = self.counts[ti], self.counts[tj]
+            ci[labels[i]] -= 1
+            ci[labels[j]] += 1
+            cj[labels[j]] -= 1
+            cj[labels[i]] += 1
+        return True
+
+    def pattern(self) -> tuple[str, ...] | None:
+        """The class filling each third, or None if some third is mixed."""
+        out = []
+        for counts in self.counts:
+            label = next((c for c, k in counts.items() if k == self.s), None)
+            if label is None:
+                return None
+            out.append(label)
+        return tuple(out)
 
 
 def check_partition(
     ps: PointSet,
     labels: Iterable[str] | None = None,
     mode: str = "three",
+    *,
+    classes: Classes | None = None,
 ) -> DecompositionWitness | None:
     """Search for witness directions making the given partition a
     3-decomposition.  ``mode='three'`` (default) requires the block orders
     a,b,c / b,a,c / b,c,a; ``mode='two'`` requires only the first two.
+
+    Each witness is the first realizing direction among the gap samples
+    (``gap_samples``), else the first among their negations.  ``classes``
+    is ``critical_direction_classes(ps)``, for a caller that already has it.
     """
     if mode not in ("three", "two"):
         raise ValueError(f"mode must be 'three' or 'two', got {mode!r}")
     part = _normalize_partition(ps, labels)
-    samples = interval_sample_directions(ps)
-    candidates = samples + [(-u[0], -u[1]) for u in samples]
-    wanted: list[tuple[str, str, str]] = [("a", "b", "c"), ("b", "a", "c")]
+    wanted: list[tuple[str, ...]] = [("a", "b", "c"), ("b", "a", "c")]
     if mode == "three":
         wanted.append(("b", "c", "a"))
-    found: list[Direction | None] = [None] * len(wanted)
-    for u in candidates:
-        for idx, order in enumerate(wanted):
-            if found[idx] is None and _realizes_order(ps, part, u, order):
-                found[idx] = u
-        if all(f is not None for f in found):
-            break
-    if any(f is None for f in found):
-        return None
-    l1, l2 = found[0], found[1]
+    if classes is None:
+        classes = critical_direction_classes(ps)
+    samples = gap_samples(classes)
+    # Started inside gap 0, the sweep meets classes 1, 2, ... in turn, and
+    # class g opens gap g.  Pattern -> first gap reading it.
+    initial, flips = sweep(ps, classes, samples[0])
+    thirds = _Thirds(initial, part)
+    first = {thirds.pattern(): 0}
+    for g, swaps in zip(range(1, len(samples)), flips):
+        moved = False
+        for swap in swaps:
+            moved |= thirds.swap(*swap)
+        if moved:
+            first.setdefault(thirds.pattern(), g)
+            if all(w in first for w in wanted):
+                break
+    found: list[Direction] = []
+    for w in wanted:
+        if w in first:
+            found.append(samples[first[w]])
+        elif w[::-1] in first:
+            u = samples[first[w[::-1]]]
+            found.append((-u[0], -u[1]))
+        else:
+            return None
     l3 = found[2] if mode == "three" else None
-    assert l1 is not None and l2 is not None
-    return DecompositionWitness(part, (l1, l2, l3))
+    return DecompositionWitness(part, (found[0], found[1], l3))
 
 
 def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | None:
@@ -121,26 +178,28 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
 
     The block order a,b,c must hold in some permutation of the circular
     sequence, so the contiguous-thirds assignments of all halfperiod
-    permutations and their reversals cover every possible partition; each
-    deduplicated candidate is handed to ``check_partition``.  Returns the
-    first witness found, or None after exhausting all candidates.
+    permutations and their reversals cover every possible partition.  They
+    change only at a swap at site s or 2s, so a candidate is proposed for
+    the initial permutation and after each such swap, each with its
+    reversal; each new candidate is handed to ``check_partition``.  Returns
+    the first witness found, or None after exhausting all candidates.
     """
     n = ps.n
     if n % 3 != 0 or n < 3:
         raise LabelingError("3-decomposition needs n divisible by 3")
-    s = n // 3
-    h = build_halfperiod(ps.with_labels(None))
+    classes = critical_direction_classes(ps)
+    initial, flips = sweep(ps, classes, narrowest_gap(classes))
+    thirds = _Thirds(initial)
     seen: set[tuple[str, ...]] = set()
-    for perm in h.permutations():
-        for candidate in (perm, tuple(reversed(perm))):
-            labels = [""] * n
-            for site, point in enumerate(candidate):
-                labels[point] = CLASS_NAMES[site // s]
-            key = tuple(labels)
+    for swap in chain([None], chain.from_iterable(flips)):
+        if swap is not None and not thirds.swap(*swap):
+            continue
+        for names in (CLASS_NAMES, CLASS_NAMES[::-1]):
+            key = tuple(names[t] for t in thirds.third)
             if key in seen:
                 continue
             seen.add(key)
-            witness = check_partition(ps, key, mode=mode)
+            witness = check_partition(ps, key, mode=mode, classes=classes)
             if witness is not None:
                 return witness
     return None
@@ -167,23 +226,13 @@ def check_halfperiod(
     if roles is None:
         return None
     x, y, z = roles
-    n = h.n
-    s_size = n // 3
-
-    def pattern(perm: tuple[int, ...]) -> tuple[str, ...] | None:
-        out = []
-        for t in range(3):
-            block = {h.labels[i] for i in perm[t * s_size : (t + 1) * s_size]}
-            if len(block) != 1:
-                return None
-            out.append(next(iter(block)))
-        return tuple(out)
-
+    # The block pattern changes only when a point changes thirds.
+    thirds = _Thirds(h.initial_permutation, h.labels)
     s_idx: int | None = None
-    for idx, perm in enumerate(h.permutations()):
-        pat = pattern(perm)
-        if pat is None:
+    for idx, t in enumerate(h.transpositions, 1):
+        if not thirds.swap(t.position, *t.elements):
             continue
+        pat = thirds.pattern()
         if s_idx is None:
             if pat == (y, x, z):
                 s_idx = idx

@@ -8,12 +8,19 @@ the other).  General position rules out all degenerate sign cases.
 
 The general-position oracle is the plain O(n^3) scan over all triples, kept
 apart from the library's grouping of pairs by critical direction.
+
+The decomposition oracle projects every point along each gap sample
+direction and its negation, instead of reading the halfperiod's block
+counters.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
+from ksetlab.circular import Direction, interval_sample_directions
+from ksetlab.decompose import DecompositionWitness
 from ksetlab.geometry import Point, PointSet, orientation
 
 
@@ -34,6 +41,45 @@ def general_position_by_triples(ps: PointSet) -> bool:
     if len(set(pts)) != len(pts):
         return False
     return all(orientation(p, q, r) != 0 for p, q, r in combinations(pts, 3))
+
+
+def _realizes_order(
+    ps: PointSet, labels: tuple[str, ...], u: Direction, order: tuple[str, str, str]
+) -> bool:
+    """True iff along u every point of order[0] projects strictly before
+    every point of order[1], which projects strictly before order[2]."""
+    lo: dict[str, Fraction] = {}
+    hi: dict[str, Fraction] = {}
+    for p, c in zip(ps.points, labels):
+        v = u[0] * p.x + u[1] * p.y
+        if c not in lo:
+            lo[c] = hi[c] = v
+        else:
+            lo[c] = min(lo[c], v)
+            hi[c] = max(hi[c], v)
+    x, y, z = order
+    return hi[x] < lo[y] and hi[y] < lo[z]
+
+
+def check_partition_by_sampling(
+    ps: PointSet, labels=None, mode: str = "three"
+) -> DecompositionWitness | None:
+    """``check_partition`` by projection: the first realizing direction of
+    each wanted block order among the gap samples, then their negations."""
+    part = ps.labels if labels is None else ps.with_labels(labels).labels
+    samples = interval_sample_directions(ps)
+    candidates = samples + [(-u[0], -u[1]) for u in samples]
+    wanted = [("a", "b", "c"), ("b", "a", "c")]
+    if mode == "three":
+        wanted.append(("b", "c", "a"))
+    found = []
+    for order in wanted:
+        u = next((u for u in candidates if _realizes_order(ps, part, u, order)), None)
+        if u is None:
+            return None
+        found.append(u)
+    l3 = found[2] if mode == "three" else None
+    return DecompositionWitness(part, (found[0], found[1], l3))
 
 
 def convex_hull(points: list[Point]) -> list[Point]:

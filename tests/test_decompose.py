@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ksetlab.decompose as decompose_mod
 from ksetlab import (
@@ -20,7 +22,7 @@ from ksetlab import (
 from ksetlab.circular import _dot_point
 from ksetlab.verify import random_general_position_set
 
-from support import DEGENERATE_SETS
+from support import DEGENERATE_SETS, check_partition_by_sampling
 
 # Frozen 6-point set on which the exhaustive search finds no decomposition
 # (the search itself is the oracle here).
@@ -103,9 +105,9 @@ class TestFindPartition:
         calls = []
         real = decompose_mod.check_partition
 
-        def counting(ps, labels=None, mode="three"):
+        def counting(ps, labels=None, mode="three", **kwargs):
             calls.append(tuple(labels))
-            return real(ps, labels, mode=mode)
+            return real(ps, labels, mode=mode, **kwargs)
 
         monkeypatch.setattr(decompose_mod, "check_partition", counting)
         assert find_partition(NON_DECOMPOSABLE_6) is None
@@ -113,6 +115,44 @@ class TestFindPartition:
         # 2*C(n,2) of them (thirds of each permutation of the full period)
         assert len(calls) == len(set(calls))
         assert len(calls) <= 2 * math.comb(6, 2)
+
+    def test_candidates_only_at_block_boundaries(self, monkeypatch):
+        # The thirds of a permutation change only at a swap at site s or 2s,
+        # so the search proposes the initial thirds and those after each such
+        # swap, each with its reversal: the distinct thirds of every
+        # permutation of the halfperiod and its reversal, in order.
+        ps = random_general_position_set(15, 0)
+        h = build_halfperiod(ps)
+        boundary_swaps = sum(1 for t in h.transpositions if t.position in (5, 10))
+        every = []
+        for perm in h.permutations():
+            for candidate in (perm, perm[::-1]):
+                labels = [""] * 15
+                for site, point in enumerate(candidate):
+                    labels[point] = "abc"[site // 5]
+                every.append(tuple(labels))
+        calls = []
+        real = decompose_mod.check_partition
+
+        def counting(ps, labels=None, mode="three", **kwargs):
+            calls.append(tuple(labels))
+            return real(ps, labels, mode=mode, **kwargs)
+
+        monkeypatch.setattr(decompose_mod, "check_partition", counting)
+        assert find_partition(ps) is None
+        assert calls == list(dict.fromkeys(every))
+        assert len(calls) <= 2 * (1 + boundary_swaps)
+
+    def test_recovers_generated_n30(self):
+        ps = generate(30, seed=0)
+        w = find_partition(ps.with_labels(None))
+        assert w is not None
+        assert_witness_orders(ps, w)
+
+        def classes(labels):
+            return {frozenset(i for i, c in enumerate(labels) if c == x) for x in "abc"}
+
+        assert classes(w.partition) == classes(ps.labels)
 
     def test_convex_hexagon_decided(self):
         hexagon = PointSet.from_coords(
@@ -122,6 +162,40 @@ class TestFindPartition:
         # exhaustive search is its own oracle; verify whichever way it lands
         if w is not None:
             assert check_partition(hexagon, w.partition) is not None
+
+
+# Labeled sets on a small integer grid: n = 3, 6 or 9 distinct points and a
+# permutation of the balanced labels.
+@st.composite
+def labeled_grid_sets(draw):
+    n = draw(st.sampled_from([3, 6, 9]))
+    coords = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    labels = draw(st.permutations(["a", "b", "c"] * (n // 3)))
+    ps = PointSet.from_coords(coords, labels)
+    assume(is_general_position(ps))
+    return ps
+
+
+@st.composite
+def generated_sets(draw):
+    ps = generate(draw(st.sampled_from([3, 6, 9, 12])), draw(st.integers(0, 50)))
+    if draw(st.booleans()):
+        ps = ps.with_labels(draw(st.permutations(ps.labels)))
+    return ps
+
+
+class TestMatchesSamplingOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(labeled_grid_sets() | generated_sets(), st.sampled_from(["three", "two"]))
+    def test_same_witness(self, ps, mode):
+        assert check_partition(ps, mode=mode) == check_partition_by_sampling(ps, mode=mode)
 
 
 @pytest.mark.parametrize("ps", DEGENERATE_SETS)

@@ -241,10 +241,20 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["bounds", "--n", "9", "--k", "0"], None, 2),
         (["bounds", "--n", "9", "--k", "7"], None, 2),
         (["bounds", "--n", "9", "--k", "3"], None, 0),
+        (["analyze", "--k-range", "3:2"], TRIANGLE_JSON, 2),
+        (["analyze", "--k-range", "5:9"], TRIANGLE_JSON, 2),
+        (["verify", "--suite", "slack", "--max-b", "-5", "--max-n", "9"], None, 2),
+        (["gen", "--n", "9", "--seed", "0", "--out", "{missing}/x.json"], None, 2),
+        (["analyze", "--out", "{missing}/r.csv"], TRIANGLE_JSON, 2),
+        (["bounds", "--n", "9", "--out", "{missing}/b.csv"], None, 2),
+        (["verify", "--suite", "series", "--terms", "10", "--out", "{missing}/v.json"],
+         None, 2),
+        (["sweep", "--ns", "6", "--seeds", "1", "--out", "{missing}/s.csv"], None, 2),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
     # 0 success, 2 usage or input error with a one-line message on stderr.
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
     if payload is not None:
         src = tmp_path / "in.json"
         src.write_text(json.dumps(payload))
