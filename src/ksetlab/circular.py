@@ -16,11 +16,13 @@ k-element separable subsets equals the number of k-critical swaps.  At
 ``k = n/2`` (even ``n``) each swap at the middle site cuts off a halving
 set on *both* sides, hence counts twice.
 
-Everything is computed exactly.  Directions are primitive integer vectors.
-One pass over the pairs groups them by critical direction (the 90-degree
-rotation of the pair's difference vector; ``geometry.critical_direction_pairs``,
-which also rejects degenerate sets), and the classes are sorted once,
-counterclockwise over the upper half plane.  That sorted list gives
+Everything is computed exactly, on the integer coordinates
+(``PointSet.coords``).  Directions are primitive integer vectors.  One pass
+over the pairs groups them by critical direction (the 90-degree rotation of
+the pair's difference vector; ``geometry.critical_direction_pairs``, which
+also rejects degenerate sets), and the classes are sorted once per point
+set, counterclockwise over the upper half plane (``PointSet.classes``).
+That sorted list gives
 everything else: the default start direction (inside the narrowest gap
 between consecutive classes), one sample direction inside each gap, and the
 order of the swaps, which is the list rotated to begin at the first class
@@ -37,34 +39,15 @@ direction of the gap that follows it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import chain
 from typing import Iterator
 
 from .errors import GeneralPositionError, LabelingError
-from .geometry import Direction, KSetVector, Pairs, Point, PointSet, critical_direction_pairs
+from .geometry import Classes, Direction, KSetVector, PointSet, cross
 
-Classes = list[tuple[Direction, Pairs]]
 #: One adjacent swap: the left site (1-based) and the two points swapped.
 Swap = tuple[int, int, int]
-
-
-def _cross(u: Direction, v: Direction) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _dot_point(u: Direction, p: Point) -> Fraction:
-    return u[0] * p.x + u[1] * p.y
-
-
-def critical_direction_classes(ps: PointSet) -> Classes:
-    """The pairs of ``ps`` grouped by critical direction (mod a half turn),
-    sorted counterclockwise within the upper half plane."""
-    return sorted(
-        critical_direction_pairs(ps).items(),
-        key=cmp_to_key(lambda a, b: -_cross(a[0], b[0])),
-    )
 
 
 def _gaps(classes: Classes) -> list[tuple[Direction, int, int]]:
@@ -79,7 +62,7 @@ def _gaps(classes: Classes) -> list[tuple[Direction, int, int]]:
         w = dirs[0]
         return [((-w[1], w[0]), 0, 1)]
     return [
-        ((a[0] + b[0], a[1] + b[1]), a[0] * b[0] + a[1] * b[1], _cross(a, b))
+        ((a[0] + b[0], a[1] + b[1]), a[0] * b[0] + a[1] * b[1], cross(a, b))
         for a, b in zip(dirs, dirs[1:] + [(-dirs[0][0], -dirs[0][1])])
     ]
 
@@ -106,13 +89,13 @@ def interval_sample_directions(ps: PointSet) -> list[Direction]:
     consecutive critical directions, covering a half turn.  The negations of
     the returned vectors sample the other half turn.
     """
-    return gap_samples(critical_direction_classes(ps))
+    return gap_samples(ps.classes)
 
 
 def default_start_direction(ps: PointSet) -> Direction:
     """Deterministic tie-free start direction: an interior direction of the
     narrowest angular gap between consecutive critical directions."""
-    return narrowest_gap(critical_direction_classes(ps))
+    return narrowest_gap(ps.classes)
 
 
 def sweep(
@@ -120,23 +103,24 @@ def sweep(
 ) -> tuple[tuple[int, ...], Iterator[list[Swap]]]:
     """Replay the swaps of the halfperiod of ``ps`` that starts at ``u``.
 
-    ``classes`` is ``critical_direction_classes(ps)``.  Returns the initial
+    ``classes`` is ``ps.classes``.  Returns the initial
     permutation (point indices ordered along ``u``, which must tie no pair)
     and an iterator that yields, class by class in the order a direction
     turning counterclockwise from ``u`` meets them, the swaps that class
     makes.  The iterator replays lazily: a consumer may stop early.  Run to
     the end, it checks that the last permutation reverses the first.
     """
-    pts = ps.points
-    initial = tuple(sorted(range(len(pts)), key=lambda i: _dot_point(u, pts[i])))
+    ux, uy = u
+    height = [ux * x + uy * y for x, y in ps.coords]
+    initial = tuple(sorted(range(len(height)), key=height.__getitem__))
     for a, b in zip(initial, initial[1:]):
-        if _dot_point(u, pts[a]) == _dot_point(u, pts[b]):
+        if height[a] == height[b]:
             raise ValueError(f"start direction {u} ties a pair of projections")
     # Each class flips where the rotating direction crosses it.  Turning
     # counterclockwise from u, the first class met is the first one ahead
     # of u taken mod a half turn; the classes then follow in sorted order.
     upper = u if u[1] > 0 or (u[1] == 0 and u[0] > 0) else (-u[0], -u[1])
-    start = next((k for k, (w, _) in enumerate(classes) if _cross(upper, w) > 0), 0)
+    start = next((k for k, (w, _) in enumerate(classes) if cross(upper, w) > 0), 0)
     return initial, _replay(initial, classes[start:] + classes[:start])
 
 
@@ -147,8 +131,10 @@ def _replay(initial: tuple[int, ...], classes: Classes) -> Iterator[list[Swap]]:
         pos[v] = i
     for _, pairs in classes:
         swaps = []
-        # Simultaneous flips are pairwise disjoint; execute left to right.
-        for i, j in sorted(pairs, key=lambda p: min(pos[p[0]], pos[p[1]])):
+        if len(pairs) > 1:
+            # Simultaneous flips are pairwise disjoint; execute left to right.
+            pairs = sorted(pairs, key=lambda p: min(pos[p[0]], pos[p[1]]))
+        for i, j in pairs:
             a, b = pos[i], pos[j]
             if a > b:
                 a, b = b, a
@@ -165,11 +151,12 @@ def _replay(initial: tuple[int, ...], classes: Classes) -> Iterator[list[Swap]]:
         raise GeneralPositionError("halfperiod replay did not reverse the order")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transposition:
     """One adjacent swap of the halfperiod: at step ``step`` (1-based) the
     entries in sites ``(position, position + 1)`` swap; ``elements`` are the
-    two point indices involved, smaller first."""
+    two point indices involved, smaller first.  A halfperiod holds C(n,2) of
+    them, so they carry no instance dict."""
 
     step: int
     position: int
@@ -197,12 +184,23 @@ class Halfperiod:
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
             yield tuple(perm)
 
-    def position_counts(self) -> dict[int, int]:
-        """Number of transpositions at each site 1..n-1."""
-        counts = {i: 0 for i in range(1, self.n)}
+    @cached_property
+    def site_counts(self) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+        """Transpositions at each site, and the heterogeneous ones among them
+        (None without labels), in one pass: entry ``i`` counts site ``i``
+        (entry 0 is unused)."""
+        labels = self.labels
+        counts = [0] * max(self.n, 1)
+        het = None if labels is None else [0] * len(counts)
         for t in self.transpositions:
             counts[t.position] += 1
-        return counts
+            if het is not None and labels[t.elements[0]] != labels[t.elements[1]]:
+                het[t.position] += 1
+        return tuple(counts), None if het is None else tuple(het)
+
+    def position_counts(self) -> dict[int, int]:
+        """Number of transpositions at each site 1..n-1."""
+        return dict(enumerate(self.site_counts[0][1:], 1))
 
 
 def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfperiod:
@@ -210,7 +208,7 @@ def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfpe
     deterministic tie-free direction).  The supplied direction must not be
     perpendicular to any pair line, i.e. the initial projection order must
     be strict.  Raises ``GeneralPositionError`` on a degenerate set."""
-    classes = critical_direction_classes(ps)
+    classes = ps.classes
     u = direction if direction is not None else narrowest_gap(classes)
     initial, flips = sweep(ps, classes, u)
     steps = tuple(
@@ -218,10 +216,6 @@ def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfpe
         for step, (site, i, j) in enumerate(chain.from_iterable(flips), 1)
     )
     return Halfperiod(ps.n, initial, steps, u, ps.labels)
-
-
-def _is_homogeneous(t: Transposition, labels: tuple[str, ...]) -> bool:
-    return labels[t.elements[0]] == labels[t.elements[1]]
 
 
 @dataclass(frozen=True)
@@ -263,14 +257,12 @@ def critical_counts(h: Halfperiod, k: int) -> CriticalityReport:
     n = h.n
     if not 1 <= k or not 2 * k < n:
         raise ValueError(f"k must satisfy 1 <= k < n/2, got k={k}, n={n}")
-    by_position = h.position_counts()
+    counts, het_counts = h.site_counts
+    by_position = dict(enumerate(counts[1:], 1))
     het_by_position = None
     hom = het = None
-    if h.labels is not None:
-        het_by_position = {i: 0 for i in range(1, n)}
-        for t in h.transpositions:
-            if not _is_homogeneous(t, h.labels):
-                het_by_position[t.position] += 1
+    if het_counts is not None:
+        het_by_position = dict(enumerate(het_counts[1:], 1))
 
     def critical_sum(counts: dict[int, int]) -> int:
         return sum(c for i, c in counts.items() if i <= k or i >= n - k)
@@ -302,13 +294,13 @@ def kset_vector_from_halfperiod(h: Halfperiod) -> KSetVector:
     n = h.n
     if n < 2:
         return KSetVector.from_counts(n, {})
-    counts = h.position_counts()
+    counts = h.site_counts[0]
     e = {}
     for k in range(1, n // 2 + 1):
         if 2 * k < n:
-            e[k] = counts.get(k, 0) + counts.get(n - k, 0)
+            e[k] = counts[k] + counts[n - k]
         else:
-            e[k] = 2 * counts.get(k, 0)
+            e[k] = 2 * counts[k]
     return KSetVector.from_counts(n, e)
 
 

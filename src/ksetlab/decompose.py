@@ -37,12 +37,10 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .circular import (
-    Classes,
     Direction,
     Halfperiod,
     block_classes,
     build_halfperiod,
-    critical_direction_classes,
     gap_samples,
     narrowest_gap,
     sweep,
@@ -127,16 +125,13 @@ def check_partition(
     ps: PointSet,
     labels: Iterable[str] | None = None,
     mode: str = "three",
-    *,
-    classes: Classes | None = None,
 ) -> DecompositionWitness | None:
     """Search for witness directions making the given partition a
     3-decomposition.  ``mode='three'`` (default) requires the block orders
     a,b,c / b,a,c / b,c,a; ``mode='two'`` requires only the first two.
 
     Each witness is the first realizing direction among the gap samples
-    (``gap_samples``), else the first among their negations.  ``classes``
-    is ``critical_direction_classes(ps)``, for a caller that already has it.
+    (``gap_samples``), else the first among their negations.
     """
     if mode not in ("three", "two"):
         raise ValueError(f"mode must be 'three' or 'two', got {mode!r}")
@@ -144,8 +139,7 @@ def check_partition(
     wanted: list[tuple[str, ...]] = [("a", "b", "c"), ("b", "a", "c")]
     if mode == "three":
         wanted.append(("b", "c", "a"))
-    if classes is None:
-        classes = critical_direction_classes(ps)
+    classes = ps.classes
     samples = gap_samples(classes)
     # Started inside gap 0, the sweep meets classes 1, 2, ... in turn, and
     # class g opens gap g.  Pattern -> first gap reading it.
@@ -187,7 +181,7 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     n = ps.n
     if n % 3 != 0 or n < 3:
         raise LabelingError("3-decomposition needs n divisible by 3")
-    classes = critical_direction_classes(ps)
+    classes = ps.classes
     initial, flips = sweep(ps, classes, narrowest_gap(classes))
     thirds = _Thirds(initial)
     seen: set[tuple[str, ...]] = set()
@@ -199,7 +193,7 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
             if key in seen:
                 continue
             seen.add(key)
-            witness = check_partition(ps, key, mode=mode, classes=classes)
+            witness = check_partition(ps, key, mode=mode)
             if witness is not None:
                 return witness
     return None

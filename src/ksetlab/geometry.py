@@ -1,9 +1,12 @@
 """Exact planar geometry over rational coordinates.
 
 Everything counted downstream (crossing numbers, k-set counts, transposition
-classes) reduces to sign tests on rational cross products, so coordinates are
-`fractions.Fraction` throughout and no floating point enters any counted
-quantity.
+classes) reduces to sign tests on rational cross products, so no floating
+point enters any counted quantity.  Points hold ``fractions.Fraction``
+coordinates; the kernel reads ``PointSet.coords``, the same points scaled
+once by the least common multiple of all denominators to plain integers.  A
+uniform positive scaling keeps every orientation sign, projection order and
+critical direction, so nothing read off the integers changes.
 
 The two counting routines here are deliberately brute force; they act as the
 ground truth that the faster circular-sequence machinery is validated
@@ -26,6 +29,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -38,6 +42,7 @@ CLASS_NAMES = ("a", "b", "c")
 
 Direction = tuple[int, int]
 Pairs = tuple[tuple[int, int], ...]
+Classes = list[tuple[Direction, Pairs]]
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,10 @@ class PointSet:
     at construction.  General position is *not* checked here: it falls out
     of grouping the pairs by critical direction
     (``critical_direction_pairs``), which the operations that need it do.
+
+    ``coords`` and ``classes`` are computed at most once per instance and
+    kept on it; ``with_labels`` hands them to the relabeled set, since
+    labels change neither.
     """
 
     points: tuple[Point, ...]
@@ -94,7 +103,42 @@ class PointSet:
         return cls(pts, tuple(labels) if labels is not None else None)
 
     def with_labels(self, labels: Iterable[str] | None) -> "PointSet":
-        return PointSet(self.points, tuple(labels) if labels is not None else None)
+        out = PointSet(self.points, tuple(labels) if labels is not None else None)
+        for name in _LABEL_FREE:
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
+
+    @cached_property
+    def coords(self) -> tuple[tuple[int, int], ...]:
+        """The points scaled by one positive integer, the least common
+        multiple of all denominators, to integer coordinates."""
+        pts = self.points
+        m = math.lcm(*(p.x.denominator for p in pts), *(p.y.denominator for p in pts))
+        return tuple(
+            (p.x.numerator * (m // p.x.denominator), p.y.numerator * (m // p.y.denominator))
+            for p in pts
+        )
+
+    @cached_property
+    def classes(self) -> Classes:
+        """The pairs grouped by critical direction (``critical_direction_pairs``,
+        which raises ``GeneralPositionError`` on a degenerate set), sorted
+        counterclockwise within the upper half plane."""
+        classes = list(critical_direction_pairs(self).items())
+        try:
+            # By angle in floating point first: only near-ties can come out
+            # in the wrong order, so the exact sort below meets long sorted
+            # runs and takes about one comparison per class.
+            classes.sort(key=lambda c: math.atan2(c[0][1], c[0][0]))
+        except OverflowError:  # a direction beyond the float range
+            pass
+        classes.sort(key=cmp_to_key(lambda a, b: -cross(a[0], b[0])))
+        return classes
+
+
+#: The cached properties of a ``PointSet`` that do not depend on its labels.
+_LABEL_FREE = ("coords", "classes")
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
@@ -110,40 +154,39 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
-def _primitive_upper(dx: Fraction, dy: Fraction) -> Direction:
-    """Canonical primitive integer vector for the line direction (dx, dy),
-    normalized into the upper half plane (y > 0, or y = 0 and x > 0)."""
-    ix = dx.numerator * dy.denominator
-    iy = dy.numerator * dx.denominator
-    g = math.gcd(ix, iy)
-    ix //= g
-    iy //= g
-    if iy < 0 or (iy == 0 and ix < 0):
-        ix, iy = -ix, -iy
-    return (ix, iy)
+def cross(u: Direction, v: Direction) -> int:
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def critical_direction_pairs(ps: PointSet) -> dict[Direction, Pairs]:
     """The index pairs ``(i, j)``, ``i < j``, grouped by critical direction:
     the 90-degree rotation of the pair's difference vector, along which the
     pair projects to one value, as a primitive integer vector in the upper
-    half plane.
+    half plane.  Read off the integer coordinates (``PointSet.coords``).
 
     This is also the general-position test; it raises ``GeneralPositionError``
     on coincident points or a collinear triple.  Three collinear points put
     two pairs sharing a point into one class, and two such pairs are three
     collinear points.
     """
-    pts = ps.points
+    xy = ps.coords
+    gcd = math.gcd
     classes: dict[Direction, Pairs] = {}
-    for i, j in combinations(range(len(pts)), 2):
-        dx, dy = pts[j].x - pts[i].x, pts[j].y - pts[i].y
-        if not dx and not dy:
-            raise GeneralPositionError(f"points {i} and {j} coincide")
-        w = _primitive_upper(-dy, dx)
-        # Tuples, not lists: most classes hold one pair, and a tuple of one
-        # is the smallest container for it.
-        classes[w] = classes.get(w, ()) + ((i, j),)
+    for i, (xi, yi) in enumerate(xy):
+        for j in range(i + 1, len(xy)):
+            xj, yj = xy[j]
+            dx, dy = xj - xi, yj - yi
+            if not dx and not dy:
+                raise GeneralPositionError(f"points {i} and {j} coincide")
+            # (-dy, dx) made primitive and turned into the upper half plane.
+            g = gcd(dx, dy)
+            if dx > 0 or (dx == 0 and dy < 0):
+                w = (-dy // g, dx // g)
+            else:
+                w = (dy // g, -dx // g)
+            # Tuples, not lists: most classes hold one pair, and a tuple of
+            # one is the smallest container for it.
+            classes[w] = classes.get(w, ()) + ((i, j),)
     for pairs in classes.values():
         if len(pairs) > 1 and len({p for pair in pairs for p in pair}) < 2 * len(pairs):
             raise GeneralPositionError("point set has a collinear triple")
@@ -153,14 +196,14 @@ def critical_direction_pairs(ps: PointSet) -> dict[Direction, Pairs]:
 def is_general_position(ps: PointSet) -> bool:
     """True iff all points are distinct and no triple is collinear."""
     try:
-        critical_direction_pairs(ps)
+        ps.classes
     except GeneralPositionError:
         return False
     return True
 
 
 def require_general_position(ps: PointSet) -> None:
-    critical_direction_pairs(ps)
+    ps.classes
 
 
 def _in_triangle(a: Point, b: Point, c: Point, p: Point) -> bool:

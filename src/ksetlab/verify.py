@@ -47,13 +47,14 @@ def random_general_position_set(n: int, seed: int, spread: int = 60) -> PointSet
     """Deterministic random point set with integer coordinates in general
     position (rejection-sampled)."""
     rng = random.Random(seed)
-    points: list[Point] = []
-    while len(points) < n:
+    ps = PointSet(())
+    while ps.n < n:
         cand = Point(Fraction(rng.randint(-spread, spread)), Fraction(rng.randint(-spread, spread)))
-        trial = points + [cand]
-        if is_general_position(PointSet(tuple(trial))):
-            points.append(cand)
-    return PointSet(tuple(points))
+        trial = PointSet(ps.points + (cand,))
+        # The accepted set keeps the grouping its test computed.
+        if is_general_position(trial):
+            ps = trial
+    return ps
 
 
 def oracle_suite(

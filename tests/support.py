@@ -12,15 +12,22 @@ apart from the library's grouping of pairs by critical direction.
 The decomposition oracle projects every point along each gap sample
 direction and its negation, instead of reading the halfperiod's block
 counters.
+
+The grouping oracle groups the pairs by critical direction with ``Fraction``
+differences of the original coordinates, instead of the library's integer
+coordinates; the count oracle recounts the critical transpositions for each
+k, instead of reading the halfperiod's one-pass site counts.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
-from ksetlab.circular import Direction, interval_sample_directions
+from ksetlab.circular import Direction, Halfperiod, interval_sample_directions
 from ksetlab.decompose import DecompositionWitness
+from ksetlab.errors import GeneralPositionError
 from ksetlab.geometry import Point, PointSet, orientation
 
 
@@ -43,6 +50,77 @@ def general_position_by_triples(ps: PointSet) -> bool:
     return all(orientation(p, q, r) != 0 for p, q, r in combinations(pts, 3))
 
 
+def dot_point(u: Direction, p: Point) -> Fraction:
+    """The projection of ``p`` along ``u``, in the original coordinates."""
+    return u[0] * p.x + u[1] * p.y
+
+
+def _primitive_upper(dx: Fraction, dy: Fraction) -> Direction:
+    """Canonical primitive integer vector for the line direction (dx, dy),
+    normalized into the upper half plane (y > 0, or y = 0 and x > 0)."""
+    ix = dx.numerator * dy.denominator
+    iy = dy.numerator * dx.denominator
+    g = math.gcd(ix, iy)
+    ix //= g
+    iy //= g
+    if iy < 0 or (iy == 0 and ix < 0):
+        ix, iy = -ix, -iy
+    return (ix, iy)
+
+
+def critical_direction_pairs_by_fractions(ps: PointSet) -> dict:
+    """``critical_direction_pairs`` from ``Fraction`` differences of the
+    points, with the same errors."""
+    pts = ps.points
+    classes: dict = {}
+    for i, j in combinations(range(len(pts)), 2):
+        dx, dy = pts[j].x - pts[i].x, pts[j].y - pts[i].y
+        if not dx and not dy:
+            raise GeneralPositionError(f"points {i} and {j} coincide")
+        w = _primitive_upper(-dy, dx)
+        classes[w] = classes.get(w, ()) + ((i, j),)
+    for pairs in classes.values():
+        if len(pairs) > 1 and len({p for pair in pairs for p in pair}) < 2 * len(pairs):
+            raise GeneralPositionError("point set has a collinear triple")
+    return classes
+
+
+def critical_counts_by_recount(h: Halfperiod, k: int) -> dict:
+    """The fields of ``critical_counts(h, k)``, recounted from every
+    transposition for this k alone."""
+    n = h.n
+    by_position = {i: 0 for i in range(1, n)}
+    het_by_position = None if h.labels is None else {i: 0 for i in range(1, n)}
+    for t in h.transpositions:
+        by_position[t.position] += 1
+        i, j = t.elements
+        if het_by_position is not None and h.labels[i] != h.labels[j]:
+            het_by_position[t.position] += 1
+
+    def critical_sum(counts):
+        return sum(c for i, c in counts.items() if i <= k or i >= n - k)
+
+    def mirrored(counts):
+        return {
+            i: counts.get(i, 0) + (counts.get(n - i, 0) if i != n - i else 0)
+            for i in range(1, n // 2 + 1)
+        }
+
+    total = critical_sum(by_position)
+    het = None if het_by_position is None else critical_sum(het_by_position)
+    return {
+        "n": n,
+        "k": k,
+        "total": total,
+        "hom": None if het is None else total - het,
+        "het": het,
+        "by_position": by_position,
+        "het_by_position": het_by_position,
+        "i_critical": mirrored(by_position),
+        "i_critical_het": None if het_by_position is None else mirrored(het_by_position),
+    }
+
+
 def _realizes_order(
     ps: PointSet, labels: tuple[str, ...], u: Direction, order: tuple[str, str, str]
 ) -> bool:
@@ -51,7 +129,7 @@ def _realizes_order(
     lo: dict[str, Fraction] = {}
     hi: dict[str, Fraction] = {}
     for p, c in zip(ps.points, labels):
-        v = u[0] * p.x + u[1] * p.y
+        v = dot_point(u, p)
         if c not in lo:
             lo[c] = hi[c] = v
         else:

@@ -32,8 +32,9 @@ from ksetlab import (
     slack_quartic,
 )
 from ksetlab.bounds import BEST_UPPER_COEFFICIENT, GENERAL_LOWER_COEFFICIENT
-from ksetlab.circular import _dot_point
 from ksetlab.verify import random_general_position_set
+
+from support import dot_point
 
 SERIES_TOL = 1e-9
 QUAD_TOL = 1e-12
@@ -264,7 +265,7 @@ def test_criterion_9_decomposability_soundness(generated_sets):
                 witness.directions, (("a", "b", "c"), ("b", "a", "c"), ("b", "c", "a"))
             ):
                 ranked = sorted(
-                    range(ps.n), key=lambda i: _dot_point(direction, ps.points[i])
+                    range(ps.n), key=lambda i: dot_point(direction, ps.points[i])
                 )
                 seen = [witness.partition[i] for i in ranked]
                 s = ps.n // 3

@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import asdict
 from itertools import combinations
 
 import pytest
@@ -17,7 +19,7 @@ from ksetlab import (
 from ksetlab.circular import block_classes
 from ksetlab.verify import random_general_position_set
 
-from support import DEGENERATE_SETS
+from support import DEGENERATE_SETS, critical_counts_by_recount
 
 TRIANGLE = PointSet.from_coords([(0, 0), (1, 0), (0, 1)])
 HEXAGON = PointSet.from_coords([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
@@ -69,6 +71,13 @@ class TestBuildHalfperiod:
         h = build_halfperiod(two)
         assert [(t.position, t.elements) for t in h.transpositions] == [(1, (0, 1))]
         assert kset_vector_from_halfperiod(h).e == {1: 2}
+
+    def test_coordinates_beyond_float_range(self):
+        # The float presort of the angular sort overflows; the exact sort
+        # alone still orders the classes.
+        big = 10**400
+        ps = PointSet.from_coords([(0, 0), (big, 1), (1, big), (big, big + 3), (-big, 7)])
+        assert kset_vector_from_halfperiod(build_halfperiod(ps)) == k_set_oracle(ps)
 
     def test_axis_aligned_coordinates(self):
         ps = PointSet.from_coords([(0, 0), (0, 1), (1, 0), (1, 1), (2, 5)])
@@ -130,6 +139,21 @@ class TestCriticalCounts:
             h = build_halfperiod(random_general_position_set(n, 6000 + seed))
             middle = h.position_counts()[n // 2]
             assert critical_counts(h, n // 2 - 1).total == math.comb(n, 2) - middle
+
+    def test_one_pass_counts_match_recount(self):
+        # The site counts are taken once per halfperiod; every k must read
+        # the same report as a recount of all transpositions for that k.
+        sets = [generate(n, seed) for n in (6, 9, 12, 18) for seed in (0, 1)]
+        rng = random.Random(11)
+        for n in (5, 6, 9, 12, 15):
+            ps = random_general_position_set(n, 6100 + n)
+            sets.append(ps)
+            if n % 3 == 0:
+                sets.append(ps.with_labels(rng.sample("abc" * (n // 3), n)))
+        for ps in sets:
+            h = build_halfperiod(ps)
+            for k in range(1, (ps.n - 1) // 2 + 1):
+                assert asdict(critical_counts(h, k)) == critical_counts_by_recount(h, k)
 
     def test_k_range_validated(self):
         h = build_halfperiod(TRIANGLE)

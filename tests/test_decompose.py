@@ -9,6 +9,7 @@ import ksetlab.decompose as decompose_mod
 from ksetlab import (
     GeneralPositionError,
     LabelingError,
+    Point,
     PointSet,
     build_halfperiod,
     check_halfperiod,
@@ -19,10 +20,9 @@ from ksetlab import (
     kset_vector_from_halfperiod,
     min_kset_count,
 )
-from ksetlab.circular import _dot_point
 from ksetlab.verify import random_general_position_set
 
-from support import DEGENERATE_SETS, check_partition_by_sampling
+from support import DEGENERATE_SETS, check_partition_by_sampling, dot_point
 
 # Frozen 6-point set on which the exhaustive search finds no decomposition
 # (the search itself is the oracle here).
@@ -37,7 +37,7 @@ def assert_witness_orders(ps, witness):
     for direction, expected in zip(witness.directions, orders):
         if direction is None:
             continue
-        ranked = sorted(range(ps.n), key=lambda i: _dot_point(direction, ps.points[i]))
+        ranked = sorted(range(ps.n), key=lambda i: dot_point(direction, ps.points[i]))
         seen = [witness.partition[i] for i in ranked]
         s = ps.n // 3
         assert seen == [expected[0]] * s + [expected[1]] * s + [expected[2]] * s
@@ -196,6 +196,23 @@ class TestMatchesSamplingOracle:
     @given(labeled_grid_sets() | generated_sets(), st.sampled_from(["three", "two"]))
     def test_same_witness(self, ps, mode):
         assert check_partition(ps, mode=mode) == check_partition_by_sampling(ps, mode=mode)
+
+
+class TestScalingInvariance:
+    # A uniform positive scaling changes the integer coordinates the kernel
+    # reads but no orientation, projection order or critical direction.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        labeled_grid_sets() | generated_sets(),
+        st.builds(Fraction, st.integers(1, 60), st.sampled_from([1, 3, 7, 10, 99])),
+        st.sampled_from(["three", "two"]),
+    )
+    def test_same_halfperiod_and_witness(self, ps, factor, mode):
+        scaled = PointSet(
+            tuple(Point(p.x * factor, p.y * factor) for p in ps.points), ps.labels
+        )
+        assert build_halfperiod(scaled) == build_halfperiod(ps)
+        assert check_partition(scaled, mode=mode) == check_partition(ps, mode=mode)
 
 
 @pytest.mark.parametrize("ps", DEGENERATE_SETS)

@@ -16,10 +16,15 @@ from ksetlab import (
     k_set_oracle,
     orientation,
 )
-from ksetlab.geometry import KSetVector
+from ksetlab.geometry import KSetVector, critical_direction_pairs
 from ksetlab.verify import random_general_position_set
 
-from support import general_position_by_triples, kset_counts_by_hulls
+from support import (
+    DEGENERATE_SETS,
+    critical_direction_pairs_by_fractions,
+    general_position_by_triples,
+    kset_counts_by_hulls,
+)
 
 HEXAGON = PointSet.from_coords([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
 
@@ -83,6 +88,67 @@ class TestGeneralPosition:
             [(Fraction(x, d), Fraction(y, d)) for x, y, d in coords]
         )
         assert is_general_position(ps) == general_position_by_triples(ps)
+
+
+# Mixed non-dyadic denominators per coordinate, and numerators on a small
+# grid so that repeated points and collinear triples still occur.
+MIXED_POINTS = st.tuples(
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 3, 5, 7, 9])),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 3, 11, 13])),
+)
+
+
+def grouping_or_error(group, ps):
+    try:
+        return list(group(ps).items())
+    except GeneralPositionError as exc:
+        return ("error", str(exc))
+
+
+class TestIntegerKernel:
+    def test_coords_scale_by_common_denominator(self):
+        ps = PointSet.from_coords([("1/2", "1/3"), (2, "5/6"), ("-3/4", 0)])
+        assert ps.coords == ((6, 4), (24, 10), (-9, 0))
+        assert PointSet.from_coords([(1, 2), (-3, 0)]).coords == ((1, 2), (-3, 0))
+        assert PointSet(()).coords == ()
+
+    def test_with_labels_keeps_the_grouping(self):
+        ps = generate(9, 0)
+        classes = ps.classes
+        relabeled = ps.with_labels(None).with_labels(ps.labels)
+        assert relabeled.__dict__["classes"] is classes
+        assert relabeled == ps
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(MIXED_POINTS, max_size=9)
+        | st.lists(MIXED_POINTS, min_size=4, max_size=9, unique=True)
+    )
+    def test_grouping_matches_fraction_oracle(self, coords):
+        ps = PointSet.from_coords(coords)
+        assert grouping_or_error(critical_direction_pairs, ps) == grouping_or_error(
+            critical_direction_pairs_by_fractions, ps
+        )
+
+    @pytest.mark.parametrize("ps", DEGENERATE_SETS)
+    def test_degenerate_sets_same_error(self, ps):
+        scaled = PointSet.from_coords(
+            [(p.x / 7 + Fraction(1, 3), p.y / 7) for p in ps.points]
+        )
+        for case in (ps, scaled):
+            got = grouping_or_error(critical_direction_pairs, case)
+            assert got[0] == "error"
+            assert got == grouping_or_error(critical_direction_pairs_by_fractions, case)
+
+    def test_random_sets_match_fraction_oracle(self):
+        for n, seed in ((10, 1), (20, 2), (30, 3)):
+            base = random_general_position_set(n, seed)
+            ps = PointSet.from_coords(
+                [(p.x / (3 + i % 5), p.y / (7 + i % 3)) for i, p in enumerate(base.points)]
+            )
+            assert grouping_or_error(critical_direction_pairs, ps) == grouping_or_error(
+                critical_direction_pairs_by_fractions, ps
+            )
 
 
 class TestCrossingNumber:

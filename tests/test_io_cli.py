@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ksetlab import PointSet, generate, load_point_set, save_point_set
+from ksetlab import PointSet, decompose, generate, geometry, load_point_set, save_point_set
 from ksetlab.cli import main
 from ksetlab.io import format_fraction, parse_fraction, point_set_to_dict
 from ksetlab.verify import random_general_position_set
@@ -250,6 +250,12 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["verify", "--suite", "series", "--terms", "10", "--out", "{missing}/v.json"],
          None, 2),
         (["sweep", "--ns", "6", "--seeds", "1", "--out", "{missing}/s.csv"], None, 2),
+        (["verify", "--suite", "series", "--terms", "0"], None, 2),
+        (["verify", "--suite", "series", "--terms", "1"], None, 2),
+        (["verify", "--suite", "edges", "--max-n", "0"], None, 2),
+        (["verify", "--suite", "slack", "--max-b", "2", "--max-n", "-3"], None, 2),
+        (["sweep", "--ns", "6", "--seeds", "0"], None, 2),
+        (["sweep", "--ns", "6", "--seeds", "-1"], None, 2),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
@@ -287,3 +293,52 @@ class TestSweepCommand:
 
     def test_sweep_rejects_bad_ns(self, capsys):
         assert main(["sweep", "--ns", "6,8"]) == 2
+
+
+class TestGroupOnce:
+    """The pairs are grouped by critical direction once per point set: each
+    command reads one cached grouping, and the relabeled sets it derives
+    inherit it."""
+
+    @staticmethod
+    def _record(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(ps):
+            calls.append(ps)
+            return real(ps)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    @pytest.mark.parametrize("require_decomp", [False, True])
+    def test_analyze_groups_once(self, tmp_path, capsys, monkeypatch, labeled,
+                                 require_decomp):
+        ps = generate(9, 4)
+        path = tmp_path / "in.json"
+        save_point_set(ps if labeled else ps.with_labels(None), path)
+        groupings = self._record(monkeypatch, geometry, "critical_direction_pairs")
+        argv = ["analyze", "--input", str(path)] + ["--require-decomp"] * require_decomp
+        assert main(argv) == 0
+        assert len(groupings) == 1
+
+    # Seeds whose first draws have a collinear triple, so the generator
+    # redraws: each attempt is grouped once, by its general-position test,
+    # and the accepted set's check, witness and halfperiod reuse that.
+    def test_generate_groups_once_per_attempt(self, monkeypatch):
+        groupings = self._record(monkeypatch, geometry, "critical_direction_pairs")
+        attempts = self._record(monkeypatch, decompose, "is_general_position")
+        generate(12, 13)
+        generate(12, 16, "near-optimal-template")
+        assert len(attempts) == 5
+        assert groupings == attempts
+
+    def test_gen_groups_once_per_attempt(self, tmp_path, capsys, monkeypatch):
+        groupings = self._record(monkeypatch, geometry, "critical_direction_pairs")
+        attempts = self._record(monkeypatch, decompose, "is_general_position")
+        argv = ["gen", "--n", "12", "--seed", "16", "--shape", "near-optimal-template"]
+        assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
+        assert len(attempts) == 3
+        assert groupings == attempts
