@@ -62,8 +62,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .circular import ValidSwapDigraph
 from .errors import UndefinedWindowError
 
@@ -157,16 +155,21 @@ def kset_lower_bound(k: int, n: int) -> Fraction:
     """Closed-form lower bound Y(k,n) on the number of (<=k)-sets of a
     3-decomposable n-point set (exact rational)."""
     _require_k_n(k, n)
-    m = _window(k, n)
+    return _closed_form(k, n, _window(k, n))[1]
+
+
+def _closed_form(k: int, n: int, m: int) -> tuple[int, Fraction]:
+    """The refinement depth b and Y(k,n), for a nonempty window m."""
     s = n // 3
+    depth = triangular_threshold(Fraction(n, m))
     total = 3 * binom2(k + 1) + 3 * binom2(k - s + 1) - Fraction(1, 3)
-    for j in range(2, refinement_depth(k, n) + 1):
+    for j in range(2, depth + 1):
         arg = Fraction(k + 1) - (Fraction(1, 2) - Fraction(1, 3 * j * (j + 1))) * n
         if arg < 2:
             # Arguments decrease in j; all later terms are clamped to 0.
             break
         total += 3 * j * (j + 1) * binom2(arg)
-    return total
+    return depth, total
 
 
 def heterogeneous_critical_count(k: int, n: int) -> int:
@@ -222,7 +225,10 @@ def extremal_edge_summands(k: int, n: int) -> tuple[int, int, int]:
     """The three partial sums of the extremal edge count, obtained by
     splitting the vertices 1..s at alpha = m*C(b+1,2) and
     alpha + beta = alpha + q*(b+1); each part is nonnegative."""
-    m, s = _require_extremal_args(k, n)
+    return _edge_summands(*_require_extremal_args(k, n))
+
+
+def _edge_summands(m: int, s: int) -> tuple[int, int, int]:
     d = _bqr(m, s)
     b, q, r = d.b, d.q, d.r
     part_a = 2 * m * m * math.comb(b + 1, 3) + math.comb(b + 1, 2) * math.comb(m, 2)
@@ -256,12 +262,16 @@ def kset_lower_bound_sharp(k: int, n: int) -> Fraction:
     s = n // 3
     if k <= s:
         return Fraction(3 * math.comb(k + 1, 2))
-    _window(k, n)
-    value = Fraction(
-        heterogeneous_critical_count(k, n)
-        + 3 * (math.comb(s, 2) - extremal_edge_count(k, n))
+    m = _window(k, n)
+    return _sharp_bound(
+        k, n, heterogeneous_critical_count(k, n), extremal_edge_count(k, n),
+        _closed_form(k, n, m)[1],
     )
-    y = kset_lower_bound(k, n)
+
+
+def _sharp_bound(k: int, n: int, het: int, edges: int, y: Fraction) -> Fraction:
+    """L(k,n) for n/3 < k from het(k,n) and E(k,n), checked against Y(k,n)."""
+    value = Fraction(het + 3 * (math.comb(n // 3, 2) - edges))
     if value < y:
         raise AssertionError(
             f"sharp bound {value} fell below the closed form {y} at k={k}, n={n}"
@@ -311,6 +321,8 @@ def crossing_coefficient() -> float:
     """Asymptotic coefficient per C(n,4) of the crossing-number bound,
     computed at 50 significant digits and returned as float:
     3/8 + 1/216 + (2/27)(79/8 - pi^2) = (2/27)(15 - pi^2) ~ 0.380029."""
+    import mpmath  # only here and in the series report: it is slow to import
+
     with mpmath.workdps(50):
         pi2 = mpmath.pi**2
         summed = (
@@ -362,6 +374,8 @@ def series_and_integral_report(terms: int = 1000) -> SeriesIntegralReport:
     * quadrature of (1-2x)(x - (1/2 - d))^2 over [1/2 - d, 1/2] gives d^4/6
       for the window widths d = 1/(3j(j+1)), checked for j = 2, 3, 4.
     """
+    import mpmath
+
     series = math.fsum(1.0 / (j**3 * (j + 1) ** 3) for j in range(2, terms + 1))
     with mpmath.workdps(50):
         target = float(mpmath.mpf(79) / 8 - mpmath.pi**2)
@@ -411,29 +425,23 @@ class BoundReport:
 
 
 def bound_report(k: int, n: int) -> BoundReport:
-    """Assemble every bound quantity at (k, n), tolerating the m = 0 case."""
+    """Assemble every bound quantity at (k, n), tolerating the m = 0 case.
+    Y is computed once and hom, ceil(Y) and L are derived from it."""
     _require_k_n(k, n)
     s = n // 3
     m = n - 2 * k - 1
-    try:
-        depth = refinement_depth(k, n)
-        y = kset_lower_bound(k, n)
-    except UndefinedWindowError:
-        depth = None
-        y = None
     het = heterogeneous_critical_count(k, n)
-    try:
-        hom = homogeneous_lower_bound(k, n)
-    except UndefinedWindowError:
-        hom = None
-    edges = summands = None
-    if k > s and m >= 1:
-        edges = extremal_edge_count(k, n)
-        summands = extremal_edge_summands(k, n)
-    try:
-        sharp = kset_lower_bound_sharp(k, n)
-    except UndefinedWindowError:
-        sharp = None
+    depth = y = hom = edges = summands = sharp = None
+    if m >= 1:
+        depth, y = _closed_form(k, n, m)
+    if k <= s:
+        hom = Fraction(0)
+        sharp = Fraction(3 * math.comb(k + 1, 2))
+    elif y is not None:
+        hom = y - het
+        summands = _edge_summands(m, s)
+        edges = sum(summands)
+        sharp = _sharp_bound(k, n, het, edges, y)
     return BoundReport(
         n=n,
         k=k,
@@ -441,7 +449,8 @@ def bound_report(k: int, n: int) -> BoundReport:
         s=s,
         depth=depth,
         y=y,
-        ceil_y=min_kset_count(k, n),
+        # min_kset_count: ceil(Y), or 3*C(k+1,2) when the window is empty.
+        ceil_y=3 * math.comb(k + 1, 2) if y is None else math.ceil(y),
         het=het,
         hom_lower=hom,
         edges=edges,

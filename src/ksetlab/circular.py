@@ -31,9 +31,10 @@ are disjoint (a shared endpoint would be a collinear triple), so their swaps
 commute and are executed by increasing left site for determinism.
 
 ``sweep`` is the one replay of the swaps.  ``build_halfperiod`` records it,
-and the decomposition check in ``decompose`` reads it class by class: after
-each class, the permutation is the projection order along the sample
-direction of the gap that follows it.
+``site_counts`` only counts the swaps at each site, and the decomposition
+check in ``decompose`` reads it class by class: after each class, the
+permutation is the projection order along the sample direction of the gap
+that follows it.
 """
 
 from __future__ import annotations
@@ -41,39 +42,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import GeneralPositionError, LabelingError
 from .geometry import Classes, Direction, KSetVector, PointSet, cross
 
 #: One adjacent swap: the left site (1-based) and the two points swapped.
 Swap = tuple[int, int, int]
-
-
-def _gaps(classes: Classes) -> list[tuple[Direction, int, int]]:
-    """The angular gaps between consecutive critical directions, covering a
-    half turn: a tie-free direction strictly inside each gap, and the dot
-    and cross products of its two bounding directions (the gap's cotangent
-    is ``dot / cross``; placeholders when there is only one gap)."""
-    if not classes:
-        return [((1, 0), 0, 1)]
-    dirs = [w for w, _ in classes]
-    if len(dirs) == 1:
-        w = dirs[0]
-        return [((-w[1], w[0]), 0, 1)]
-    return [
-        ((a[0] + b[0], a[1] + b[1]), a[0] * b[0] + a[1] * b[1], cross(a, b))
-        for a, b in zip(dirs, dirs[1:] + [(-dirs[0][0], -dirs[0][1])])
-    ]
-
-
-def narrowest_gap(classes: Classes) -> Direction:
-    """The sample direction of the narrowest gap between consecutive
-    critical directions (the first of equals)."""
-    # cot is strictly decreasing on (0, pi), so the narrowest gap has the
-    # largest dot / cross; max keeps the first of equals.
-    by_cot = cmp_to_key(lambda g, h: g[1] * h[2] - h[1] * g[2])
-    return max(_gaps(classes), key=by_cot)[0]
+#: Swaps at each site, and the heterogeneous ones among them (None without
+#: labels): entry ``i`` counts site ``i`` (entry 0 is unused).
+SiteCounts = tuple[tuple[int, ...], tuple[int, ...] | None]
 
 
 def gap_samples(classes: Classes) -> list[Direction]:
@@ -81,7 +59,34 @@ def gap_samples(classes: Classes) -> list[Direction]:
     critical directions, covering a half turn: gap ``g`` lies between
     ``classes[g]`` and the next class (the last one between the last class
     and the negated first)."""
-    return [mid for mid, _, _ in _gaps(classes)]
+    if not classes:
+        return [(1, 0)]
+    if len(classes) == 1:
+        w = classes[0][0]
+        return [(-w[1], w[0])]
+    return [(a[0] + b[0], a[1] + b[1]) for a, b in _gap_bounds(classes)]
+
+
+def _gap_bounds(classes: Classes) -> list[tuple[Direction, Direction]]:
+    """The two directions bounding each gap, for two classes or more."""
+    dirs = [w for w, _ in classes]
+    return list(zip(dirs, dirs[1:] + [(-dirs[0][0], -dirs[0][1])]))
+
+
+def narrowest_gap(classes: Classes) -> Direction:
+    """The sample direction of the narrowest gap between consecutive
+    critical directions (the first of equals)."""
+    if len(classes) < 2:
+        return gap_samples(classes)[0]
+
+    # cot is strictly decreasing on (0, pi), so the narrowest gap has the
+    # largest cot = dot / cross; max keeps the first of equals.
+    gaps = [
+        (a[0] * b[0] + a[1] * b[1], cross(a, b), (a[0] + b[0], a[1] + b[1]))
+        for a, b in _gap_bounds(classes)
+    ]
+    by_cot = cmp_to_key(lambda g, h: g[0] * h[1] - h[0] * g[1])
+    return max(gaps, key=by_cot)[2]
 
 
 def interval_sample_directions(ps: PointSet) -> list[Direction]:
@@ -151,6 +156,40 @@ def _replay(initial: tuple[int, ...], classes: Classes) -> Iterator[list[Swap]]:
         raise GeneralPositionError("halfperiod replay did not reverse the order")
 
 
+def _tally(n: int, labels: tuple[str, ...] | None, swaps: Iterable[Swap]) -> SiteCounts:
+    """Count ``swaps`` by site, and the heterogeneous ones when there are
+    labels, in one pass."""
+    counts = [0] * max(n, 1)
+    if labels is None:
+        for site, _, _ in swaps:
+            counts[site] += 1
+        return tuple(counts), None
+    het = [0] * len(counts)
+    for site, i, j in swaps:
+        counts[site] += 1
+        if labels[i] != labels[j]:
+            het[site] += 1
+    return tuple(counts), tuple(het)
+
+
+def site_counts(ps: PointSet) -> SiteCounts:
+    """The swaps at each site of a halfperiod of ``ps``, and the
+    heterogeneous ones among them, counted off one replay (``sweep``) from
+    the first gap's sample; no swap is recorded.
+
+    A pair that swaps at site i in the halfperiod from u swaps at site n-i
+    in the one from -u, so the count at one site depends on the start
+    direction, but the sum over sites i and n-i does not; that sum is all
+    the k-set and criticality counts read (``kset_vector_from_sites``,
+    ``critical_counts``).  Same as ``Halfperiod.site_counts`` of the
+    halfperiod built from that sample.
+    """
+    classes = ps.classes
+    # The first gap lies between the first two classes.
+    _, flips = sweep(ps, classes, gap_samples(classes[:2])[0])
+    return _tally(ps.n, ps.labels, chain.from_iterable(flips))
+
+
 @dataclass(frozen=True, slots=True)
 class Transposition:
     """One adjacent swap of the halfperiod: at step ``step`` (1-based) the
@@ -185,18 +224,12 @@ class Halfperiod:
             yield tuple(perm)
 
     @cached_property
-    def site_counts(self) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    def site_counts(self) -> SiteCounts:
         """Transpositions at each site, and the heterogeneous ones among them
         (None without labels), in one pass: entry ``i`` counts site ``i``
         (entry 0 is unused)."""
-        labels = self.labels
-        counts = [0] * max(self.n, 1)
-        het = None if labels is None else [0] * len(counts)
-        for t in self.transpositions:
-            counts[t.position] += 1
-            if het is not None and labels[t.elements[0]] != labels[t.elements[1]]:
-                het[t.position] += 1
-        return tuple(counts), None if het is None else tuple(het)
+        swaps = ((t.position, *t.elements) for t in self.transpositions)
+        return _tally(self.n, self.labels, swaps)
 
     def position_counts(self) -> dict[int, int]:
         """Number of transpositions at each site 1..n-1."""
@@ -286,15 +319,11 @@ def critical_counts(h: Halfperiod, k: int) -> CriticalityReport:
     )
 
 
-def kset_vector_from_halfperiod(h: Halfperiod) -> KSetVector:
-    """k-set counts read off the halfperiod: ``e_k`` equals the number of
-    k-critical transpositions for k < n/2; for even n each swap at the
-    middle site yields two halving sets, so ``e_{n/2}`` doubles the site
-    count."""
-    n = h.n
-    if n < 2:
-        return KSetVector.from_counts(n, {})
-    counts = h.site_counts[0]
+def kset_vector_from_sites(n: int, counts: tuple[int, ...]) -> KSetVector:
+    """k-set counts from the swaps at each site of a halfperiod of n points
+    (``site_counts``): ``e_k`` equals the number of k-critical swaps for
+    k < n/2; for even n each swap at the middle site yields two halving
+    sets, so ``e_{n/2}`` doubles the site count."""
     e = {}
     for k in range(1, n // 2 + 1):
         if 2 * k < n:
@@ -302,6 +331,12 @@ def kset_vector_from_halfperiod(h: Halfperiod) -> KSetVector:
         else:
             e[k] = 2 * counts[k]
     return KSetVector.from_counts(n, e)
+
+
+def kset_vector_from_halfperiod(h: Halfperiod) -> KSetVector:
+    """k-set counts read off the halfperiod's site counts
+    (``kset_vector_from_sites``)."""
+    return kset_vector_from_sites(h.n, h.site_counts[0])
 
 
 @dataclass(frozen=True)

@@ -71,16 +71,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> tuple[list[dict], bool]:
     n = ps.n
-    h = circular.build_halfperiod(ps)
-    vec = circular.kset_vector_from_halfperiod(h)
+    counts, het_counts = circular.site_counts(ps)
+    vec = circular.kset_vector_from_sites(n, counts)
     rows = []
     any_violation = False
-    for k in range(k_lo, k_hi + 1):
+    # The (<=k)-critical swaps are those at sites 1..k and n-k..n-1, e_{<=k}
+    # of them; the heterogeneous ones are summed the same way.
+    het = 0
+    for k in range(1, k_hi + 1):
+        if het_counts is not None:
+            het += het_counts[k] + het_counts[n - k]
+        if k < k_lo:
+            continue
         row: dict = {"n": n, "k": k, "e_k": vec.e[k], "e_le_k": vec.prefix[k]}
-        if ps.labels is not None:
-            rep = circular.critical_counts(h, k)
-            row["het"] = rep.het
-            row["hom"] = rep.hom
+        if het_counts is not None:
+            row["het"] = het
+            row["hom"] = vec.prefix[k] - het
         else:
             row["het"] = row["hom"] = UNDEF
         if n % 3 == 0:
@@ -118,6 +124,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.require_decomp:
         if ps.labels is not None:
             witness = decompose.check_partition(ps, mode=args.decomp_mode)
+        elif ps.n % 3:
+            print(f"error: a 3-decomposition needs n divisible by 3, got n = {ps.n}",
+                  file=sys.stderr)
+            return 2
         else:
             witness = decompose.find_partition(ps, mode=args.decomp_mode)
             if witness is not None:
@@ -209,6 +219,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n is not None and args.max_n < 1:
         print(f"error: --max-n must be at least 1, got {args.max_n}", file=sys.stderr)
         return 2
+    if "oracle" in names and args.sets_per_n < 1:
+        print(f"error: --sets-per-n must be at least 1, got {args.sets_per_n}",
+              file=sys.stderr)
+        return 2
     if "slack" in names and args.max_b < 0:
         print(f"error: --max-b must be at least 0, got {args.max_b}", file=sys.stderr)
         return 2
@@ -247,8 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _sweep_work(item: tuple[int, int, str]) -> list[dict]:
     n, seed, shape = item
     ps = decompose.generate(n, seed, shape)
-    h = circular.build_halfperiod(ps)
-    vec = circular.kset_vector_from_halfperiod(h)
+    vec = circular.kset_vector_from_sites(n, circular.site_counts(ps)[0])
     rows = []
     for k in range(1, (n - 1) // 2 + 1):
         need = bounds_mod.min_kset_count(k, n)
@@ -277,6 +290,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.seeds < 1:
         print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+        return 2
+    if args.parallel < 1:
+        print(f"error: --parallel must be at least 1, got {args.parallel}",
+              file=sys.stderr)
         return 2
     items = [(n, seed, args.shape) for n in sorted(ns) for seed in range(args.seeds)]
     if args.parallel > 1:

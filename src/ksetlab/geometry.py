@@ -127,12 +127,19 @@ class PointSet:
         counterclockwise within the upper half plane."""
         classes = list(critical_direction_pairs(self).items())
         try:
-            # By angle in floating point first: only near-ties can come out
-            # in the wrong order, so the exact sort below meets long sorted
-            # runs and takes about one comparison per class.
+            # By angle in floating point.  Only near-ties can come out in the
+            # wrong order, so one exact pass checks that each class turns
+            # counterclockwise to the next, and the exact sort below runs
+            # only if one does not.
             classes.sort(key=lambda c: math.atan2(c[0][1], c[0][0]))
         except OverflowError:  # a direction beyond the float range
             pass
+        else:
+            if all(
+                a[0] * b[1] > a[1] * b[0]
+                for (a, _), (b, _) in zip(classes, classes[1:])
+            ):
+                return classes
         classes.sort(key=cmp_to_key(lambda a, b: -cross(a[0], b[0])))
         return classes
 

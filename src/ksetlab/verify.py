@@ -76,7 +76,7 @@ def oracle_suite(
         bad = 0
         for t in range(sets_per_n):
             ps = random_general_position_set(n, base_seed + 97 * n + t)
-            fast = circular.kset_vector_from_halfperiod(circular.build_halfperiod(ps))
+            fast = circular.kset_vector_from_sites(ps.n, circular.site_counts(ps)[0])
             slow = k_set_oracle(ps)
             if fast != slow:
                 bad += 1
@@ -91,7 +91,7 @@ def oracle_suite(
         bad = 0
         for seed in generated_seeds:
             ps = decompose.generate(n, seed)
-            fast = circular.kset_vector_from_halfperiod(circular.build_halfperiod(ps))
+            fast = circular.kset_vector_from_sites(ps.n, circular.site_counts(ps)[0])
             slow = k_set_oracle(ps)
             if fast != slow:
                 bad += 1

@@ -25,6 +25,7 @@ from ksetlab import (
 from ksetlab.bounds import (
     BEST_UPPER_COEFFICIENT,
     GENERAL_LOWER_COEFFICIENT,
+    BoundReport,
     binom2,
     bound_report,
 )
@@ -345,3 +346,37 @@ class TestBoundReport:
     def test_low_k_case(self):
         br = bound_report(2, 9)
         assert br.l == 9 and br.edges is None and br.hom_lower == 0
+
+    def test_equals_single_quantity_functions(self):
+        # bound_report computes Y once per (k, n); every field must be what
+        # the public function for that quantity returns on its own.
+        def or_none(f, *args):
+            try:
+                return f(*args)
+            except UndefinedWindowError:
+                return None
+
+        for n in range(3, 151, 3):
+            s = n // 3
+            for k in range(1, (n - 1) // 2 + 1):
+                m = n - 2 * k - 1
+                extremal = k > s and m >= 1
+                expected = BoundReport(
+                    n=n,
+                    k=k,
+                    m=m,
+                    s=s,
+                    depth=or_none(refinement_depth, k, n),
+                    y=or_none(kset_lower_bound, k, n),
+                    ceil_y=min_kset_count(k, n),
+                    het=heterogeneous_critical_count(k, n),
+                    hom_lower=or_none(homogeneous_lower_bound, k, n),
+                    edges=extremal_edge_count(k, n) if extremal else None,
+                    edge_summands=extremal_edge_summands(k, n) if extremal else None,
+                    l=or_none(kset_lower_bound_sharp, k, n),
+                )
+                got = bound_report(k, n)
+                assert got == expected
+                assert [type(v) for v in vars(got).values()] == [
+                    type(v) for v in vars(expected).values()
+                ]

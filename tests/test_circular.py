@@ -4,6 +4,8 @@ from dataclasses import asdict
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ksetlab import (
     GeneralPositionError,
@@ -13,10 +15,14 @@ from ksetlab import (
     build_valid_digraphs,
     critical_counts,
     generate,
+    is_general_position,
     k_set_oracle,
     kset_vector_from_halfperiod,
+    kset_vector_from_sites,
+    site_counts,
 )
-from ksetlab.circular import block_classes
+from ksetlab.circular import block_classes, gap_samples
+from ksetlab.cli import _analyze_rows
 from ksetlab.verify import random_general_position_set
 
 from support import DEGENERATE_SETS, critical_counts_by_recount
@@ -206,6 +212,72 @@ class TestCriticalCounts:
         het_total = len(h.transpositions) - hom_total
         assert hom_total == 3 * math.comb(s, 2)
         assert het_total == 3 * s * s
+
+
+@st.composite
+def grid_sets(draw):
+    n = draw(st.integers(3, 9))
+    coords = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    ps = PointSet.from_coords(coords)
+    assume(is_general_position(ps))
+    if n % 3 == 0 and draw(st.booleans()):
+        ps = ps.with_labels(draw(st.permutations("abc" * (n // 3))))
+    return ps
+
+
+@st.composite
+def generated_sets(draw):
+    ps = generate(draw(st.sampled_from([3, 6, 9, 12])), draw(st.integers(0, 50)))
+    labels = draw(st.sampled_from(["kept", "shuffled", "none"]))
+    if labels == "shuffled":
+        ps = ps.with_labels(draw(st.permutations(ps.labels)))
+    elif labels == "none":
+        ps = ps.with_labels(None)
+    return ps
+
+
+def mirrored(counts):
+    """Swaps at sites i and n - i together, for i = 1..n-1: what does not
+    depend on the start direction."""
+    n = len(counts)
+    return [counts[i] + counts[n - i] for i in range(1, n)]
+
+
+class TestCountingSweep:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(grid_sets() | generated_sets(), st.data())
+    def test_matches_halfperiod(self, ps, data):
+        counts, het = site_counts(ps)
+        # Site by site it is the halfperiod from the first gap's sample...
+        first = build_halfperiod(ps, gap_samples(ps.classes)[0])
+        assert (counts, het) == first.site_counts
+        # ...and mirrored sites agree with the one from any start direction.
+        h = build_halfperiod(ps)
+        assert mirrored(counts) == mirrored(h.site_counts[0])
+        assert (het is None) == (ps.labels is None) == (h.site_counts[1] is None)
+        if het is not None:
+            assert mirrored(het) == mirrored(h.site_counts[1])
+        assert kset_vector_from_sites(ps.n, counts) == kset_vector_from_halfperiod(h)
+        # analyze's running sums: het and hom for every k.
+        k_max = (ps.n - 1) // 2
+        rows, _ = _analyze_rows(ps, 1, k_max)
+        assert [row["k"] for row in rows] == list(range(1, k_max + 1))
+        for row in rows:
+            rep = critical_counts(h, row["k"])
+            assert row["e_le_k"] == rep.total
+            if ps.labels is None:
+                assert row["het"] == row["hom"] == "undefined"
+            else:
+                assert (row["het"], row["hom"]) == (rep.het, rep.hom)
+        k_lo = data.draw(st.integers(1, k_max))
+        assert _analyze_rows(ps, k_lo, k_max)[0] == rows[k_lo - 1 :]
 
 
 class TestValidSwapDigraphs:

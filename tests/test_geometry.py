@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -16,6 +17,8 @@ from ksetlab import (
     k_set_oracle,
     orientation,
 )
+from ksetlab import geometry
+from ksetlab.circular import kset_vector_from_sites, site_counts
 from ksetlab.geometry import KSetVector, critical_direction_pairs
 from ksetlab.verify import random_general_position_set
 
@@ -149,6 +152,51 @@ class TestIntegerKernel:
             assert grouping_or_error(critical_direction_pairs, ps) == grouping_or_error(
                 critical_direction_pairs_by_fractions, ps
             )
+
+
+def by_exact_angle(grouping: dict) -> list:
+    """The classes of a grouping sorted counterclockwise over the upper half
+    plane, keyed by the rational cotangent of their direction."""
+    return sorted(
+        grouping.items(), key=lambda c: (c[0][1] > 0, Fraction(-c[0][0], c[0][1] or 1))
+    )
+
+
+class TestAngularSort:
+    @staticmethod
+    def _count_exact_sorts(monkeypatch):
+        calls = []
+        real = geometry.cmp_to_key
+
+        def counting(cmp):
+            calls.append(cmp)
+            return real(cmp)
+
+        monkeypatch.setattr(geometry, "cmp_to_key", counting)
+        return calls
+
+    def test_float_near_tie_takes_exact_sort(self, monkeypatch):
+        # (big, 1) and (big + 1, 1) have one float angle, so the presort
+        # keeps them in grouping order, which is the wrong one.
+        big = 10**17
+        ps = PointSet.from_coords([(0, 0), (1, -big), (1, -big - 1), (-3, 2)])
+        assert math.atan2(1, big) == math.atan2(1, big + 1)
+        order = list(critical_direction_pairs(ps))
+        assert order.index((big, 1)) < order.index((big + 1, 1))
+        calls = self._count_exact_sorts(monkeypatch)
+        assert ps.classes == by_exact_angle(critical_direction_pairs_by_fractions(ps))
+        assert len(calls) == 1
+        assert kset_vector_from_sites(ps.n, site_counts(ps)[0]) == k_set_oracle(ps)
+
+    def test_float_order_accepted_without_near_ties(self, monkeypatch):
+        for n, seed in ((12, 5), (30, 6)):
+            base = random_general_position_set(n, seed)
+            ps = PointSet.from_coords(
+                [(p.x / (3 + i % 5), p.y / (7 + i % 3)) for i, p in enumerate(base.points)]
+            )
+            calls = self._count_exact_sorts(monkeypatch)
+            assert ps.classes == by_exact_angle(critical_direction_pairs_by_fractions(ps))
+            assert calls == []
 
 
 class TestCrossingNumber:

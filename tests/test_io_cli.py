@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ksetlab
 from ksetlab import PointSet, decompose, generate, geometry, load_point_set, save_point_set
 from ksetlab.cli import main
 from ksetlab.io import format_fraction, parse_fraction, point_set_to_dict
@@ -256,6 +261,14 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["verify", "--suite", "slack", "--max-b", "2", "--max-n", "-3"], None, 2),
         (["sweep", "--ns", "6", "--seeds", "0"], None, 2),
         (["sweep", "--ns", "6", "--seeds", "-1"], None, 2),
+        (["verify", "--suite", "oracle", "--sets-per-n", "0", "--max-n", "5"], None, 2),
+        (["verify", "--suite", "oracle", "--sets-per-n", "-3", "--max-n", "5"], None, 2),
+        (["verify", "--sets-per-n", "0"], None, 2),
+        (["verify", "--suite", "edges", "--max-n", "9"], None, 0),
+        (["sweep", "--ns", "6", "--seeds", "1", "--parallel", "0"], None, 2),
+        (["sweep", "--ns", "6", "--seeds", "1", "--parallel", "-2"], None, 2),
+        (["analyze", "--require-decomp"],
+         {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"], ["2/1", "3/1"]]}, 2),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
@@ -342,3 +355,35 @@ class TestGroupOnce:
         assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
         assert len(attempts) == 3
         assert groupings == attempts
+
+
+class TestLazyMpmath:
+    """mpmath is imported only by the coefficient and the series report."""
+
+    @staticmethod
+    def _run(argv: list[str]) -> tuple[int, bool]:
+        # A fresh interpreter, so that no other test has imported mpmath.
+        code = (
+            "import sys\n"
+            "from ksetlab.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, 'mpmath' in sys.modules)\n"
+        )
+        src = str(Path(ksetlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            check=True,
+        ).stdout
+        rc, loaded = out.split()[-2:]
+        return int(rc), loaded == "True"
+
+    def test_gen_and_analyze_do_not_import_it(self, tmp_path):
+        path = tmp_path / "g.json"
+        assert self._run(["gen", "--n", "9", "--seed", "1", "--out", str(path)]) == (0, False)
+        assert self._run(["analyze", "--input", str(path), "--require-decomp"]) == (0, False)
+        assert self._run(["bounds", "--n", "12"]) == (0, False)
+
+    def test_coefficient_and_series_still_pass(self):
+        assert self._run(["bounds", "--coefficient"]) == (0, True)
+        assert self._run(["verify", "--suite", "series"]) == (0, True)
