@@ -4,17 +4,23 @@ Batch, non-interactive.  Exact quantities are printed as fraction strings;
 decimal renderings carry a ``_dec`` suffix and are never fed back into any
 computation.  Exit codes: 0 success, 1 verification failure, 2 usage or
 input errors.
+
+``main`` may be called many times in one process: the argument parser is
+built once and kept, and each call looks its command's handler up among
+this module's ``cmd_*`` functions when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from typing import Iterable
 
 from . import bounds as bounds_mod
 from . import circular, decompose, verify
@@ -42,7 +48,7 @@ def _open_out(path: str | None):
     return open(path, "w", newline="") if path else sys.stdout
 
 
-def _write_csv(path: str | None, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: str | None, columns: list[str], rows: Iterable[dict]) -> None:
     out = _open_out(path)
     try:
         writer = csv.DictWriter(out, fieldnames=columns)
@@ -54,10 +60,8 @@ def _write_csv(path: str | None, columns: list[str], rows: list[dict]) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    ps = decompose.generate(args.n, args.seed, args.shape)
+    ps, witness = decompose.generate_with_witness(args.n, args.seed, args.shape)
     save_point_set(ps, args.out)
-    witness = decompose.check_partition(ps)
-    assert witness is not None  # generate() only returns checked sets
     witness = decompose.locate_halfperiod_witness(ps, witness)
     print(f"wrote {ps.n} labeled points to {args.out}")
     for name, d in zip(("l1", "l2", "l3"), witness.directions):
@@ -181,37 +185,38 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if not ns:
         print("error: no usable n (need multiples of 3, n >= 6)", file=sys.stderr)
         return 2
-    rows = []
+    if args.k is not None and not any(1 <= args.k < n / 2 for n in ns):
+        print("error: no k with 1 <= k < n/2 for the given n", file=sys.stderr)
+        return 2
+    _write_csv(args.out, BOUNDS_COLUMNS, _bounds_rows(ns, args.k))
+    return 0
+
+
+def _bounds_rows(ns: list[int], only_k: int | None) -> Iterable[dict]:
+    """The rows of the ``bounds`` table, one at a time: for each n, the
+    given k or every k < n/2."""
     for n in ns:
         cr = bounds_mod.crossing_lower_bound(n)
-        ratio = cr / comb(n, 4) if n >= 4 else 0.0
-        ks = [args.k] if args.k is not None else list(range(1, (n - 1) // 2 + 1))
-        for k in ks:
+        ratio = cr / comb(n, 4)
+        for k in [only_k] if only_k is not None else range(1, (n - 1) // 2 + 1):
             if not 1 <= k < n / 2:
                 continue
             br = bounds_mod.bound_report(k, n)
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "m": br.m,
-                    "depth": UNDEF if br.depth is None else br.depth,
-                    "Y": _frac_cell(br.y),
-                    "Y_dec": UNDEF if br.y is None else f"{float(br.y):.6f}",
-                    "ceilY": br.ceil_y,
-                    "het": br.het,
-                    "hom": _frac_cell(br.hom_lower),
-                    "L": _frac_cell(br.l),
-                    "E": UNDEF if br.edges is None else br.edges,
-                    "cr_lower": cr,
-                    "cr_ratio_dec": f"{ratio:.8f}",
-                }
-            )
-    if not rows:
-        print("error: no k with 1 <= k < n/2 for the given n", file=sys.stderr)
-        return 2
-    _write_csv(args.out, BOUNDS_COLUMNS, rows)
-    return 0
+            yield {
+                "n": n,
+                "k": k,
+                "m": br.m,
+                "depth": UNDEF if br.depth is None else br.depth,
+                "Y": _frac_cell(br.y),
+                "Y_dec": UNDEF if br.y is None else f"{float(br.y):.6f}",
+                "ceilY": br.ceil_y,
+                "het": br.het,
+                "hom": _frac_cell(br.hom_lower),
+                "L": _frac_cell(br.l),
+                "E": UNDEF if br.edges is None else br.edges,
+                "cr_lower": cr,
+                "cr_ratio_dec": f"{ratio:.8f}",
+            }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -221,6 +226,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     if "oracle" in names and args.sets_per_n < 1:
         print(f"error: --sets-per-n must be at least 1, got {args.sets_per_n}",
+              file=sys.stderr)
+        return 2
+    if "slack" in names and args.max_n is not None and args.max_n < 6:
+        # The slack sweep starts at n = 6; below it, it would check nothing.
+        print(f"error: the slack suite needs --max-n at least 6, got {args.max_n}",
               file=sys.stderr)
         return 2
     if "slack" in names and args.max_b < 0:
@@ -311,6 +321,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if violation else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ksetlab",
@@ -327,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=decompose.GENERATOR_SHAPES,
                    default="triangle-clusters")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("analyze", help="per-k report for a point-set file")
     p.add_argument("--input", required=True, help="point-set JSON path")
@@ -336,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="refuse sets that are not 3-decomposable")
     p.add_argument("--decomp-mode", choices=("three", "two"), default="three")
     p.add_argument("--out", help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bounds", help="closed-form bound tables")
     p.add_argument("--n", type=int)
@@ -345,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coefficient", action="store_true",
                    help="print the asymptotic coefficient and exit")
     p.add_argument("--out", help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"], default="all")
@@ -354,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets-per-n", type=int, default=20)
     p.add_argument("--terms", type=int, default=1000, help="series partial-sum length")
     p.add_argument("--out", help="JSON path (default stdout)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="generate + analyze many sets")
     p.add_argument("--ns", required=True, help="comma list of n, e.g. 6,9,12")
@@ -363,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="triangle-clusters")
     p.add_argument("--parallel", type=int, default=1, help="worker count")
     p.add_argument("--out", help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -372,8 +378,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen" and (args.n % 3 != 0 or args.n < 3):
         parser.error(f"--n must be a positive multiple of 3, got {args.n}")
+    # Looked up per call, not bound into the kept parser, so that a
+    # replaced ``cmd_*`` (a test double, a tracing wrapper) is the one run.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except OSError as exc:  # an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,10 +21,18 @@ halfperiod's permutations and their reversals enumerate every candidate.
 They change only at a swap at site s or 2s, so there are at most
 2 (1 + that many swaps) of them.
 
+The halfperiod indices (s, t) of a witness come from the same counters:
+``locate_halfperiod_witness`` replays the halfperiod started at l1, whose
+initial permutation is the three class blocks, and stops at the first
+y,z,x pattern after the first y,x,z one; ``check_halfperiod`` runs the
+same scan over a recorded ``Halfperiod``.
+
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
 three-point orders, which realize all six block patterns, so halving the
 radius until the checker passes always terminates.
+``generate_with_witness`` hands back the accepted attempt's witness, so a
+caller that needs it does not check the set again.
 """
 
 from __future__ import annotations
@@ -39,8 +47,7 @@ from typing import Iterable, Sequence
 from .circular import (
     Direction,
     Halfperiod,
-    block_classes,
-    build_halfperiod,
+    Swap,
     gap_samples,
     narrowest_gap,
     sweep,
@@ -199,6 +206,34 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     return None
 
 
+def _block_pattern_indices(
+    initial: Sequence[int], swaps: Iterable[Swap], labels: Sequence[str]
+) -> tuple[int, int] | None:
+    """Scan a swap replay for the halfperiod witnesses: ``initial`` must be
+    three pure class blocks (x, y, z); return the 1-based index s of the
+    first swap after which the permutation reads y,x,z in blocks and the
+    first t > s after which it reads y,z,x, or None.  The block pattern
+    changes only when a point changes thirds."""
+    if len(initial) % 3:
+        return None
+    thirds = _Thirds(initial, labels)
+    roles = thirds.pattern()
+    if roles is None or len(set(roles)) != 3:
+        return None
+    x, y, z = roles
+    s_idx: int | None = None
+    for idx, swap in enumerate(swaps, 1):
+        if not thirds.swap(*swap):
+            continue
+        pat = thirds.pattern()
+        if s_idx is None:
+            if pat == (y, x, z):
+                s_idx = idx
+        elif pat == (y, z, x):
+            return (s_idx, idx)
+    return None
+
+
 def check_halfperiod(
     h: Halfperiod, labels: Iterable[str] | None = None
 ) -> tuple[int, int] | None:
@@ -211,40 +246,26 @@ def check_halfperiod(
     """
     if labels is not None:
         labels = tuple(str(c).lower() for c in labels)
-        h = Halfperiod(
-            h.n, h.initial_permutation, h.transpositions, h.direction, labels
-        )
-    if h.labels is None:
+    elif h.labels is not None:
+        labels = h.labels
+    else:
         raise LabelingError("check_halfperiod needs labels")
-    roles = block_classes(h)
-    if roles is None:
-        return None
-    x, y, z = roles
-    # The block pattern changes only when a point changes thirds.
-    thirds = _Thirds(h.initial_permutation, h.labels)
-    s_idx: int | None = None
-    for idx, t in enumerate(h.transpositions, 1):
-        if not thirds.swap(t.position, *t.elements):
-            continue
-        pat = thirds.pattern()
-        if s_idx is None:
-            if pat == (y, x, z):
-                s_idx = idx
-        elif pat == (y, z, x):
-            return (s_idx, idx)
-    return None
+    swaps = ((t.position, *t.elements) for t in h.transpositions)
+    return _block_pattern_indices(h.initial_permutation, swaps, labels)
 
 
 def locate_halfperiod_witness(
     ps: PointSet, witness: DecompositionWitness
 ) -> DecompositionWitness:
-    """Attach the halfperiod indices (s, t) to a witness: build the
+    """Attach the halfperiod indices (s, t) to a witness: replay the
     halfperiod from the first witness direction (whose initial permutation
-    is then the three class blocks) and scan for the b,a,c and b,c,a
-    permutations."""
-    labeled = ps.with_labels(witness.partition)
-    h = build_halfperiod(labeled, witness.directions[0])
-    indices = check_halfperiod(h)
+    is then the three class blocks) and scan it for the b,a,c and b,c,a
+    permutations, as ``check_halfperiod`` does on the recorded halfperiod.
+    No swap is recorded and the replay stops at t."""
+    initial, flips = sweep(ps, ps.classes, witness.directions[0])
+    indices = _block_pattern_indices(
+        initial, chain.from_iterable(flips), witness.partition
+    )
     return replace(witness, halfperiod_indices=indices)
 
 
@@ -281,14 +302,18 @@ def _draw_cluster_offsets(
     return out
 
 
-def generate(n: int, seed: int = 0, shape: str = "triangle-clusters") -> PointSet:
-    """Deterministically generate a labeled 3-decomposable set of n points.
+def generate_with_witness(
+    n: int, seed: int = 0, shape: str = "triangle-clusters"
+) -> tuple[PointSet, DecompositionWitness]:
+    """Deterministically generate a labeled 3-decomposable set of n points,
+    with the witness that accepted it.
 
     n/3 points are jittered inside a disk of radius r at each vertex of the
     template triangle; r is halved and the set re-verified until it passes
-    ``check_partition`` in three-condition mode.  General-position failures
-    (possible at any radius, since within-cluster collinearity is scale
-    invariant) trigger a redraw from the next substream of the seed.
+    ``check_partition`` in three-condition mode, whose witness is returned
+    with the set.  General-position failures (possible at any radius, since
+    within-cluster collinearity is scale invariant) trigger a redraw from
+    the next substream of the seed.
     """
     if n < 3 or n % 3 != 0:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
@@ -307,7 +332,13 @@ def generate(n: int, seed: int = 0, shape: str = "triangle-clusters") -> PointSe
         ps = PointSet(tuple(points), tuple(labels))
         if not is_general_position(ps):
             continue
-        if check_partition(ps) is not None:
-            return ps
+        witness = check_partition(ps)
+        if witness is not None:
+            return ps, witness
         radius /= 2
     raise RuntimeError(f"generator failed to converge for n={n}, seed={seed}")
+
+
+def generate(n: int, seed: int = 0, shape: str = "triangle-clusters") -> PointSet:
+    """The set ``generate_with_witness`` returns, without its witness."""
+    return generate_with_witness(n, seed, shape)[0]

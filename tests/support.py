@@ -13,6 +13,11 @@ The decomposition oracle projects every point along each gap sample
 direction and its negation, instead of reading the halfperiod's block
 counters.
 
+The halfperiod-witness oracle records the whole halfperiod from l1 and
+scans it with ``check_halfperiod``, instead of reading (s, t) off a plain
+replay; that scan is in turn checked against one that reads the block
+pattern of every recorded permutation.
+
 The grouping oracle groups the pairs by critical direction with ``Fraction``
 differences of the original coordinates, instead of the library's integer
 coordinates; the count oracle recounts the critical transpositions for each
@@ -22,11 +27,17 @@ k, instead of reading the halfperiod's one-pass site counts.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from ksetlab.circular import Direction, Halfperiod, interval_sample_directions
-from ksetlab.decompose import DecompositionWitness
+from ksetlab.circular import (
+    Direction,
+    Halfperiod,
+    build_halfperiod,
+    interval_sample_directions,
+)
+from ksetlab.decompose import DecompositionWitness, check_halfperiod
 from ksetlab.errors import GeneralPositionError
 from ksetlab.geometry import Point, PointSet, orientation
 
@@ -158,6 +169,38 @@ def check_partition_by_sampling(
         found.append(u)
     l3 = found[2] if mode == "three" else None
     return DecompositionWitness(part, (found[0], found[1], l3))
+
+
+def halfperiod_witness_by_halfperiod(
+    ps: PointSet, witness: DecompositionWitness
+) -> DecompositionWitness:
+    """``locate_halfperiod_witness`` by recording the halfperiod of the
+    relabeled set from l1 and scanning it with ``check_halfperiod``."""
+    h = build_halfperiod(ps.with_labels(witness.partition), witness.directions[0])
+    return replace(witness, halfperiod_indices=check_halfperiod(h))
+
+
+def block_pattern_indices_by_permutations(h: Halfperiod) -> tuple[int, int] | None:
+    """``check_halfperiod`` by reading the blocks of every permutation of
+    the labeled halfperiod ``h``."""
+
+    def blocks(perm: tuple[int, ...]) -> tuple[str, ...] | None:
+        s = h.n // 3
+        classes = [{h.labels[p] for p in perm[t * s : (t + 1) * s]} for t in range(3)]
+        if any(len(c) != 1 for c in classes):
+            return None
+        return tuple(c.pop() for c in classes)
+
+    perms = list(h.permutations())
+    roles = blocks(perms[0]) if h.n and h.n % 3 == 0 else None
+    if roles is None or len(set(roles)) != 3:
+        return None
+    x, y, z = roles
+    s_idx = next((i for i, p in enumerate(perms) if blocks(p) == (y, x, z)), None)
+    if s_idx is None:
+        return None
+    t_idx = next((i for i in range(s_idx + 1, len(perms)) if blocks(perms[i]) == (y, z, x)), None)
+    return None if t_idx is None else (s_idx, t_idx)
 
 
 def convex_hull(points: list[Point]) -> list[Point]:

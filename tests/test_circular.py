@@ -280,6 +280,22 @@ class TestCountingSweep:
         assert _analyze_rows(ps, k_lo, k_max)[0] == rows[k_lo - 1 :]
 
 
+class TestHalfperiodInvariants:
+    # From the default start direction or any gap sample or its negation.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid_sets(), st.data())
+    def test_swaps_pairs_once_and_reverses(self, ps, data):
+        samples = gap_samples(ps.classes)
+        u = data.draw(st.sampled_from([None, *samples, *[(-x, -y) for x, y in samples]]))
+        h = build_halfperiod(ps, u)
+        pairs = sorted(tuple(sorted(t.elements)) for t in h.transpositions)
+        assert pairs == list(combinations(range(ps.n), 2))
+        perms = replayed(h)
+        assert perms[-1] == perms[0][::-1]
+        assert sum(h.site_counts[0]) == math.comb(ps.n, 2)
+        assert sum(site_counts(ps)[0]) == math.comb(ps.n, 2)
+
+
 class TestValidSwapDigraphs:
     @staticmethod
     def _block_halfperiod(n, seed):

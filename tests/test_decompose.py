@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import ksetlab.decompose as decompose_mod
 from ksetlab import (
+    DecompositionWitness,
     GeneralPositionError,
     LabelingError,
     Point,
@@ -16,13 +17,23 @@ from ksetlab import (
     check_partition,
     find_partition,
     generate,
+    generate_with_witness,
     is_general_position,
     kset_vector_from_halfperiod,
+    locate_halfperiod_witness,
     min_kset_count,
 )
+from ksetlab.circular import gap_samples
+from ksetlab.decompose import GENERATOR_SHAPES
 from ksetlab.verify import random_general_position_set
 
-from support import DEGENERATE_SETS, check_partition_by_sampling, dot_point
+from support import (
+    DEGENERATE_SETS,
+    block_pattern_indices_by_permutations,
+    check_partition_by_sampling,
+    dot_point,
+    halfperiod_witness_by_halfperiod,
+)
 
 # Frozen 6-point set on which the exhaustive search finds no decomposition
 # (the search itself is the oracle here).
@@ -213,6 +224,52 @@ class TestScalingInvariance:
         )
         assert build_halfperiod(scaled) == build_halfperiod(ps)
         assert check_partition(scaled, mode=mode) == check_partition(ps, mode=mode)
+
+
+@st.composite
+def generated_sets_any_shape(draw):
+    ps = generate(
+        draw(st.sampled_from([3, 6, 9, 12, 15])),
+        draw(st.integers(0, 50)),
+        draw(st.sampled_from(GENERATOR_SHAPES)),
+    )
+    if draw(st.booleans()):
+        ps = ps.with_labels(draw(st.permutations(ps.labels)))
+    return ps
+
+
+class TestWitnessReuse:
+    """``gen`` takes the witness the generator's own check found, and reads
+    (s, t) off a plain replay from l1 instead of a recorded halfperiod."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([3, 6, 9, 12, 15, 18]),
+        st.integers(0, 50),
+        st.sampled_from(GENERATOR_SHAPES),
+    )
+    def test_generator_witness_is_its_check(self, n, seed, shape):
+        ps, witness = generate_with_witness(n, seed, shape)
+        assert ps == generate(n, seed, shape)
+        assert witness == check_partition(ps)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        labeled_grid_sets() | generated_sets_any_shape(),
+        st.sampled_from(["three", "two"]),
+        st.data(),
+    )
+    def test_replay_matches_recorded_halfperiod(self, ps, mode, data):
+        witness = check_partition(ps, mode=mode)
+        if witness is None:
+            # Still compare the two routes, from any tie-free direction.
+            samples = gap_samples(ps.classes)
+            u = data.draw(st.sampled_from(samples + [(-x, -y) for x, y in samples]))
+            witness = DecompositionWitness(ps.labels, (u, None, None))
+        located = locate_halfperiod_witness(ps, witness)
+        assert located == halfperiod_witness_by_halfperiod(ps, witness)
+        h = build_halfperiod(ps.with_labels(witness.partition), witness.directions[0])
+        assert located.halfperiod_indices == block_pattern_indices_by_permutations(h)
 
 
 @pytest.mark.parametrize("ps", DEGENERATE_SETS)

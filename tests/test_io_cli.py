@@ -9,7 +9,16 @@ from pathlib import Path
 import pytest
 
 import ksetlab
-from ksetlab import PointSet, decompose, generate, geometry, load_point_set, save_point_set
+from ksetlab import (
+    PointSet,
+    circular,
+    cli,
+    decompose,
+    generate,
+    geometry,
+    load_point_set,
+    save_point_set,
+)
 from ksetlab.cli import main
 from ksetlab.io import format_fraction, parse_fraction, point_set_to_dict
 from ksetlab.verify import random_general_position_set
@@ -264,11 +273,16 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["verify", "--suite", "oracle", "--sets-per-n", "0", "--max-n", "5"], None, 2),
         (["verify", "--suite", "oracle", "--sets-per-n", "-3", "--max-n", "5"], None, 2),
         (["verify", "--sets-per-n", "0"], None, 2),
+        # Checks 0 pairs, yet exits 0: a benchmark's cold start runs it.
         (["verify", "--suite", "edges", "--max-n", "9"], None, 0),
         (["sweep", "--ns", "6", "--seeds", "1", "--parallel", "0"], None, 2),
         (["sweep", "--ns", "6", "--seeds", "1", "--parallel", "-2"], None, 2),
         (["analyze", "--require-decomp"],
          {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"], ["2/1", "3/1"]]}, 2),
+        (["verify", "--suite", "slack", "--max-b", "0", "--max-n", "3"], None, 2),
+        (["verify", "--suite", "slack", "--max-n", "5"], None, 2),
+        (["verify", "--max-n", "5"], None, 2),
+        (["verify", "--suite", "slack", "--max-b", "0", "--max-n", "6"], None, 0),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
@@ -355,6 +369,105 @@ class TestGroupOnce:
         assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
         assert len(attempts) == 3
         assert groupings == attempts
+
+    def test_gen_checks_once_per_attempt(self, tmp_path, capsys, monkeypatch):
+        # The witness gen prints is the generator's own check: one
+        # check_partition per attempt in general position, and no halfperiod
+        # is recorded for (s, t).
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                calls.append((name, result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(decompose, "is_general_position")
+        counting(decompose, "check_partition")
+        counting(circular, "build_halfperiod")
+        counting(circular, "Halfperiod")
+        argv = ["gen", "--n", "12", "--seed", "16", "--shape", "near-optimal-template"]
+        assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
+        assert "halfperiod witness" in capsys.readouterr().out
+        names = [name for name, _ in calls]
+        passed = [r for name, r in calls if name == "is_general_position" and r]
+        assert names.count("is_general_position") == 3  # this seed redraws twice
+        assert len(passed) == names.count("check_partition") == 1
+        assert "build_halfperiod" not in names and "Halfperiod" not in names
+
+
+def _run_in_one_process(argvs: list[list[str]]) -> list[list]:
+    """Run ``main`` on each argv in turn in one fresh interpreter; return
+    [exit code, stdout, stderr] of each call."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ksetlab.cli import main\n"
+        "results = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            rc = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            rc = exc.code\n"
+        "    results.append([rc, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    src = str(Path(ksetlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+class TestParserReuse:
+    """One process may call ``main`` many times: the parser is built once
+    and each call dispatches to the module's ``cmd_*`` function as it is at
+    call time."""
+
+    def test_parser_built_once(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        path = str(tmp_path / "g.json")
+        assert main(["gen", "--n", "9", "--seed", "1", "--out", path]) == 0
+        assert main(["analyze", "--input", path, "--require-decomp"]) == 0
+        with pytest.raises(SystemExit):
+            main(["bounds", "--k", "x"])
+        assert main(["bounds", "--n", "12", "--k", "5"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_dispatches_to_patched_handler(self, tmp_path, capsys, monkeypatch):
+        assert main(["bounds", "--n", "6"]) == 0  # the parser exists already
+        seen = []
+
+        def fake(args):
+            seen.append(args.input)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_analyze", fake)
+        assert main(["analyze", "--input", "x.json"]) == 7
+        assert seen == ["x.json"]
+
+    def test_usage_errors_leave_no_trace(self, tmp_path):
+        path = str(tmp_path / "g.json")
+        argvs = [
+            ["gen", "--n", "8", "--seed", "0", "--out", path],
+            ["analyze"],
+            ["bounds", "--k", "x"],
+            ["gen", "--n", "9", "--seed", "1", "--out", path],
+            ["analyze", "--input", path, "--require-decomp"],
+            ["bounds", "--n", "12", "--k", "5"],
+            ["analyze"],
+        ]
+        together = _run_in_one_process(argvs)
+        assert [rc for rc, _, _ in together] == [2, 2, 2, 0, 0, 0, 2]
+        for argv, result in zip(argvs, together):
+            assert result == _run_in_one_process([argv])[0], argv
 
 
 class TestLazyMpmath:
