@@ -3,7 +3,9 @@
 Batch, non-interactive.  Exact quantities are printed as fraction strings;
 decimal renderings carry a ``_dec`` suffix and are never fed back into any
 computation.  Exit codes: 0 success, 1 verification failure, 2 usage or
-input errors.
+input errors.  A handler raises ``UsageError`` where it finds a value it
+cannot use; ``main`` alone reports it, an ``OSError`` or the library's input
+errors as one ``error:`` line and returns 2, in process as from a shell.
 
 ``main`` may be called many times in one process: the argument parser is
 built once and kept, and each call looks its command's handler up among
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -24,8 +27,8 @@ from typing import Iterable
 
 from . import bounds as bounds_mod
 from . import circular, decompose, verify
-from .errors import OracleSizeError
-from .geometry import PointSet, require_general_position
+from .errors import GeneralPositionError, LabelingError, OracleSizeError
+from .geometry import PointSet
 from .io import load_point_set, save_point_set
 
 ANALYZE_COLUMNS = [
@@ -40,16 +43,16 @@ SWEEP_COLUMNS = ["n", "seed", "shape", "k", "e_le_k", "ceilY", "satisfied"]
 UNDEF = "undefined"
 
 
+class UsageError(Exception):
+    """A command-line value or input file a command cannot use."""
+
+
 def _frac_cell(value: Fraction | int | None) -> str:
     return UNDEF if value is None else str(Fraction(value))
 
 
-def _open_out(path: str | None):
-    return open(path, "w", newline="") if path else sys.stdout
-
-
 def _write_csv(path: str | None, columns: list[str], rows: Iterable[dict]) -> None:
-    out = _open_out(path)
+    out = open(path, "w", newline="") if path else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=columns)
         writer.writeheader()
@@ -73,12 +76,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> tuple[list[dict], bool]:
+def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> list[dict]:
     n = ps.n
     counts, het_counts = circular.site_counts(ps)
     vec = circular.kset_vector_from_sites(n, counts)
     rows = []
-    any_violation = False
     # The (<=k)-critical swaps are those at sites 1..k and n-k..n-1, e_{<=k}
     # of them; the heterogeneous ones are summed the same way.
     het = 0
@@ -99,15 +101,16 @@ def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> tuple[list[dict], bool]
             row["ceilY"] = br.ceil_y
             row["L"] = _frac_cell(br.l)
             row["E"] = UNDEF if br.edges is None else br.edges
-            satisfied = vec.prefix[k] >= br.ceil_y
-            row["satisfied"] = "true" if satisfied else "false"
-            if not satisfied:
-                any_violation = True
+            row["satisfied"] = "true" if vec.prefix[k] >= br.ceil_y else "false"
         else:
             row["Y"] = row["ceilY"] = row["L"] = row["E"] = UNDEF
             row["satisfied"] = UNDEF
         rows.append(row)
-    return rows, any_violation
+    return rows
+
+
+def _exit_code(rows: list[dict]) -> int:
+    return 1 if any(r["satisfied"] == "false" for r in rows) else 0
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -115,50 +118,39 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
         lo, hi = text.split(":")
         return int(lo), int(hi)
     except ValueError:
-        raise SystemExit(f"error: bad {what} range {text!r}, expected LO:HI") from None
+        raise UsageError(f"bad {what} range {text!r}, expected LO:HI") from None
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         ps = load_point_set(args.input)
-        require_general_position(ps)
-    except (OSError, ValueError) as exc:  # GeneralPositionError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # a malformed file
+        raise UsageError(str(exc)) from None
     if args.require_decomp:
         if ps.labels is not None:
             witness = decompose.check_partition(ps, mode=args.decomp_mode)
-        elif ps.n % 3:
-            print(f"error: a 3-decomposition needs n divisible by 3, got n = {ps.n}",
-                  file=sys.stderr)
-            return 2
         else:
             witness = decompose.find_partition(ps, mode=args.decomp_mode)
             if witness is not None:
                 ps = ps.with_labels(witness.partition)
         if witness is None:
-            print(
-                "error: point set is not 3-decomposable "
-                f"({args.decomp_mode}-condition mode); refusing to analyze",
-                file=sys.stderr,
+            raise UsageError(
+                "point set is not 3-decomposable "
+                f"({args.decomp_mode}-condition mode); refusing to analyze"
             )
-            return 2
     n = ps.n
     if n < 3:
-        print("error: need at least 3 points", file=sys.stderr)
-        return 2
+        raise UsageError("need at least 3 points")
     k_max = (n - 1) // 2
     k_lo, k_hi = 1, k_max
     if args.k_range:
         k_lo, k_hi = _parse_range(args.k_range, "k")
         k_lo, k_hi = max(1, k_lo), min(k_max, k_hi)
         if k_lo > k_hi:
-            print(f"error: --k-range {args.k_range} holds no k in 1..{k_max}",
-                  file=sys.stderr)
-            return 2
-    rows, violation = _analyze_rows(ps, k_lo, k_hi)
+            raise UsageError(f"--k-range {args.k_range} holds no k in 1..{k_max}")
+    rows = _analyze_rows(ps, k_lo, k_hi)
     _write_csv(args.out, ANALYZE_COLUMNS, rows)
-    return 1 if violation else 0
+    return _exit_code(rows)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -179,15 +171,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         lo, hi = _parse_range(args.n_range, "n")
         ns = list(range(lo, hi + 1))
     else:
-        print("error: give --n, --n-range or --coefficient", file=sys.stderr)
-        return 2
+        raise UsageError("give --n, --n-range or --coefficient")
     ns = [n for n in ns if n % 3 == 0 and n >= 6]
     if not ns:
-        print("error: no usable n (need multiples of 3, n >= 6)", file=sys.stderr)
-        return 2
+        raise UsageError("no usable n (need multiples of 3, n >= 6)")
     if args.k is not None and not any(1 <= args.k < n / 2 for n in ns):
-        print("error: no k with 1 <= k < n/2 for the given n", file=sys.stderr)
-        return 2
+        raise UsageError("no k with 1 <= k < n/2 for the given n")
     _write_csv(args.out, BOUNDS_COLUMNS, _bounds_rows(ns, args.k))
     return 0
 
@@ -220,41 +209,24 @@ def _bounds_rows(ns: list[int], only_k: int | None) -> Iterable[dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # An option left out is None: the suite's own default applies.
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     if args.max_n is not None and args.max_n < 1:
-        print(f"error: --max-n must be at least 1, got {args.max_n}", file=sys.stderr)
-        return 2
-    if "oracle" in names and args.sets_per_n < 1:
-        print(f"error: --sets-per-n must be at least 1, got {args.sets_per_n}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
+    if "oracle" in names and args.sets_per_n is not None and args.sets_per_n < 1:
+        raise UsageError(f"--sets-per-n must be at least 1, got {args.sets_per_n}")
     if "slack" in names and args.max_n is not None and args.max_n < 6:
         # The slack sweep starts at n = 6; below it, it would check nothing.
-        print(f"error: the slack suite needs --max-n at least 6, got {args.max_n}",
-              file=sys.stderr)
-        return 2
-    if "slack" in names and args.max_b < 0:
-        print(f"error: --max-b must be at least 0, got {args.max_b}", file=sys.stderr)
-        return 2
-    if "series" in names and args.terms < 2:
-        print(f"error: --terms must be at least 2, got {args.terms}", file=sys.stderr)
-        return 2
+        raise UsageError(f"the slack suite needs --max-n at least 6, got {args.max_n}")
+    if "slack" in names and args.max_b is not None and args.max_b < 0:
+        raise UsageError(f"--max-b must be at least 0, got {args.max_b}")
+    if "series" in names and args.terms is not None and args.terms < 2:
+        raise UsageError(f"--terms must be at least 2, got {args.terms}")
     results = []
     for name in names:
-        kwargs = {}
-        if name == "oracle":
-            kwargs = {"max_n": args.max_n or 12, "sets_per_n": args.sets_per_n}
-        elif name == "edges":
-            kwargs = {"max_n": args.max_n or 60}
-        elif name == "slack":
-            kwargs = {"max_b": args.max_b, "max_n": args.max_n or 300}
-        elif name == "series":
-            kwargs = {"terms": args.terms}
-        try:
-            results.append(verify.run_suite(name, **kwargs))
-        except OracleSizeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        params = inspect.signature(verify.SUITES[name]).parameters
+        kwargs = {p: getattr(args, p) for p in params if getattr(args, p) is not None}
+        results.append(verify.run_suite(name, **kwargs))
     ok = all(r.ok for r in results)
     payload = results[0].to_dict() if len(results) == 1 else {
         "ok": ok,
@@ -270,41 +242,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_work(item: tuple[int, int, str]) -> list[dict]:
     n, seed, shape = item
-    ps = decompose.generate(n, seed, shape)
-    vec = circular.kset_vector_from_sites(n, circular.site_counts(ps)[0])
-    rows = []
-    for k in range(1, (n - 1) // 2 + 1):
-        need = bounds_mod.min_kset_count(k, n)
-        rows.append(
-            {
-                "n": n,
-                "seed": seed,
-                "shape": shape,
-                "k": k,
-                "e_le_k": vec.prefix[k],
-                "ceilY": need,
-                "satisfied": "true" if vec.prefix[k] >= need else "false",
-            }
-        )
-    return rows
+    rows = _analyze_rows(decompose.generate(n, seed, shape), 1, (n - 1) // 2)
+    return [
+        {"seed": seed, "shape": shape, **{c: row[c] for c in SWEEP_COLUMNS if c in row}}
+        for row in rows
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         ns = [int(x) for x in args.ns.split(",")]
     except ValueError:
-        print(f"error: bad --ns list {args.ns!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad --ns list {args.ns!r}") from None
     if any(n % 3 != 0 or n < 3 for n in ns):
-        print("error: all n must be positive multiples of 3", file=sys.stderr)
-        return 2
+        raise UsageError("all n must be positive multiples of 3")
     if args.seeds < 1:
-        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     if args.parallel < 1:
-        print(f"error: --parallel must be at least 1, got {args.parallel}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--parallel must be at least 1, got {args.parallel}")
     items = [(n, seed, args.shape) for n in sorted(ns) for seed in range(args.seeds)]
     if args.parallel > 1:
         # Imported here, not at the top: it pulls in multiprocessing, which
@@ -317,8 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         results = {item: _sweep_work(item) for item in items}
     rows = [row for item in items for row in results[item]]
     _write_csv(args.out, SWEEP_COLUMNS, rows)
-    violation = any(r["satisfied"] == "false" for r in rows)
-    return 1 if violation else 0
+    return _exit_code(rows)
 
 
 @functools.cache
@@ -358,9 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"], default="all")
     p.add_argument("--max-n", type=int, help="size cap for oracle/edges/slack")
-    p.add_argument("--max-b", type=int, default=1000, help="quartic scan cap")
-    p.add_argument("--sets-per-n", type=int, default=20)
-    p.add_argument("--terms", type=int, default=1000, help="series partial-sum length")
+    p.add_argument("--max-b", type=int, help="quartic scan cap")
+    p.add_argument("--sets-per-n", type=int)
+    p.add_argument("--terms", type=int, help="series partial-sum length")
     p.add_argument("--out", help="JSON path (default stdout)")
 
     p = sub.add_parser("sweep", help="generate + analyze many sets")
@@ -374,16 +328,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gen" and (args.n % 3 != 0 or args.n < 3):
-        parser.error(f"--n must be a positive multiple of 3, got {args.n}")
+    args = _build_parser().parse_args(argv)
     # Looked up per call, not bound into the kept parser, so that a
     # replaced ``cmd_*`` (a test double, a tracing wrapper) is the one run.
     handler = globals()[f"cmd_{args.command}"]
+    # OSError is an unreadable --input or an unwritable --out.
     try:
         return handler(args)
-    except OSError as exc:  # an unwritable --out
+    except (UsageError, OSError, GeneralPositionError, LabelingError,
+            OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,10 +52,13 @@ from .circular import (
     narrowest_gap,
     sweep,
 )
-from .errors import LabelingError
+from .errors import GeneralPositionError, LabelingError
 from .geometry import CLASS_NAMES, Point, PointSet, is_general_position
+from .geometry import normalize_labels
 
 GENERATOR_SHAPES = ("triangle-clusters", "near-optimal-template")
+
+_GENERATOR_ATTEMPTS = 256
 
 # Fixed, arbitrary non-degenerate template triangle for the generator.
 _CLUSTER_CENTERS = (
@@ -76,13 +79,14 @@ class DecompositionWitness:
     halfperiod_indices: tuple[int, int] | None = None
 
 
-def _normalize_partition(ps: PointSet, labels: Iterable[str] | None) -> tuple[str, ...]:
-    if labels is None:
-        if ps.labels is None:
-            raise LabelingError("no partition given and the point set is unlabeled")
-        return ps.labels
-    # PointSet validates the labels (LabelingError on a malformed partition).
-    return ps.with_labels(labels).labels
+def _normalize_partition(
+    of: PointSet | Halfperiod, labels: Iterable[str] | None
+) -> tuple[str, ...]:
+    if labels is not None:
+        return normalize_labels(labels, of.n)
+    if of.labels is None:
+        raise LabelingError("no partition given and the point set is unlabeled")
+    return of.labels
 
 
 class _Thirds:
@@ -187,7 +191,7 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     """
     n = ps.n
     if n % 3 != 0 or n < 3:
-        raise LabelingError("3-decomposition needs n divisible by 3")
+        raise LabelingError(f"3-decomposition needs n divisible by 3, got n = {n}")
     classes = ps.classes
     initial, flips = sweep(ps, classes, narrowest_gap(classes))
     thirds = _Thirds(initial)
@@ -242,16 +246,13 @@ def check_halfperiod(
     The initial permutation must consist of three pure class blocks
     (x, y, z); the function then scans for the earliest index s whose
     permutation reads y,x,z in blocks and the earliest t > s reading y,z,x.
-    Returns (s, t) (0-based permutation indices) or None.
+    Returns (s, t) (0-based permutation indices) or None.  Given labels
+    are checked as a ``PointSet`` checks its own (``LabelingError``).
     """
-    if labels is not None:
-        labels = tuple(str(c).lower() for c in labels)
-    elif h.labels is not None:
-        labels = h.labels
-    else:
-        raise LabelingError("check_halfperiod needs labels")
     swaps = ((t.position, *t.elements) for t in h.transpositions)
-    return _block_pattern_indices(h.initial_permutation, swaps, labels)
+    return _block_pattern_indices(
+        h.initial_permutation, swaps, _normalize_partition(h, labels)
+    )
 
 
 def locate_halfperiod_witness(
@@ -313,15 +314,17 @@ def generate_with_witness(
     ``check_partition`` in three-condition mode, whose witness is returned
     with the set.  General-position failures (possible at any radius, since
     within-cluster collinearity is scale invariant) trigger a redraw from
-    the next substream of the seed.
+    the next substream of the seed.  Raises ``LabelingError`` for an n
+    that is not a positive multiple of 3 and ``GeneralPositionError`` when
+    no attempt succeeds.
     """
     if n < 3 or n % 3 != 0:
-        raise ValueError(f"n must be a positive multiple of 3, got {n}")
+        raise LabelingError(f"n must be a positive multiple of 3, got {n}")
     if shape not in GENERATOR_SHAPES:
         raise ValueError(f"shape must be one of {GENERATOR_SHAPES}, got {shape!r}")
     per_cluster = n // 3
     radius = Fraction(1, 8)
-    for attempt in range(256):
+    for attempt in range(_GENERATOR_ATTEMPTS):
         rng = random.Random(1_000_003 * seed + 7919 * attempt + n)
         points: list[Point] = []
         labels: list[str] = []
@@ -336,7 +339,9 @@ def generate_with_witness(
         if witness is not None:
             return ps, witness
         radius /= 2
-    raise RuntimeError(f"generator failed to converge for n={n}, seed={seed}")
+    raise GeneralPositionError(
+        f"generator gave up on n={n}, seed={seed} after {_GENERATOR_ATTEMPTS} attempts"
+    )
 
 
 def generate(n: int, seed: int = 0, shape: str = "triangle-clusters") -> PointSet:

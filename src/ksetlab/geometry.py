@@ -61,8 +61,8 @@ class PointSet:
     equal-size classes 'a', 'b', 'c'.
 
     Labels, when present, must split the points into thirds; this is checked
-    at construction.  General position is *not* checked here: it falls out
-    of grouping the pairs by critical direction
+    at construction (``normalize_labels``).  General position is *not*
+    checked here: it falls out of grouping the pairs by critical direction
     (``critical_direction_pairs``), which the operations that need it do.
 
     ``coords`` and ``classes`` are computed at most once per instance and
@@ -76,18 +76,7 @@ class PointSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
         if self.labels is not None:
-            labels = tuple(str(c).lower() for c in self.labels)
-            if len(labels) != len(self.points):
-                raise LabelingError("labels must match the number of points")
-            if any(c not in CLASS_NAMES for c in labels):
-                raise LabelingError("labels must be 'a', 'b' or 'c'")
-            n = len(labels)
-            if n % 3 != 0:
-                raise LabelingError("labeled sets need n divisible by 3")
-            for c in CLASS_NAMES:
-                if labels.count(c) != n // 3:
-                    raise LabelingError(f"class {c!r} must have n/3 members")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", normalize_labels(self.labels, self.n))
 
     @property
     def n(self) -> int:
@@ -146,6 +135,23 @@ class PointSet:
 
 #: The cached properties of a ``PointSet`` that do not depend on its labels.
 _LABEL_FREE = ("coords", "classes")
+
+
+def normalize_labels(labels: Iterable[str], n: int) -> tuple[str, ...]:
+    """The class labels of n points, lower-cased.  Raises ``LabelingError``
+    unless each point has one of 'a', 'b', 'c' and each class holds n/3
+    points."""
+    labels = tuple(str(c).lower() for c in labels)
+    if len(labels) != n:
+        raise LabelingError("labels must match the number of points")
+    if any(c not in CLASS_NAMES for c in labels):
+        raise LabelingError("labels must be 'a', 'b' or 'c'")
+    if n % 3 != 0:
+        raise LabelingError("labeled sets need n divisible by 3")
+    for c in CLASS_NAMES:
+        if labels.count(c) != n // 3:
+            raise LabelingError(f"class {c!r} must have n/3 members")
+    return labels
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:

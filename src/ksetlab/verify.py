@@ -39,14 +39,24 @@ class SuiteResult:
         }
 
 
+#: Random sets have integer coordinates in [-RANDOM_SPREAD, RANDOM_SPREAD].
+RANDOM_SPREAD = 60
+#: The oracle suite checks random sets of size n with seeds
+#: ORACLE_BASE_SEED + 97 n + t, and generate(n, seed) for these n and seeds.
+ORACLE_BASE_SEED = 1000
+ORACLE_GENERATED_NS = (6, 9, 12)
+ORACLE_GENERATED_SEEDS = (0, 1, 2)
+
+
 def _finish(name: str, checks: list[CheckResult]) -> SuiteResult:
     return SuiteResult(name, all(c.ok for c in checks), tuple(checks))
 
 
-def random_general_position_set(n: int, seed: int, spread: int = 60) -> PointSet:
+def random_general_position_set(n: int, seed: int) -> PointSet:
     """Deterministic random point set with integer coordinates in general
     position (rejection-sampled)."""
     rng = random.Random(seed)
+    spread = RANDOM_SPREAD
     ps = PointSet(())
     while ps.n < n:
         cand = Point(Fraction(rng.randint(-spread, spread)), Fraction(rng.randint(-spread, spread)))
@@ -57,13 +67,7 @@ def random_general_position_set(n: int, seed: int, spread: int = 60) -> PointSet
     return ps
 
 
-def oracle_suite(
-    max_n: int = 12,
-    sets_per_n: int = 20,
-    base_seed: int = 1000,
-    generated_ns: tuple[int, ...] = (6, 9, 12),
-    generated_seeds: tuple[int, ...] = (0, 1, 2),
-) -> SuiteResult:
+def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:
     """Halfperiod k-set counts must equal the brute-force pair-line oracle,
     on random sets of every size 4..max_n and on generated 3-decomposable
     sets.  Raises ``OracleSizeError`` up front when ``max_n`` exceeds the
@@ -75,7 +79,7 @@ def oracle_suite(
     for n in range(4, max_n + 1):
         bad = 0
         for t in range(sets_per_n):
-            ps = random_general_position_set(n, base_seed + 97 * n + t)
+            ps = random_general_position_set(n, ORACLE_BASE_SEED + 97 * n + t)
             fast = circular.kset_vector_from_sites(ps.n, circular.site_counts(ps)[0])
             slow = k_set_oracle(ps)
             if fast != slow:
@@ -87,9 +91,9 @@ def oracle_suite(
                 f"{bad} mismatches" if bad else "halfperiod counts = oracle counts",
             )
         )
-    for n in generated_ns:
+    for n in ORACLE_GENERATED_NS:
         bad = 0
-        for seed in generated_seeds:
+        for seed in ORACLE_GENERATED_SEEDS:
             ps = decompose.generate(n, seed)
             fast = circular.kset_vector_from_sites(ps.n, circular.site_counts(ps)[0])
             slow = k_set_oracle(ps)
@@ -97,7 +101,7 @@ def oracle_suite(
                 bad += 1
         checks.append(
             CheckResult(
-                f"generated n={n} ({len(generated_seeds)} sets)",
+                f"generated n={n} ({len(ORACLE_GENERATED_SEEDS)} sets)",
                 bad == 0,
                 f"{bad} mismatches" if bad else "halfperiod counts = oracle counts",
             )

@@ -267,7 +267,7 @@ class TestCountingSweep:
         assert kset_vector_from_sites(ps.n, counts) == kset_vector_from_halfperiod(h)
         # analyze's running sums: het and hom for every k.
         k_max = (ps.n - 1) // 2
-        rows, _ = _analyze_rows(ps, 1, k_max)
+        rows = _analyze_rows(ps, 1, k_max)
         assert [row["k"] for row in rows] == list(range(1, k_max + 1))
         for row in rows:
             rep = critical_counts(h, row["k"])
@@ -277,7 +277,7 @@ class TestCountingSweep:
             else:
                 assert (row["het"], row["hom"]) == (rep.het, rep.hom)
         k_lo = data.draw(st.integers(1, k_max))
-        assert _analyze_rows(ps, k_lo, k_max)[0] == rows[k_lo - 1 :]
+        assert _analyze_rows(ps, k_lo, k_max) == rows[k_lo - 1 :]
 
 
 class TestHalfperiodInvariants:
@@ -294,6 +294,46 @@ class TestHalfperiodInvariants:
         assert perms[-1] == perms[0][::-1]
         assert sum(h.site_counts[0]) == math.comb(ps.n, 2)
         assert sum(site_counts(ps)[0]) == math.comb(ps.n, 2)
+
+
+@st.composite
+def unimodular_maps(draw):
+    """An integer matrix ((a, b), (c, d)) with ad - bc = +1: a product of
+    shears, which generate every such matrix."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for k, upper in draw(st.lists(st.tuples(st.integers(-3, 3), st.booleans()),
+                                  max_size=4)):
+        if upper:  # times ((1, k), (0, 1))
+            b, d = b + k * a, d + k * c
+        else:  # times ((1, 0), (k, 1))
+            a, c = a + k * b, c + k * d
+    return (a, b), (c, d)
+
+
+def kset_vector(ps):
+    return kset_vector_from_sites(ps.n, site_counts(ps)[0])
+
+
+class TestKSetVectorInvariance:
+    """A translation and an orientation-preserving unimodular map carry the
+    sets cut off by lines to the sets cut off by lines."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid_sets(), st.fractions(-20, 20, max_denominator=7),
+           st.fractions(-20, 20, max_denominator=7))
+    def test_translation(self, ps, dx, dy):
+        moved = PointSet.from_coords([(p.x + dx, p.y + dy) for p in ps.points])
+        assert kset_vector(moved) == kset_vector(ps)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid_sets(), unimodular_maps())
+    def test_unimodular_map(self, ps, m):
+        (a, b), (c, d) = m
+        assert a * d - b * c == 1
+        mapped = PointSet.from_coords(
+            [(a * p.x + b * p.y, c * p.x + d * p.y) for p in ps.points]
+        )
+        assert kset_vector(mapped) == kset_vector(ps)
 
 
 class TestValidSwapDigraphs:

@@ -311,6 +311,12 @@ class TestCheckHalfperiod:
         with pytest.raises(LabelingError):
             check_halfperiod(h)
 
+    @pytest.mark.parametrize("labels", [["a", "b", "c"], ["x"] * 9])
+    def test_given_labels_are_checked(self, labels):
+        h = build_halfperiod(generate(9, seed=1))
+        with pytest.raises(LabelingError):
+            check_halfperiod(h, labels=labels)
+
     def test_locate_halfperiod_witness(self):
         from ksetlab.decompose import locate_halfperiod_witness
 

@@ -76,10 +76,22 @@ class TestGenCommand:
         assert main(["gen", "--n", "3", "--seed", "0", "--out", str(out)]) == 0
         assert load_point_set(out).n == 3
 
-    def test_gen_rejects_non_multiple(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["gen", "--n", "8", "--seed", "0", "--out", str(tmp_path / "x.json")])
-        assert err.value.code == 2
+    def test_gen_rejects_non_multiple(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["gen", "--n", "8", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: n must be a positive multiple of 3, got 8\n"
+        assert not out.exists()
+
+    def test_gen_that_gives_up_exits_two(self, tmp_path, capsys, monkeypatch):
+        # Every draw fails general position, so the generator gives up.
+        monkeypatch.setattr(decompose, "is_general_position", lambda ps: False)
+        out = tmp_path / "x.json"
+        assert main(["gen", "--n", "9", "--seed", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: generator gave up on n=9, seed=4 after 256 ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:
@@ -283,6 +295,16 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["verify", "--suite", "slack", "--max-n", "5"], None, 2),
         (["verify", "--max-n", "5"], None, 2),
         (["verify", "--suite", "slack", "--max-b", "0", "--max-n", "6"], None, 0),
+        # Malformed or unusable values, each command.
+        (["gen", "--n", "8", "--seed", "0", "--out", "{missing}/x.json"], None, 2),
+        (["gen", "--n", "0", "--seed", "0", "--out", "{missing}/x.json"], None, 2),
+        (["analyze", "--k-range", "x"], TRIANGLE_JSON, 2),
+        (["analyze", "--k-range", "1:2:3"], TRIANGLE_JSON, 2),
+        (["bounds", "--n-range", "foo"], None, 2),
+        (["bounds", "--n-range", "7:8"], None, 2),
+        (["verify", "--suite", "oracle", "--max-n", "0"], None, 2),
+        (["sweep", "--ns", "6,x"], None, 2),
+        (["sweep", "--ns", "6,8"], None, 2),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
@@ -296,6 +318,30 @@ def test_exit_codes(tmp_path, capsys, argv, payload, code):
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n-range", "foo"],
+        ["analyze", "--input", "{input}", "--k-range", "x"],
+        ["gen", "--n", "8", "--seed", "0", "--out", "{tmp}/x.json"],
+        ["verify", "--suite", "oracle", "--max-n", "16"],
+    ],
+)
+def test_exit_two_from_a_shell(tmp_path, argv):
+    # The exit code a shell sees, not the one main returns in process.
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(TRIANGLE_JSON))
+    argv = [a.format(input=src, tmp=tmp_path) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(ksetlab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ksetlab.cli", *argv], capture_output=True, text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 class TestSweepCommand:
