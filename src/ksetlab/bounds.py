@@ -47,13 +47,20 @@ Quantities computed here:
 
 * ``crossing_lower_bound`` / ``crossing_coefficient``: the finite-n bound
   sum_k (n-2k-1) * ceil(Y(k,n)) on the crossing number of a 3-decomposable
-  drawing, and its asymptotic coefficient per C(n,4),
+  drawing, read off ``bound_table(n)``, and its asymptotic coefficient per
+  C(n,4),
 
       3/8 + 1/216 + (2/27)(79/8 - pi^2)  =  (2/27)(15 - pi^2)  ~ 0.380029,
 
   using sum_{j>=2} 1/(j^3 (j+1)^3) = 79/8 - pi^2.  The series and the three
   window integrals behind the coefficient are re-verified numerically in
   ``series_and_integral_report``.
+
+``bound_report(k, n)`` alone derives depth, Y, ceil(Y), het, hom, E and L,
+with Y computed once; each single-quantity function reads one field of it.
+``bound_table(n)`` holds every k < n/2's report, each computed once, and
+the crossing bound summed from them.  The extremal-digraph functions
+validate (k, n) once and never compute Y.
 """
 
 from __future__ import annotations
@@ -72,23 +79,28 @@ GENERAL_LOWER_COEFFICIENT = 0.37968
 BEST_UPPER_COEFFICIENT = 0.38054
 
 SERIES_TOLERANCE = 1e-9
+#: The fewest terms J whose partial sum is proven within SERIES_TOLERANCE:
+#: the tail sum_{j>J} 1/(j^3 (j+1)^3) < sum_{j>J} j^-6 <= integral_J^oo x^-6 dx
+#: = 1/(5 J^5), which is at most the tolerance from J = (5 tol)^(-1/5) on.
+SERIES_MIN_TERMS = math.ceil((5 * SERIES_TOLERANCE) ** -0.2)
 QUADRATURE_TOLERANCE = 1e-12
 
 
-def _require_k_n(k: int, n: int, *, multiple_of_3: bool = True) -> None:
-    if multiple_of_3 and n % 3 != 0:
+def _require_k_n(k: int, n: int) -> None:
+    if n % 3 != 0:
         raise ValueError(f"n must be a multiple of 3, got {n}")
     if not (1 <= k and 2 * k < n):
         raise ValueError(f"k must satisfy 1 <= k < n/2, got k={k}, n={n}")
 
 
-def _window(k: int, n: int) -> int:
-    m = n - 2 * k - 1
-    if m < 1:
+def _defined(value, k: int, n: int):
+    """``value``, a quantity at a valid (k, n); only the empty window
+    (m = n-2k-1 = 0) leaves one None."""
+    if value is None:
         raise UndefinedWindowError(
-            f"valid window is empty at k={k}, n={n} (m = n-2k-1 = {m})"
+            f"valid window is empty at k={k}, n={n} (m = n-2k-1 = 0)"
         )
-    return m
+    return value
 
 
 def binom2(x: Fraction | int) -> Fraction:
@@ -107,15 +119,6 @@ def triangular_threshold(ratio: Fraction) -> int:
     while math.comb(b + 2, 2) < ratio:
         b += 1
     return b
-
-
-def refinement_depth(k: int, n: int) -> int:
-    """Upper index b of the refinement sum in the (<=k)-set bound: the
-    unique integer with C(b+1,2) < n/(n-2k-1) <= C(b+2,2).  Undefined when
-    the valid window is empty (k = (n-1)/2)."""
-    _require_k_n(k, n)
-    m = _window(k, n)
-    return triangular_threshold(Fraction(n, m))
 
 
 @dataclass(frozen=True)
@@ -151,15 +154,9 @@ def bqr_decompose(i: int, j: int) -> BqrDecomposition:
     return _bqr(i, j)
 
 
-def kset_lower_bound(k: int, n: int) -> Fraction:
-    """Closed-form lower bound Y(k,n) on the number of (<=k)-sets of a
-    3-decomposable n-point set (exact rational)."""
-    _require_k_n(k, n)
-    return _closed_form(k, n, _window(k, n))[1]
-
-
 def _closed_form(k: int, n: int, m: int) -> tuple[int, Fraction]:
-    """The refinement depth b and Y(k,n), for a nonempty window m."""
+    """The refinement depth b and Y(k,n), for a nonempty window m: the one
+    place Y is computed, called by ``bound_report`` alone."""
     s = n // 3
     depth = triangular_threshold(Fraction(n, m))
     total = 3 * binom2(k + 1) + 3 * binom2(k - s + 1) - Fraction(1, 3)
@@ -172,33 +169,12 @@ def _closed_form(k: int, n: int, m: int) -> tuple[int, Fraction]:
     return depth, total
 
 
-def heterogeneous_critical_count(k: int, n: int) -> int:
-    """Exact number of heterogeneous (<=k)-critical transpositions in any
-    halfperiod whose initial permutation is three class blocks:
-    3*C(k+1,2) for k <= n/3, else 3*C(n/3+1,2) + (k-n/3)*n."""
-    _require_k_n(k, n)
-    s = n // 3
-    if k <= s:
-        return 3 * math.comb(k + 1, 2)
-    return 3 * math.comb(s + 1, 2) + (k - s) * n
-
-
-def homogeneous_lower_bound(k: int, n: int) -> Fraction:
-    """Lower bound on homogeneous (<=k)-critical transpositions:
-    Y(k,n) minus the exact heterogeneous count.  Zero for k <= n/3 (there
-    are halfperiods with no critical homogeneous swaps at all)."""
-    _require_k_n(k, n)
-    if k <= n // 3:
-        return Fraction(0)
-    return kset_lower_bound(k, n) - heterogeneous_critical_count(k, n)
-
-
 def _require_extremal_args(k: int, n: int) -> tuple[int, int]:
     _require_k_n(k, n)
     s = n // 3
     if k <= s:
         raise ValueError(f"extremal digraph needs k > n/3, got k={k}, n={n}")
-    return _window(k, n), s
+    return _defined(n - 2 * k - 1 or None, k, n), s  # m = 0: the empty window
 
 
 def build_extremal_digraph(k: int, n: int) -> ValidSwapDigraph:
@@ -254,29 +230,123 @@ def extremal_indegree(k: int, n: int, i: int) -> int:
     return m * d.b + d.q
 
 
+@dataclass(frozen=True)
+class BoundReport:
+    """All bound quantities at one (k, n); fields are None where the empty
+    valid window (m = 0) leaves them undefined."""
+
+    n: int
+    k: int
+    m: int
+    s: int
+    depth: int | None
+    y: Fraction | None
+    ceil_y: int
+    het: int
+    hom_lower: Fraction | None
+    edges: int | None
+    edge_summands: tuple[int, int, int] | None
+    l: Fraction | None
+
+
+def bound_report(k: int, n: int) -> BoundReport:
+    """Assemble every bound quantity at (k, n), tolerating the m = 0 case.
+    The one place they are derived: Y is computed once, and ceil(Y), hom
+    and L come from it; the single-quantity functions read their field."""
+    _require_k_n(k, n)
+    s = n // 3
+    m = n - 2 * k - 1
+    # 3*C(k+1,2): het and L for k <= s, ceil(Y)'s fallback for m = 0.
+    low = 3 * math.comb(k + 1, 2)
+    het = low if k <= s else 3 * math.comb(s + 1, 2) + (k - s) * n
+    depth = y = hom = edges = summands = sharp = None
+    if m >= 1:
+        depth, y = _closed_form(k, n, m)
+    if k <= s:
+        hom, sharp = Fraction(0), Fraction(low)
+    elif y is not None:
+        hom = y - het
+        summands = _edge_summands(m, s)
+        edges = sum(summands)
+        sharp = Fraction(het + 3 * (math.comb(s, 2) - edges))
+        if sharp < y:
+            raise AssertionError(
+                f"sharp bound {sharp} fell below the closed form {y} at k={k}, n={n}"
+            )
+    return BoundReport(
+        n=n, k=k, m=m, s=s, depth=depth, y=y,
+        ceil_y=low if y is None else math.ceil(y), het=het, hom_lower=hom,
+        edges=edges, edge_summands=summands, l=sharp,
+    )
+
+
+@dataclass(frozen=True)
+class BoundTable:
+    """The reports of every k < n/2 at one n, and the crossing bound
+    sum_k (n-2k-1) * ceil(Y(k,n)) read off them."""
+
+    n: int
+    reports: tuple[BoundReport, ...]
+    crossing: int
+
+
+def bound_table(n: int) -> BoundTable:
+    """Every ``bound_report(k, n)`` for 1 <= k < n/2, each computed once,
+    and their crossing sum."""
+    if n % 3 != 0 or n < 3:
+        raise ValueError(f"n must be a positive multiple of 3, got {n}")
+    reports = tuple(bound_report(k, n) for k in range(1, (n - 1) // 2 + 1))
+    return BoundTable(n, reports, sum(r.m * r.ceil_y for r in reports))
+
+
+# The single-quantity functions: each reads its field of bound_report(k, n).
+
+
+def refinement_depth(k: int, n: int) -> int:
+    """Upper index b of the refinement sum in the (<=k)-set bound: the
+    unique integer with C(b+1,2) < n/(n-2k-1) <= C(b+2,2).  Undefined when
+    the valid window is empty (k = (n-1)/2)."""
+    return _defined(bound_report(k, n).depth, k, n)
+
+
+def kset_lower_bound(k: int, n: int) -> Fraction:
+    """Closed-form lower bound Y(k,n) on the number of (<=k)-sets of a
+    3-decomposable n-point set (exact rational)."""
+    return _defined(bound_report(k, n).y, k, n)
+
+
+def heterogeneous_critical_count(k: int, n: int) -> int:
+    """Exact number of heterogeneous (<=k)-critical transpositions in any
+    halfperiod whose initial permutation is three class blocks:
+    3*C(k+1,2) for k <= n/3, else 3*C(n/3+1,2) + (k-n/3)*n."""
+    return bound_report(k, n).het
+
+
+def homogeneous_lower_bound(k: int, n: int) -> Fraction:
+    """Lower bound on homogeneous (<=k)-critical transpositions:
+    Y(k,n) minus the exact heterogeneous count.  Zero for k <= n/3 (there
+    are halfperiods with no critical homogeneous swaps at all)."""
+    return _defined(bound_report(k, n).hom_lower, k, n)
+
+
 def kset_lower_bound_sharp(k: int, n: int) -> Fraction:
     """The sharper bound L(k,n) from exact extremal edge counts:
     3*C(k+1,2) for k <= n/3, else het(k,n) + 3*(C(n/3,2) - E(k,n)).
     Always >= ``kset_lower_bound`` (verified on every call)."""
-    _require_k_n(k, n)
-    s = n // 3
-    if k <= s:
-        return Fraction(3 * math.comb(k + 1, 2))
-    m = _window(k, n)
-    return _sharp_bound(
-        k, n, heterogeneous_critical_count(k, n), extremal_edge_count(k, n),
-        _closed_form(k, n, m)[1],
-    )
+    return _defined(bound_report(k, n).l, k, n)
 
 
-def _sharp_bound(k: int, n: int, het: int, edges: int, y: Fraction) -> Fraction:
-    """L(k,n) for n/3 < k from het(k,n) and E(k,n), checked against Y(k,n)."""
-    value = Fraction(het + 3 * (math.comb(n // 3, 2) - edges))
-    if value < y:
-        raise AssertionError(
-            f"sharp bound {value} fell below the closed form {y} at k={k}, n={n}"
-        )
-    return value
+def min_kset_count(k: int, n: int) -> int:
+    """The integer bound an actual (<=k)-set count must meet:
+    ceil(Y(k,n)), falling back to 3*C(k+1,2) when the valid window is empty
+    (every transposition is then critical, so the fallback is safe)."""
+    return bound_report(k, n).ceil_y
+
+
+def crossing_lower_bound(n: int) -> int:
+    """Finite-n lower bound on the crossing number of a 3-decomposable
+    drawing: sum over k of (n-2k-1) * min_kset_count(k, n)."""
+    return bound_table(n).crossing
 
 
 def slack_quartic(b: int | Fraction, r: int | Fraction) -> Fraction:
@@ -293,28 +363,6 @@ def slack_quartic(b: int | Fraction, r: int | Fraction) -> Fraction:
     r = Fraction(r)
     num = b**4 + 4 * b**3 + 5 * b**2 + b * (2 - 12 * r) + 12 * r * (r - 1)
     return num / (8 * (b + 1))
-
-
-def min_kset_count(k: int, n: int) -> int:
-    """The integer bound an actual (<=k)-set count must meet:
-    ceil(Y(k,n)), falling back to 3*C(k+1,2) when the valid window is empty
-    (every transposition is then critical, so the fallback is safe)."""
-    _require_k_n(k, n)
-    try:
-        return math.ceil(kset_lower_bound(k, n))
-    except UndefinedWindowError:
-        return 3 * math.comb(k + 1, 2)
-
-
-def crossing_lower_bound(n: int) -> int:
-    """Finite-n lower bound on the crossing number of a 3-decomposable
-    drawing: sum over k of (n-2k-1) * min_kset_count(k, n)."""
-    if n % 3 != 0 or n < 3:
-        raise ValueError(f"n must be a positive multiple of 3, got {n}")
-    total = 0
-    for k in range(1, (n - 2) // 2 + 1):
-        total += (n - 2 * k - 1) * min_kset_count(k, n)
-    return total
 
 
 def crossing_coefficient() -> float:
@@ -368,11 +416,10 @@ def series_and_integral_report(terms: int = 1000) -> SeriesIntegralReport:
     """Numerically confirm the ingredients of the asymptotic coefficient.
 
     * partial sums of 1/(j^3 (j+1)^3) from j=2 approach 79/8 - pi^2
-      (the tail after J is O(1/J^5));
-    * quadrature of (1-2x) x^2 over [0, 1/2] gives 1/96;
-    * quadrature of (1-2x)(x - 1/3)^2 over [1/3, 1/2] gives 1/7776;
-    * quadrature of (1-2x)(x - (1/2 - d))^2 over [1/2 - d, 1/2] gives d^4/6
-      for the window widths d = 1/(3j(j+1)), checked for j = 2, 3, 4.
+      (the tail after J is below 1/(5J^5));
+    * quadrature of (1-2x)(x - a)^2 over [a, 1/2] gives (1/2 - a)^4 / 6:
+      1/96 at a = 0, 1/7776 at a = 1/3, and d^4/6 at a = 1/2 - d for the
+      window widths d = 1/(3j(j+1)), checked for j = 2, 3, 4.
     """
     import mpmath
 
@@ -380,80 +427,20 @@ def series_and_integral_report(terms: int = 1000) -> SeriesIntegralReport:
     with mpmath.workdps(50):
         target = float(mpmath.mpf(79) / 8 - mpmath.pi**2)
 
-    def quad(f, a: float, b: float) -> float:
-        return float(mpmath.quad(f, [a, b]))
+    def check(name: str, a: float, exact: float) -> IntegralCheck:
+        v = float(mpmath.quad(lambda x: (1 - 2 * x) * (x - a) ** 2, [a, 0.5]))
+        return IntegralCheck(name, v, exact, abs(v - exact))
 
-    checks = []
-    v1 = quad(lambda x: (1 - 2 * x) * x * x, 0.0, 0.5)
-    checks.append(IntegralCheck("(1-2x)x^2 on [0,1/2]", v1, 1 / 96, abs(v1 - 1 / 96)))
-    v2 = quad(lambda x: (1 - 2 * x) * (x - 1 / 3) ** 2, 1 / 3, 0.5)
-    checks.append(
-        IntegralCheck("(1-2x)(x-1/3)^2 on [1/3,1/2]", v2, 1 / 7776, abs(v2 - 1 / 7776))
-    )
+    checks = [
+        check("(1-2x)x^2 on [0,1/2]", 0.0, 1 / 96),
+        check("(1-2x)(x-1/3)^2 on [1/3,1/2]", 1 / 3, 1 / 7776),
+    ]
     for j in (2, 3, 4):
         d = 1.0 / (3 * j * (j + 1))
-        v = quad(lambda x: (1 - 2 * x) * (x - (0.5 - d)) ** 2, 0.5 - d, 0.5)
-        exact = d**4 / 6
-        checks.append(
-            IntegralCheck(f"window integral j={j}", v, exact, abs(v - exact))
-        )
+        checks.append(check(f"window integral j={j}", 0.5 - d, d**4 / 6))
     return SeriesIntegralReport(
         series_sum=series,
         series_target=target,
         series_error=abs(series - target),
         integrals=tuple(checks),
-    )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All bound quantities at one (k, n); fields are None where the empty
-    valid window (m = 0) leaves them undefined."""
-
-    n: int
-    k: int
-    m: int
-    s: int
-    depth: int | None
-    y: Fraction | None
-    ceil_y: int
-    het: int
-    hom_lower: Fraction | None
-    edges: int | None
-    edge_summands: tuple[int, int, int] | None
-    l: Fraction | None
-
-
-def bound_report(k: int, n: int) -> BoundReport:
-    """Assemble every bound quantity at (k, n), tolerating the m = 0 case.
-    Y is computed once and hom, ceil(Y) and L are derived from it."""
-    _require_k_n(k, n)
-    s = n // 3
-    m = n - 2 * k - 1
-    het = heterogeneous_critical_count(k, n)
-    depth = y = hom = edges = summands = sharp = None
-    if m >= 1:
-        depth, y = _closed_form(k, n, m)
-    if k <= s:
-        hom = Fraction(0)
-        sharp = Fraction(3 * math.comb(k + 1, 2))
-    elif y is not None:
-        hom = y - het
-        summands = _edge_summands(m, s)
-        edges = sum(summands)
-        sharp = _sharp_bound(k, n, het, edges, y)
-    return BoundReport(
-        n=n,
-        k=k,
-        m=m,
-        s=s,
-        depth=depth,
-        y=y,
-        # min_kset_count: ceil(Y), or 3*C(k+1,2) when the window is empty.
-        ceil_y=3 * math.comb(k + 1, 2) if y is None else math.ceil(y),
-        het=het,
-        hom_lower=hom,
-        edges=edges,
-        edge_summands=summands,
-        l=sharp,
     )

@@ -183,17 +183,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def _bounds_rows(ns: list[int], only_k: int | None) -> Iterable[dict]:
     """The rows of the ``bounds`` table, one at a time: for each n, the
-    given k or every k < n/2."""
+    given k or every k < n/2, read off one ``bound_table(n)`` with its
+    ``cr_lower``."""
     for n in ns:
-        cr = bounds_mod.crossing_lower_bound(n)
-        ratio = cr / comb(n, 4)
-        for k in [only_k] if only_k is not None else range(1, (n - 1) // 2 + 1):
-            if not 1 <= k < n / 2:
+        table = bounds_mod.bound_table(n)
+        ratio = table.crossing / comb(n, 4)
+        for br in table.reports:
+            if only_k is not None and br.k != only_k:
                 continue
-            br = bounds_mod.bound_report(k, n)
             yield {
                 "n": n,
-                "k": k,
+                "k": br.k,
                 "m": br.m,
                 "depth": UNDEF if br.depth is None else br.depth,
                 "Y": _frac_cell(br.y),
@@ -203,7 +203,7 @@ def _bounds_rows(ns: list[int], only_k: int | None) -> Iterable[dict]:
                 "hom": _frac_cell(br.hom_lower),
                 "L": _frac_cell(br.l),
                 "E": UNDEF if br.edges is None else br.edges,
-                "cr_lower": cr,
+                "cr_lower": table.crossing,
                 "cr_ratio_dec": f"{ratio:.8f}",
             }
 
@@ -220,8 +220,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"the slack suite needs --max-n at least 6, got {args.max_n}")
     if "slack" in names and args.max_b is not None and args.max_b < 0:
         raise UsageError(f"--max-b must be at least 0, got {args.max_b}")
-    if "series" in names and args.terms is not None and args.terms < 2:
-        raise UsageError(f"--terms must be at least 2, got {args.terms}")
+    min_terms = bounds_mod.SERIES_MIN_TERMS
+    if "series" in names and args.terms is not None and args.terms < min_terms:
+        raise UsageError(
+            f"--terms must be at least {min_terms} to meet the series tolerance "
+            f"{bounds_mod.SERIES_TOLERANCE:g}, got {args.terms}"
+        )
     results = []
     for name in names:
         params = inspect.signature(verify.SUITES[name]).parameters
@@ -251,7 +255,7 @@ def _sweep_work(item: tuple[int, int, str]) -> list[dict]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        ns = [int(x) for x in args.ns.split(",")]
+        ns = sorted({int(x) for x in args.ns.split(",")})  # each n once
     except ValueError:
         raise UsageError(f"bad --ns list {args.ns!r}") from None
     if any(n % 3 != 0 or n < 3 for n in ns):
@@ -260,17 +264,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     if args.parallel < 1:
         raise UsageError(f"--parallel must be at least 1, got {args.parallel}")
-    items = [(n, seed, args.shape) for n in sorted(ns) for seed in range(args.seeds)]
+    items = [(n, seed, args.shape) for n in ns for seed in range(args.seeds)]
     if args.parallel > 1:
         # Imported here, not at the top: it pulls in multiprocessing, which
         # costs every other command about 2 MB and 20 ms at startup.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = dict(zip(items, pool.map(_sweep_work, items)))
+            results = list(pool.map(_sweep_work, items))
     else:
-        results = {item: _sweep_work(item) for item in items}
-    rows = [row for item in items for row in results[item]]
+        results = [_sweep_work(item) for item in items]
+    rows = [row for item_rows in results for row in item_rows]
     _write_csv(args.out, SWEEP_COLUMNS, rows)
     return _exit_code(rows)
 

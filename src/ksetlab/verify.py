@@ -183,11 +183,11 @@ def slack_suite(max_b: int = 1000, max_n: int = 300) -> SuiteResult:
     negative = 0
     pairs = 0
     for n in range(6, max_n + 1, 3):
-        for k in range(1, (n - 1) // 2 + 1):
-            if n - 2 * k - 1 < 1:
+        for report in bounds.bound_table(n).reports:
+            if report.y is None:
                 continue
             pairs += 1
-            gap = bounds.kset_lower_bound_sharp(k, n) - bounds.kset_lower_bound(k, n)
+            gap = report.l - report.y
             if worst is None or gap < worst:
                 worst = gap
             if gap < 0:

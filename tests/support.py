@@ -22,6 +22,9 @@ The grouping oracle groups the pairs by critical direction with ``Fraction``
 differences of the original coordinates, instead of the library's integer
 coordinates; the count oracle recounts the critical transpositions for each
 k, instead of reading the halfperiod's one-pass site counts.
+
+The crossing-bound oracle sums (n-2k-1) * min_kset_count(k, n) one k at a
+time, instead of reading the crossing sum off ``bound_table(n)``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+from ksetlab.bounds import min_kset_count
 from ksetlab.circular import (
     Direction,
     Halfperiod,
@@ -51,6 +55,17 @@ DEGENERATE_SETS = [
     PointSet.from_coords([(0, 0), (1, 1), (2, 2), (0, 5), (3, -1), (-2, 3)]),
     PointSet.from_coords([(0, 0), (4, 1), (0, 0), (1, 3), (3, 3), (2, -3)]),
 ]
+
+
+def crossing_lower_bound_by_min_counts(n: int) -> int:
+    """Finite-n crossing bound sum over k of (n-2k-1) * min_kset_count(k, n),
+    one k at a time."""
+    if n % 3 != 0 or n < 3:
+        raise ValueError(f"n must be a positive multiple of 3, got {n}")
+    total = 0
+    for k in range(1, (n - 2) // 2 + 1):
+        total += (n - 2 * k - 1) * min_kset_count(k, n)
+    return total
 
 
 def general_position_by_triples(ps: PointSet) -> bool:

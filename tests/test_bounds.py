@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ksetlab.bounds as bounds_mod
 from ksetlab import (
     UndefinedWindowError,
     bqr_decompose,
@@ -28,7 +29,11 @@ from ksetlab.bounds import (
     BoundReport,
     binom2,
     bound_report,
+    bound_table,
 )
+from ksetlab.verify import slack_suite
+
+from support import crossing_lower_bound_by_min_counts
 
 F = Fraction
 
@@ -244,6 +249,12 @@ class TestSharpBound:
         with pytest.raises(UndefinedWindowError):
             kset_lower_bound_sharp(4, 9)
 
+    def test_checked_against_closed_form(self, monkeypatch):
+        # Too many extremal edges would put L below Y: every report checks.
+        monkeypatch.setattr(bounds_mod, "_edge_summands", lambda m, s: (10**6, 0, 0))
+        with pytest.raises(AssertionError, match="fell below the closed form"):
+            bound_report(5, 12)
+
 
 class TestSlackQuartic:
     def test_values(self):
@@ -380,3 +391,41 @@ class TestBoundReport:
                 assert [type(v) for v in vars(got).values()] == [
                     type(v) for v in vars(expected).values()
                 ]
+
+
+class TestBoundTable:
+    def test_crossing_equals_per_k_sum(self):
+        for n in range(3, 301, 3):
+            assert crossing_lower_bound(n) == crossing_lower_bound_by_min_counts(n)
+
+    def test_reports_equal_bound_report(self):
+        for n in range(3, 301, 3):
+            table = bound_table(n)
+            assert table.n == n
+            assert [r.k for r in table.reports] == list(range(1, (n - 1) // 2 + 1))
+            for got in table.reports:
+                expected = bound_report(got.k, n)
+                assert got == expected
+                assert [type(v) for v in vars(got).values()] == [
+                    type(v) for v in vars(expected).values()
+                ]
+
+    def test_slack_sweep_reads_the_gap(self):
+        # The slack suite's pair sweep reads L - Y off the tables.
+        gaps = [
+            kset_lower_bound_sharp(k, n) - kset_lower_bound(k, n)
+            for n in range(6, 61, 3)
+            for k in range(1, (n - 1) // 2 + 1)
+            if n - 2 * k - 1 >= 1
+        ]
+        check = slack_suite(max_b=0, max_n=60).checks[1]
+        assert check.ok
+        assert check.name == f"sharp >= closed form, n<=60 ({len(gaps)} pairs)"
+        assert check.detail == f"min gap {min(gaps)}"
+
+    def test_rejects_bad_n(self):
+        for n in (0, -3, 1, 10):
+            with pytest.raises(ValueError):
+                bound_table(n)
+            with pytest.raises(ValueError):
+                crossing_lower_bound(n)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import ksetlab
 from ksetlab import (
     PointSet,
+    bounds,
     circular,
     cli,
     decompose,
@@ -220,6 +222,30 @@ class TestBoundsCommand:
         assert main(["bounds", "--n-range", "6:13", "--k", "1", "--out", str(out)]) == 0
         assert [r["n"] for r in read_csv(out)] == ["6", "9", "12"]
 
+    def test_each_y_computed_once(self, monkeypatch, capsys):
+        # 7,499 rows, of which 7,450 have a nonempty valid window and so a Y;
+        # each of those is computed once, cr_lower included.
+        real = bounds._closed_form
+        calls = []
+
+        def counted(k, n, m):
+            calls.append((k, n))
+            return real(k, n, m)
+
+        monkeypatch.setattr(bounds, "_closed_form", counted)
+        assert main(["bounds", "--n-range", "6:300"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 7499
+        assert len(calls) == len(set(calls)) == 7450
+
+    def test_n_range_6_300_digest(self, capsys):
+        # The whole table, byte for byte.  The cr_lower fix planned in
+        # ROADMAP.md (item 1: add the constant c(n) of the crossing identity)
+        # changes the cr_lower and cr_ratio_dec columns; it must re-pin this
+        # digest and declare the change.
+        assert main(["bounds", "--n-range", "6:300"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "47ba94f374e13bca81ba35b2726b2bea8d4e350704c929b9717cd4c8f4ed74ec"
+
 
 class TestVerifyCommand:
     def test_series_suite_json(self, tmp_path):
@@ -273,7 +299,7 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["gen", "--n", "9", "--seed", "0", "--out", "{missing}/x.json"], None, 2),
         (["analyze", "--out", "{missing}/r.csv"], TRIANGLE_JSON, 2),
         (["bounds", "--n", "9", "--out", "{missing}/b.csv"], None, 2),
-        (["verify", "--suite", "series", "--terms", "10", "--out", "{missing}/v.json"],
+        (["verify", "--suite", "series", "--terms", "46", "--out", "{missing}/v.json"],
          None, 2),
         (["sweep", "--ns", "6", "--seeds", "1", "--out", "{missing}/s.csv"], None, 2),
         (["verify", "--suite", "series", "--terms", "0"], None, 2),
@@ -305,6 +331,12 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["verify", "--suite", "oracle", "--max-n", "0"], None, 2),
         (["sweep", "--ns", "6,x"], None, 2),
         (["sweep", "--ns", "6,8"], None, 2),
+        # A series too short for its tolerance: the proven tail bound
+        # 1/(5J^5) needs J >= 46 for 1e-9.
+        (["verify", "--suite", "series", "--terms", "10"], None, 2),
+        (["verify", "--suite", "series", "--terms", "45"], None, 2),
+        (["verify", "--terms", "45"], None, 2),
+        (["verify", "--suite", "series", "--terms", "46"], None, 0),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
@@ -366,6 +398,15 @@ class TestSweepCommand:
 
     def test_sweep_rejects_bad_ns(self, capsys):
         assert main(["sweep", "--ns", "6,8"]) == 2
+
+    def test_repeated_n_swept_once(self, tmp_path):
+        once = tmp_path / "once.csv"
+        assert main(["sweep", "--ns", "6", "--seeds", "1", "--out", str(once)]) == 0
+        for extra in ([], ["--parallel", "2"]):
+            twice = tmp_path / "twice.csv"
+            argv = ["sweep", "--ns", "6,6", "--seeds", "1", *extra, "--out", str(twice)]
+            assert main(argv) == 0
+            assert twice.read_text() == once.read_text()
 
 
 class TestGroupOnce:
