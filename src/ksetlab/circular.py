@@ -30,24 +30,31 @@ ahead of the start direction.  Pairs of one class flip simultaneously; they
 are disjoint (a shared endpoint would be a collinear triple), so their swaps
 commute and are executed by increasing left site for determinism.
 
-``sweep`` is the one replay of the swaps.  ``build_halfperiod`` records it,
-``site_counts`` only counts the swaps at each site, and the decomposition
-check in ``decompose`` reads it class by class: after each class, the
-permutation is the projection order along the sample direction of the gap
-that follows it.
+``sweep`` is the one replay of the swaps, and a swap has one form, the
+``Swap`` triple ``(site, i, j)``: the entries at sites ``site`` and
+``site + 1`` (1-based) trade places, and they are the points ``i < j``.
+``build_halfperiod`` records the triples, ``site_counts`` only counts the
+swaps at each site, and the decomposition check in ``decompose`` reads
+them class by class: after each class, the permutation is the projection
+order along the sample direction of the gap that follows it.  ``Thirds``
+follows the points across the thirds of the permutation through the swaps;
+it is the one place that decides whether the thirds are three pure class
+blocks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GeneralPositionError, LabelingError
 from .geometry import Classes, Direction, KSetVector, PointSet, cross
 
-#: One adjacent swap: the left site (1-based) and the two points swapped.
+#: One adjacent swap: the left site (1-based) and the two points swapped,
+#: smaller first.
 Swap = tuple[int, int, int]
 #: Swaps at each site, and the heterogeneous ones among them (None without
 #: labels): entry ``i`` counts site ``i`` (entry 0 is unused).
@@ -73,9 +80,19 @@ def _gap_bounds(classes: Classes) -> list[tuple[Direction, Direction]]:
     return list(zip(dirs, dirs[1:] + [(-dirs[0][0], -dirs[0][1])]))
 
 
-def narrowest_gap(classes: Classes) -> Direction:
-    """The sample direction of the narrowest gap between consecutive
-    critical directions (the first of equals)."""
+def interval_sample_directions(ps: PointSet) -> list[Direction]:
+    """One tie-free direction strictly inside each angular interval between
+    consecutive critical directions, covering a half turn.  The negations of
+    the returned vectors sample the other half turn.
+    """
+    return gap_samples(ps.classes)
+
+
+def default_start_direction(ps: PointSet) -> Direction:
+    """Deterministic tie-free start direction: the sample direction of the
+    narrowest angular gap between consecutive critical directions (the
+    first of equals)."""
+    classes = ps.classes
     if len(classes) < 2:
         return gap_samples(classes)[0]
 
@@ -89,32 +106,19 @@ def narrowest_gap(classes: Classes) -> Direction:
     return max(gaps, key=by_cot)[2]
 
 
-def interval_sample_directions(ps: PointSet) -> list[Direction]:
-    """One tie-free direction strictly inside each angular interval between
-    consecutive critical directions, covering a half turn.  The negations of
-    the returned vectors sample the other half turn.
-    """
-    return gap_samples(ps.classes)
-
-
-def default_start_direction(ps: PointSet) -> Direction:
-    """Deterministic tie-free start direction: an interior direction of the
-    narrowest angular gap between consecutive critical directions."""
-    return narrowest_gap(ps.classes)
-
-
-def sweep(
-    ps: PointSet, classes: Classes, u: Direction
-) -> tuple[tuple[int, ...], Iterator[list[Swap]]]:
+def sweep(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], Iterator[list[Swap]]]:
     """Replay the swaps of the halfperiod of ``ps`` that starts at ``u``.
 
-    ``classes`` is ``ps.classes``.  Returns the initial
-    permutation (point indices ordered along ``u``, which must tie no pair)
-    and an iterator that yields, class by class in the order a direction
-    turning counterclockwise from ``u`` meets them, the swaps that class
-    makes.  The iterator replays lazily: a consumer may stop early.  Run to
-    the end, it checks that the last permutation reverses the first.
+    Returns the initial permutation (point indices ordered along ``u``,
+    which must tie no pair) and an iterator that yields, class by class in
+    the order a direction turning counterclockwise from ``u`` meets them,
+    the swaps that class makes.  The iterator replays lazily: a consumer may
+    stop early.  Run to the end, it checks that the last permutation
+    reverses the first.
     """
+    # Grouped first, so that a degenerate set raises GeneralPositionError
+    # rather than a tie.
+    classes = ps.classes
     ux, uy = u
     height = [ux * x + uy * y for x, y in ps.coords]
     initial = tuple(sorted(range(len(height)), key=height.__getitem__))
@@ -156,6 +160,57 @@ def _replay(initial: tuple[int, ...], classes: Classes) -> Iterator[list[Swap]]:
         raise GeneralPositionError("halfperiod replay did not reverse the order")
 
 
+class Thirds:
+    """Which third of a permutation of n = 3s points each point sits in and,
+    given labels, how many points of each class every third holds.  An
+    adjacent swap moves points between thirds only at site s or 2s."""
+
+    def __init__(self, perm: Sequence[int], labels: Sequence[str] | None = None):
+        self.s = s = len(perm) // 3
+        self.third = [0] * len(perm)
+        for site, p in enumerate(perm):
+            self.third[p] = site // s
+        self.labels = labels
+        if labels is not None:
+            self.counts = [
+                Counter(labels[p] for p in perm[t * s : (t + 1) * s]) for t in range(3)
+            ]
+
+    def swap(self, site: int, i: int, j: int) -> bool:
+        """Record the swap of points i and j at ``site``; True iff they
+        changed thirds."""
+        if site % self.s:
+            return False
+        third, labels = self.third, self.labels
+        ti, tj = third[i], third[j]
+        third[i], third[j] = tj, ti
+        if labels is not None and labels[i] != labels[j]:
+            ci, cj = self.counts[ti], self.counts[tj]
+            ci[labels[i]] -= 1
+            ci[labels[j]] += 1
+            cj[labels[j]] -= 1
+            cj[labels[i]] += 1
+        return True
+
+    def pattern(self) -> tuple[str, ...] | None:
+        """The class filling each third, or None if some third is mixed."""
+        out = []
+        for counts in self.counts:
+            label = next((c for c, k in counts.items() if k == self.s), None)
+            if label is None:
+                return None
+            out.append(label)
+        return tuple(out)
+
+    def blocks(self) -> tuple[str, str, str] | None:
+        """The pattern when the thirds are three pure blocks of three
+        different classes, else None."""
+        roles = self.pattern()
+        if roles is None or len(set(roles)) != 3:
+            return None
+        return roles  # type: ignore[return-value]
+
+
 def _tally(n: int, labels: tuple[str, ...] | None, swaps: Iterable[Swap]) -> SiteCounts:
     """Count ``swaps`` by site, and the heterogeneous ones when there are
     labels, in one pass."""
@@ -184,33 +239,22 @@ def site_counts(ps: PointSet) -> SiteCounts:
     ``critical_counts``).  Same as ``Halfperiod.site_counts`` of the
     halfperiod built from that sample.
     """
-    classes = ps.classes
     # The first gap lies between the first two classes.
-    _, flips = sweep(ps, classes, gap_samples(classes[:2])[0])
+    _, flips = sweep(ps, gap_samples(ps.classes[:2])[0])
     return _tally(ps.n, ps.labels, chain.from_iterable(flips))
-
-
-@dataclass(frozen=True, slots=True)
-class Transposition:
-    """One adjacent swap of the halfperiod: at step ``step`` (1-based) the
-    entries in sites ``(position, position + 1)`` swap; ``elements`` are the
-    two point indices involved, smaller first.  A halfperiod holds C(n,2) of
-    them, so they carry no instance dict."""
-
-    step: int
-    position: int
-    elements: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class Halfperiod:
     """A halfperiod of the circular sequence of a point set: the initial
     permutation (point indices ordered along ``direction``) plus the
-    ``C(n,2)`` adjacent swaps that carry it to its reversal."""
+    ``C(n,2)`` adjacent swaps that carry it to its reversal, in order, each
+    a ``Swap`` ``(site, i, j)``: the points ``i < j`` at sites ``site`` and
+    ``site + 1`` (1-based) trade places."""
 
     n: int
     initial_permutation: tuple[int, ...]
-    transpositions: tuple[Transposition, ...]
+    swaps: tuple[Swap, ...]
     direction: Direction
     labels: tuple[str, ...] | None = None
 
@@ -218,22 +262,16 @@ class Halfperiod:
         """Yield all C(n,2) + 1 permutations in rotation order."""
         perm = list(self.initial_permutation)
         yield tuple(perm)
-        for t in self.transpositions:
-            i = t.position - 1
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        for site, _, _ in self.swaps:
+            perm[site - 1], perm[site] = perm[site], perm[site - 1]
             yield tuple(perm)
 
     @cached_property
     def site_counts(self) -> SiteCounts:
-        """Transpositions at each site, and the heterogeneous ones among them
-        (None without labels), in one pass: entry ``i`` counts site ``i``
-        (entry 0 is unused)."""
-        swaps = ((t.position, *t.elements) for t in self.transpositions)
-        return _tally(self.n, self.labels, swaps)
-
-    def position_counts(self) -> dict[int, int]:
-        """Number of transpositions at each site 1..n-1."""
-        return dict(enumerate(self.site_counts[0][1:], 1))
+        """Swaps at each site, and the heterogeneous ones among them (None
+        without labels), in one pass: entry ``i`` counts site ``i`` (entry 0
+        is unused)."""
+        return _tally(self.n, self.labels, self.swaps)
 
 
 def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfperiod:
@@ -241,24 +279,19 @@ def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfpe
     deterministic tie-free direction).  The supplied direction must not be
     perpendicular to any pair line, i.e. the initial projection order must
     be strict.  Raises ``GeneralPositionError`` on a degenerate set."""
-    classes = ps.classes
-    u = direction if direction is not None else narrowest_gap(classes)
-    initial, flips = sweep(ps, classes, u)
-    steps = tuple(
-        Transposition(step, site, (i, j))
-        for step, (site, i, j) in enumerate(chain.from_iterable(flips), 1)
-    )
-    return Halfperiod(ps.n, initial, steps, u, ps.labels)
+    u = direction if direction is not None else default_start_direction(ps)
+    initial, flips = sweep(ps, u)
+    return Halfperiod(ps.n, initial, tuple(chain.from_iterable(flips)), u, ps.labels)
 
 
 @dataclass(frozen=True)
 class CriticalityReport:
-    """Transposition counts of a halfperiod at a fixed k.
+    """Swap counts of a halfperiod at a fixed k.
 
-    ``total`` is the number of (<=k)-critical transpositions (site <= k or
+    ``total`` is the number of (<=k)-critical swaps (site <= k or
     site >= n-k); ``hom``/``het`` split it by whether the swapped points
     share a class (None without labels).  ``by_position`` /
-    ``het_by_position`` count transpositions per site, and ``i_critical`` /
+    ``het_by_position`` count swaps per site, and ``i_critical`` /
     ``i_critical_het`` aggregate the mirrored sites i and n-i per class
     i <= n/2.
     """
@@ -285,7 +318,7 @@ def _mirror_classes(n: int, site_counts: dict[int, int]) -> dict[int, int]:
 
 
 def critical_counts(h: Halfperiod, k: int) -> CriticalityReport:
-    """Count (<=k)-critical transpositions of ``h``, split homogeneous vs
+    """Count (<=k)-critical swaps of ``h``, split homogeneous vs
     heterogeneous when labels are present.  Requires 1 <= k < n/2."""
     n = h.n
     if not 1 <= k or not 2 * k < n:
@@ -372,23 +405,13 @@ class ValidSwapDigraph:
 
 def block_classes(h: Halfperiod) -> tuple[str, str, str] | None:
     """Classes occupying the three thirds of the initial permutation, or
-    None if some third is mixed."""
+    None if some third is mixed or two thirds hold one class
+    (``Thirds.blocks``)."""
     if h.labels is None:
         raise LabelingError("halfperiod carries no labels")
-    n = h.n
-    if n % 3 != 0:
+    if h.n % 3 != 0:
         return None
-    s = n // 3
-    roles = []
-    for t in range(3):
-        block = h.initial_permutation[t * s : (t + 1) * s]
-        classes = {h.labels[i] for i in block}
-        if len(classes) != 1:
-            return None
-        roles.append(next(iter(classes)))
-    if len(set(roles)) != 3:
-        return None
-    return (roles[0], roles[1], roles[2])
+    return Thirds(h.initial_permutation, h.labels).blocks()
 
 
 def build_valid_digraphs(
@@ -426,11 +449,10 @@ def build_valid_digraphs(
     role_of = {c: t for t, c in enumerate(roles)}
     lo, hi = k + 1, n - k - 1
     edge_sets: tuple[set, set, set] = (set(), set(), set())
-    for t in h.transpositions:
-        i, j = t.elements
+    for site, i, j in h.swaps:
         if h.labels[i] != h.labels[j]:
             continue
-        if lo <= t.position <= hi:
+        if lo <= site <= hi:
             a, b = index[i], index[j]
             if a > b:
                 a, b = b, a

@@ -15,6 +15,7 @@ this module's ``cmd_*`` functions when it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import inspect
@@ -22,13 +23,12 @@ import json
 import sys
 from fractions import Fraction
 from math import comb
-from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from . import bounds as bounds_mod
 from . import circular, decompose, verify
 from .errors import GeneralPositionError, LabelingError, OracleSizeError
-from .geometry import PointSet
+from .geometry import DEFAULT_ORACLE_CAP, PointSet
 from .io import load_point_set, save_point_set
 
 ANALYZE_COLUMNS = [
@@ -51,15 +51,22 @@ def _frac_cell(value: Fraction | int | None) -> str:
     return UNDEF if value is None else str(Fraction(value))
 
 
-def _write_csv(path: str | None, columns: list[str], rows: Iterable[dict]) -> None:
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if path:
-            out.close()
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The file at ``path`` opened for writing, or stdout without one.  A
+    command that computes before it writes enters this first, so that an
+    unwritable ``--out`` fails before any work."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as out:
+        yield out
+
+
+def _write_csv(out: TextIO, columns: list[str], rows: Iterable[dict]) -> None:
+    writer = csv.DictWriter(out, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -149,7 +156,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if k_lo > k_hi:
             raise UsageError(f"--k-range {args.k_range} holds no k in 1..{k_max}")
     rows = _analyze_rows(ps, k_lo, k_hi)
-    _write_csv(args.out, ANALYZE_COLUMNS, rows)
+    with _output(args.out) as out:
+        _write_csv(out, ANALYZE_COLUMNS, rows)
     return _exit_code(rows)
 
 
@@ -177,7 +185,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise UsageError("no usable n (need multiples of 3, n >= 6)")
     if args.k is not None and not any(1 <= args.k < n / 2 for n in ns):
         raise UsageError("no k with 1 <= k < n/2 for the given n")
-    _write_csv(args.out, BOUNDS_COLUMNS, _bounds_rows(ns, args.k))
+    with _output(args.out) as out:
+        _write_csv(out, BOUNDS_COLUMNS, _bounds_rows(ns, args.k))
     return 0
 
 
@@ -213,6 +222,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     if args.max_n is not None and args.max_n < 1:
         raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
+    if "oracle" in names and args.max_n is not None and args.max_n > DEFAULT_ORACLE_CAP:
+        raise UsageError(
+            f"oracle capped at n <= {DEFAULT_ORACLE_CAP}, got max_n = {args.max_n}"
+        )
     if "oracle" in names and args.sets_per_n is not None and args.sets_per_n < 1:
         raise UsageError(f"--sets-per-n must be at least 1, got {args.sets_per_n}")
     if "slack" in names and args.max_n is not None and args.max_n < 6:
@@ -226,21 +239,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--terms must be at least {min_terms} to meet the series tolerance "
             f"{bounds_mod.SERIES_TOLERANCE:g}, got {args.terms}"
         )
-    results = []
-    for name in names:
-        params = inspect.signature(verify.SUITES[name]).parameters
-        kwargs = {p: getattr(args, p) for p in params if getattr(args, p) is not None}
-        results.append(verify.run_suite(name, **kwargs))
-    ok = all(r.ok for r in results)
-    payload = results[0].to_dict() if len(results) == 1 else {
-        "ok": ok,
-        "suites": [r.to_dict() for r in results],
-    }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    with _output(args.out) as out:
+        results = []
+        for name in names:
+            params = inspect.signature(verify.SUITES[name]).parameters
+            kwargs = {
+                p: getattr(args, p) for p in params if getattr(args, p) is not None
+            }
+            results.append(verify.run_suite(name, **kwargs))
+        ok = all(r.ok for r in results)
+        payload = results[0].to_dict() if len(results) == 1 else {
+            "ok": ok,
+            "suites": [r.to_dict() for r in results],
+        }
+        out.write(json.dumps(payload, indent=2) + "\n")
     return 0 if ok else 1
 
 
@@ -265,17 +277,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.parallel < 1:
         raise UsageError(f"--parallel must be at least 1, got {args.parallel}")
     items = [(n, seed, args.shape) for n in ns for seed in range(args.seeds)]
-    if args.parallel > 1:
-        # Imported here, not at the top: it pulls in multiprocessing, which
-        # costs every other command about 2 MB and 20 ms at startup.
-        from concurrent.futures import ProcessPoolExecutor
+    with _output(args.out) as out:
+        if args.parallel > 1:
+            # Imported here, not at the top: it pulls in multiprocessing, which
+            # costs every other command about 2 MB and 20 ms at startup.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_sweep_work, items))
-    else:
-        results = [_sweep_work(item) for item in items]
-    rows = [row for item_rows in results for row in item_rows]
-    _write_csv(args.out, SWEEP_COLUMNS, rows)
+            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+                results = list(pool.map(_sweep_work, items))
+        else:
+            results = [_sweep_work(item) for item in items]
+        rows = [row for item_rows in results for row in item_rows]
+        _write_csv(out, SWEEP_COLUMNS, rows)
     return _exit_code(rows)
 
 

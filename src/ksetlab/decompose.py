@@ -6,11 +6,12 @@ Block order is constant on each angular gap between consecutive critical
 directions, so the projection orders of the circular sequence decide it
 exactly, with no floating point and no randomness.  ``check_partition``
 replays one halfperiod, started inside the first gap, and keeps a label
-count for each third of the permutation; only a swap at site s or 2s
-(s = n/3) moves a point between thirds.  After each class of simultaneous
-flips the permutation is the order along the sample direction of the gap
-that class opens, and its reversal the order along the negated sample, so
-each wanted block order is read off with its first realizing direction.
+count for each third of the permutation (``circular.Thirds``, kept next to
+the sweep whose swaps it follows); only a swap at site s or 2s (s = n/3)
+moves a point between thirds.  After each class of simultaneous flips the
+permutation is the order along the sample direction of the gap that class
+opens, and its reversal the order along the negated sample, so each wanted
+block order is read off with its first realizing direction.
 The direction-sampling check it replaces (project every point along each
 sample direction and its negation) is kept as a test oracle.
 
@@ -38,7 +39,6 @@ caller that needs it does not check the set again.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
@@ -48,8 +48,9 @@ from .circular import (
     Direction,
     Halfperiod,
     Swap,
+    Thirds,
+    default_start_direction,
     gap_samples,
-    narrowest_gap,
     sweep,
 )
 from .errors import GeneralPositionError, LabelingError
@@ -89,49 +90,6 @@ def _normalize_partition(
     return of.labels
 
 
-class _Thirds:
-    """Which third of a permutation of n = 3s points each point sits in and,
-    given labels, how many points of each class every third holds.  An
-    adjacent swap moves points between thirds only at site s or 2s."""
-
-    def __init__(self, perm: Sequence[int], labels: Sequence[str] | None = None):
-        self.s = s = len(perm) // 3
-        self.third = [0] * len(perm)
-        for site, p in enumerate(perm):
-            self.third[p] = site // s
-        self.labels = labels
-        if labels is not None:
-            self.counts = [
-                Counter(labels[p] for p in perm[t * s : (t + 1) * s]) for t in range(3)
-            ]
-
-    def swap(self, site: int, i: int, j: int) -> bool:
-        """Record the swap of points i and j at ``site``; True iff they
-        changed thirds."""
-        if site % self.s:
-            return False
-        third, labels = self.third, self.labels
-        ti, tj = third[i], third[j]
-        third[i], third[j] = tj, ti
-        if labels is not None and labels[i] != labels[j]:
-            ci, cj = self.counts[ti], self.counts[tj]
-            ci[labels[i]] -= 1
-            ci[labels[j]] += 1
-            cj[labels[j]] -= 1
-            cj[labels[i]] += 1
-        return True
-
-    def pattern(self) -> tuple[str, ...] | None:
-        """The class filling each third, or None if some third is mixed."""
-        out = []
-        for counts in self.counts:
-            label = next((c for c, k in counts.items() if k == self.s), None)
-            if label is None:
-                return None
-            out.append(label)
-        return tuple(out)
-
-
 def check_partition(
     ps: PointSet,
     labels: Iterable[str] | None = None,
@@ -150,12 +108,11 @@ def check_partition(
     wanted: list[tuple[str, ...]] = [("a", "b", "c"), ("b", "a", "c")]
     if mode == "three":
         wanted.append(("b", "c", "a"))
-    classes = ps.classes
-    samples = gap_samples(classes)
+    samples = gap_samples(ps.classes)
     # Started inside gap 0, the sweep meets classes 1, 2, ... in turn, and
     # class g opens gap g.  Pattern -> first gap reading it.
-    initial, flips = sweep(ps, classes, samples[0])
-    thirds = _Thirds(initial, part)
+    initial, flips = sweep(ps, samples[0])
+    thirds = Thirds(initial, part)
     first = {thirds.pattern(): 0}
     for g, swaps in zip(range(1, len(samples)), flips):
         moved = False
@@ -192,9 +149,8 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     n = ps.n
     if n % 3 != 0 or n < 3:
         raise LabelingError(f"3-decomposition needs n divisible by 3, got n = {n}")
-    classes = ps.classes
-    initial, flips = sweep(ps, classes, narrowest_gap(classes))
-    thirds = _Thirds(initial)
+    initial, flips = sweep(ps, default_start_direction(ps))
+    thirds = Thirds(initial)
     seen: set[tuple[str, ...]] = set()
     for swap in chain([None], chain.from_iterable(flips)):
         if swap is not None and not thirds.swap(*swap):
@@ -220,9 +176,9 @@ def _block_pattern_indices(
     changes only when a point changes thirds."""
     if len(initial) % 3:
         return None
-    thirds = _Thirds(initial, labels)
-    roles = thirds.pattern()
-    if roles is None or len(set(roles)) != 3:
+    thirds = Thirds(initial, labels)
+    roles = thirds.blocks()
+    if roles is None:
         return None
     x, y, z = roles
     s_idx: int | None = None
@@ -249,9 +205,8 @@ def check_halfperiod(
     Returns (s, t) (0-based permutation indices) or None.  Given labels
     are checked as a ``PointSet`` checks its own (``LabelingError``).
     """
-    swaps = ((t.position, *t.elements) for t in h.transpositions)
     return _block_pattern_indices(
-        h.initial_permutation, swaps, _normalize_partition(h, labels)
+        h.initial_permutation, h.swaps, _normalize_partition(h, labels)
     )
 
 
@@ -263,7 +218,7 @@ def locate_halfperiod_witness(
     is then the three class blocks) and scan it for the b,a,c and b,c,a
     permutations, as ``check_halfperiod`` does on the recorded halfperiod.
     No swap is recorded and the replay stops at t."""
-    initial, flips = sweep(ps, ps.classes, witness.directions[0])
+    initial, flips = sweep(ps, witness.directions[0])
     indices = _block_pattern_indices(
         initial, chain.from_iterable(flips), witness.partition
     )

@@ -26,7 +26,6 @@ against:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -36,7 +35,6 @@ from typing import Iterable, Sequence
 from .errors import GeneralPositionError, LabelingError, OracleSizeError
 
 DEFAULT_ORACLE_CAP = 15
-ORACLE_CAP_ENV = "KSETLAB_ORACLE_CAP"
 
 CLASS_NAMES = ("a", "b", "c")
 
@@ -269,24 +267,17 @@ class KSetVector:
         return cls(n, dict(sorted(e.items())), prefix)
 
 
-def _oracle_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ORACLE_CAP_ENV)
-    return int(env) if env else DEFAULT_ORACLE_CAP
-
-
 def k_set_oracle(ps: PointSet, cap: int | None = None) -> KSetVector:
     """Brute-force k-set counts from directed pair-lines.
 
     Each separable subset is cut off by a line through two points of the
     set, so collecting ``{strictly left of p->q} + {p}`` over all ordered
     pairs and deduplicating yields every separable subset.  Intentionally
-    small scale: refuses n above the cap (default 15; override with the
-    ``KSETLAB_ORACLE_CAP`` environment variable or the ``cap`` argument).
+    small scale: refuses n above the cap (``DEFAULT_ORACLE_CAP``, 15,
+    unless the ``cap`` argument gives another).
     """
     n = ps.n
-    limit = _oracle_cap(cap)
+    limit = DEFAULT_ORACLE_CAP if cap is None else cap
     if n > limit:
         raise OracleSizeError(f"oracle capped at n <= {limit}, got n = {n}")
     require_general_position(ps)

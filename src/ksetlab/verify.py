@@ -11,7 +11,13 @@ from fractions import Fraction
 
 from . import bounds, circular, decompose
 from .errors import OracleSizeError
-from .geometry import Point, PointSet, _oracle_cap, is_general_position, k_set_oracle
+from .geometry import (
+    DEFAULT_ORACLE_CAP,
+    Point,
+    PointSet,
+    is_general_position,
+    k_set_oracle,
+)
 
 
 @dataclass(frozen=True)
@@ -72,9 +78,10 @@ def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:
     on random sets of every size 4..max_n and on generated 3-decomposable
     sets.  Raises ``OracleSizeError`` up front when ``max_n`` exceeds the
     oracle's cap."""
-    cap = _oracle_cap(None)
-    if max_n > cap:
-        raise OracleSizeError(f"oracle capped at n <= {cap}, got max_n = {max_n}")
+    if max_n > DEFAULT_ORACLE_CAP:
+        raise OracleSizeError(
+            f"oracle capped at n <= {DEFAULT_ORACLE_CAP}, got max_n = {max_n}"
+        )
     checks: list[CheckResult] = []
     for n in range(4, max_n + 1):
         bad = 0

@@ -117,11 +117,10 @@ def critical_counts_by_recount(h: Halfperiod, k: int) -> dict:
     n = h.n
     by_position = {i: 0 for i in range(1, n)}
     het_by_position = None if h.labels is None else {i: 0 for i in range(1, n)}
-    for t in h.transpositions:
-        by_position[t.position] += 1
-        i, j = t.elements
+    for site, i, j in h.swaps:
+        by_position[site] += 1
         if het_by_position is not None and h.labels[i] != h.labels[j]:
-            het_by_position[t.position] += 1
+            het_by_position[site] += 1
 
     def critical_sum(counts):
         return sum(c for i, c in counts.items() if i <= k or i >= n - k)

@@ -38,8 +38,8 @@ def replayed(h):
 class TestBuildHalfperiod:
     def test_triangle(self):
         h = build_halfperiod(TRIANGLE)
-        assert len(h.transpositions) == 3
-        assert all(t.position in (1, 2) for t in h.transpositions)
+        assert len(h.swaps) == 3
+        assert all(site in (1, 2) for site, _, _ in h.swaps)
         perms = replayed(h)
         assert perms[-1] == tuple(reversed(perms[0]))
 
@@ -47,20 +47,20 @@ class TestBuildHalfperiod:
         for n in (4, 6, 7, 9, 10):
             ps = random_general_position_set(n, 7000 + n)
             h = build_halfperiod(ps)
-            assert len(h.transpositions) == math.comb(n, 2)
-            assert sorted(t.elements for t in h.transpositions) == list(
+            assert len(h.swaps) == math.comb(n, 2)
+            assert sorted((i, j) for _, i, j in h.swaps) == list(
                 combinations(range(n), 2)
             )
             perms = replayed(h)
             assert perms[-1] == tuple(reversed(perms[0]))
-            assert all(1 <= t.position <= n - 1 for t in h.transpositions)
+            assert all(1 <= site <= n - 1 for site, _, _ in h.swaps)
 
     def test_parallel_pairs_handled(self):
         # A square has two pairs of parallel sides and parallel diagonals
         # never share an endpoint; swaps at equal angles must still replay.
         square = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
         h = build_halfperiod(square)
-        assert len(h.transpositions) == 6
+        assert len(h.swaps) == 6
         assert kset_vector_from_halfperiod(h) == k_set_oracle(square)
 
     def test_explicit_direction_ties_rejected(self):
@@ -75,7 +75,7 @@ class TestBuildHalfperiod:
         assert kset_vector_from_halfperiod(build_halfperiod(one)).e == {}
         two = PointSet.from_coords([(0, 0), (1, 0)])
         h = build_halfperiod(two)
-        assert [(t.position, t.elements) for t in h.transpositions] == [(1, (0, 1))]
+        assert h.swaps == ((1, 0, 1),)
         assert kset_vector_from_halfperiod(h).e == {1: 2}
 
     def test_coordinates_beyond_float_range(self):
@@ -110,11 +110,11 @@ class TestConvexHexagon:
     def test_every_transposition_low_critical(self):
         h = build_halfperiod(HEXAGON)
         # convex position: all swaps are i-critical with i in {1, 2, 3}
-        assert all(min(t.position, 6 - t.position) in (1, 2, 3) for t in h.transpositions)
+        assert all(min(site, 6 - site) in (1, 2, 3) for site, _, _ in h.swaps)
 
     def test_outermost_sites_match_hull_count(self):
         h = build_halfperiod(HEXAGON)
-        counts = h.position_counts()
+        counts = h.site_counts[0]
         assert counts[1] + counts[5] == k_set_oracle(HEXAGON).e[1] == 6
 
     def test_prefix_matches_oracle(self):
@@ -143,7 +143,7 @@ class TestCriticalCounts:
             assert critical_counts(h, (n - 1) // 2).total == math.comb(n, 2)
         for n, seed in ((6, 4), (8, 5)):
             h = build_halfperiod(random_general_position_set(n, 6000 + seed))
-            middle = h.position_counts()[n // 2]
+            middle = h.site_counts[0][n // 2]
             assert critical_counts(h, n // 2 - 1).total == math.comb(n, 2) - middle
 
     def test_one_pass_counts_match_recount(self):
@@ -206,10 +206,10 @@ class TestCriticalCounts:
         s = 4
         hom_total = sum(
             1
-            for t in h.transpositions
-            if h.labels[t.elements[0]] == h.labels[t.elements[1]]
+            for _, i, j in h.swaps
+            if h.labels[i] == h.labels[j]
         )
-        het_total = len(h.transpositions) - hom_total
+        het_total = len(h.swaps) - hom_total
         assert hom_total == 3 * math.comb(s, 2)
         assert het_total == 3 * s * s
 
@@ -288,7 +288,7 @@ class TestHalfperiodInvariants:
         samples = gap_samples(ps.classes)
         u = data.draw(st.sampled_from([None, *samples, *[(-x, -y) for x, y in samples]]))
         h = build_halfperiod(ps, u)
-        pairs = sorted(tuple(sorted(t.elements)) for t in h.transpositions)
+        pairs = sorted(tuple(sorted((i, j))) for _, i, j in h.swaps)
         assert pairs == list(combinations(range(ps.n), 2))
         perms = replayed(h)
         assert perms[-1] == perms[0][::-1]
@@ -379,9 +379,9 @@ class TestValidSwapDigraphs:
             for d, cls in zip(digraphs, roles):
                 critical_cls = sum(
                     1
-                    for t in h.transpositions
-                    if h.labels[t.elements[0]] == h.labels[t.elements[1]] == cls
-                    and (t.position <= k or t.position >= n - k)
+                    for site, i, j in h.swaps
+                    if h.labels[i] == h.labels[j] == cls
+                    and (site <= k or site >= n - k)
                 )
                 assert d.edge_count + critical_cls == math.comb(s, 2)
 

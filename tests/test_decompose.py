@@ -134,7 +134,7 @@ class TestFindPartition:
         # permutation of the halfperiod and its reversal, in order.
         ps = random_general_position_set(15, 0)
         h = build_halfperiod(ps)
-        boundary_swaps = sum(1 for t in h.transpositions if t.position in (5, 10))
+        boundary_swaps = sum(1 for site, _, _ in h.swaps if site in (5, 10))
         every = []
         for perm in h.permutations():
             for candidate in (perm, perm[::-1]):

@@ -249,12 +249,6 @@ class TestKSetOracle:
         # explicit cap raises the limit
         assert k_set_oracle(ps, cap=16).e[1] >= 3
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("KSETLAB_ORACLE_CAP", "5")
-        ps = random_general_position_set(6, 3)
-        with pytest.raises(OracleSizeError):
-            k_set_oracle(ps)
-
     def test_generated_nine_point_set_vs_hull_oracle(self):
         ps = generate(9, seed=2)
         assert k_set_oracle(ps).e == kset_counts_by_hulls(ps)

@@ -20,6 +20,7 @@ from ksetlab import (
     geometry,
     load_point_set,
     save_point_set,
+    verify,
 )
 from ksetlab.cli import main
 from ksetlab.io import format_fraction, parse_fraction, point_set_to_dict
@@ -374,6 +375,50 @@ def test_exit_two_from_a_shell(tmp_path, argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["verify", "--suite", "slack", "--max-b", "2", "--max-n", "6"], verify,
+         "run_suite"),
+        (["verify", "--suite", "edges", "--max-n", "9"], verify, "run_suite"),
+        (["sweep", "--ns", "6,9", "--seeds", "2"], cli, "_sweep_work"),
+    ],
+    ids=["verify-slack", "verify-edges", "sweep"],
+)
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                              module, name):
+    # The output is opened after the arguments are checked and before the
+    # first suite or set is computed, as bounds does.
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    assert main([*argv, "--out", str(tmp_path / "missing" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "oracle", "--max-n", "16"],
+        ["verify", "--suite", "slack", "--max-b", "-5", "--max-n", "9"],
+        ["sweep", "--ns", "6", "--seeds", "0"],
+        ["bounds", "--n", "9", "--k", "0"],
+    ],
+)
+def test_usage_error_writes_no_out(tmp_path, capsys, argv):
+    # The arguments are checked before the output is opened.
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 class TestSweepCommand:
