@@ -3,8 +3,8 @@
 Throughout, n is a multiple of 3, s := n/3, and m := n - 2k - 1 is the width
 of the valid window [k+1, n-k-1] (the sites whose swaps are not
 (<=k)-critical).  All combinatorial quantities are exact rationals; pi
-enters only the asymptotic crossing-number constant and the series/integral
-self-checks.
+enters only the asymptotic crossing-number constant and the series
+self-check.
 
 Quantities computed here:
 
@@ -52,9 +52,9 @@ Quantities computed here:
 
       3/8 + 1/216 + (2/27)(79/8 - pi^2)  =  (2/27)(15 - pi^2)  ~ 0.380029,
 
-  using sum_{j>=2} 1/(j^3 (j+1)^3) = 79/8 - pi^2.  The series and the three
-  window integrals behind the coefficient are re-verified numerically in
-  ``series_and_integral_report``.
+  using sum_{j>=2} 1/(j^3 (j+1)^3) = 79/8 - pi^2.  The identity's rational
+  part is checked exactly; the series and the three window integrals behind
+  the coefficient are re-verified in ``series_and_integral_report``.
 
 ``bound_report(k, n)`` alone derives depth, Y, ceil(Y), het, hom, E and L,
 with Y computed once; each single-quantity function reads one field of it.
@@ -367,21 +367,11 @@ def slack_quartic(b: int | Fraction, r: int | Fraction) -> Fraction:
 
 def crossing_coefficient() -> float:
     """Asymptotic coefficient per C(n,4) of the crossing-number bound,
-    computed at 50 significant digits and returned as float:
-    3/8 + 1/216 + (2/27)(79/8 - pi^2) = (2/27)(15 - pi^2) ~ 0.380029."""
-    import mpmath  # only here and in the series report: it is slow to import
-
-    with mpmath.workdps(50):
-        pi2 = mpmath.pi**2
-        summed = (
-            mpmath.mpf(3) / 8
-            + mpmath.mpf(1) / 216
-            + (mpmath.mpf(2) / 27) * (mpmath.mpf(79) / 8 - pi2)
-        )
-        closed = (mpmath.mpf(2) / 27) * (15 - pi2)
-        # The two expressions are algebraically identical.
-        assert mpmath.fabs(summed - closed) < mpmath.mpf(10) ** -30
-        return float(summed)
+    3/8 + 1/216 + (2/27)(79/8 - pi^2) = (2/27)(15 - pi^2) ~ 0.380029, whose
+    two sides' rational parts (10/9) are checked equal exactly."""
+    rational = Fraction(3, 8) + Fraction(1, 216) + Fraction(2, 27) * Fraction(79, 8)
+    assert rational == Fraction(2, 27) * 15
+    return float(rational) - 2 * math.pi**2 / 27
 
 
 @dataclass(frozen=True)
@@ -417,27 +407,29 @@ def series_and_integral_report(terms: int = 1000) -> SeriesIntegralReport:
 
     * partial sums of 1/(j^3 (j+1)^3) from j=2 approach 79/8 - pi^2
       (the tail after J is below 1/(5J^5));
-    * quadrature of (1-2x)(x - a)^2 over [a, 1/2] gives (1/2 - a)^4 / 6:
+    * the integral of (1-2x)(x - a)^2 over [a, 1/2] equals (1/2 - a)^4 / 6:
       1/96 at a = 0, 1/7776 at a = 1/3, and d^4/6 at a = 1/2 - d for the
-      window widths d = 1/(3j(j+1)), checked for j = 2, 3, 4.
+      window widths d = 1/(3j(j+1)), checked for j = 2, 3, 4.  Each
+      quadrature is Simpson's rule in exact ``Fraction``s, which is exact
+      for a cubic, compared with the closed form in floats.
     """
-    import mpmath
-
     series = math.fsum(1.0 / (j**3 * (j + 1) ** 3) for j in range(2, terms + 1))
-    with mpmath.workdps(50):
-        target = float(mpmath.mpf(79) / 8 - mpmath.pi**2)
+    target = 79 / 8 - math.pi**2
+    half = Fraction(1, 2)
 
-    def check(name: str, a: float, exact: float) -> IntegralCheck:
-        v = float(mpmath.quad(lambda x: (1 - 2 * x) * (x - a) ** 2, [a, 0.5]))
+    def check(name: str, a: Fraction, exact: float) -> IntegralCheck:
+        f = [(1 - 2 * x) * (x - a) ** 2 for x in (a, (a + half) / 2, half)]
+        v = float((half - a) / 6 * (f[0] + 4 * f[1] + f[2]))
         return IntegralCheck(name, v, exact, abs(v - exact))
 
     checks = [
-        check("(1-2x)x^2 on [0,1/2]", 0.0, 1 / 96),
-        check("(1-2x)(x-1/3)^2 on [1/3,1/2]", 1 / 3, 1 / 7776),
+        check("(1-2x)x^2 on [0,1/2]", Fraction(0), 1 / 96),
+        check("(1-2x)(x-1/3)^2 on [1/3,1/2]", Fraction(1, 3), 1 / 7776),
     ]
     for j in (2, 3, 4):
+        a = half - Fraction(1, 3 * j * (j + 1))
         d = 1.0 / (3 * j * (j + 1))
-        checks.append(check(f"window integral j={j}", 0.5 - d, d**4 / 6))
+        checks.append(check(f"window integral j={j}", a, d**4 / 6))
     return SeriesIntegralReport(
         series_sum=series,
         series_target=target,

@@ -213,10 +213,6 @@ def is_general_position(ps: PointSet) -> bool:
     return True
 
 
-def require_general_position(ps: PointSet) -> None:
-    ps.classes
-
-
 def _in_triangle(a: Point, b: Point, c: Point, p: Point) -> bool:
     # Strict containment; inputs are in general position so no zeros occur.
     s1 = orientation(a, b, p)
@@ -229,7 +225,7 @@ def crossing_number(ps: PointSet) -> int:
     """Number of crossings in the straight-line drawing of the complete
     graph on ``ps``: the count of 4-subsets in convex position.
     """
-    require_general_position(ps)
+    ps.classes  # raises GeneralPositionError
     pts = ps.points
     if len(pts) < 4:
         return 0
@@ -280,7 +276,7 @@ def k_set_oracle(ps: PointSet, cap: int | None = None) -> KSetVector:
     limit = DEFAULT_ORACLE_CAP if cap is None else cap
     if n > limit:
         raise OracleSizeError(f"oracle capped at n <= {limit}, got n = {n}")
-    require_general_position(ps)
+    ps.classes  # raises GeneralPositionError
     if n < 2:
         return KSetVector.from_counts(n, {})
     pts = ps.points

@@ -69,4 +69,8 @@ def save_point_set(ps: PointSet, path: str | Path) -> None:
 
 
 def load_point_set(path: str | Path) -> PointSet:
-    return point_set_from_dict(json.loads(Path(path).read_text()))
+    text = Path(path).read_text()
+    try:
+        return point_set_from_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError("point-set file is nested too deeply") from None

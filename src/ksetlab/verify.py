@@ -60,9 +60,14 @@ def _finish(name: str, checks: list[CheckResult]) -> SuiteResult:
 
 def random_general_position_set(n: int, seed: int) -> PointSet:
     """Deterministic random point set with integer coordinates in general
-    position (rejection-sampled)."""
-    rng = random.Random(seed)
+    position (rejection-sampled).  No row of the grid holds three points of
+    such a set, so n above twice its 2*RANDOM_SPREAD + 1 rows is refused."""
     spread = RANDOM_SPREAD
+    side = 2 * spread + 1
+    if n > 2 * side:
+        raise ValueError(f"the {side}x{side} grid holds at most {2 * side} points "
+                         f"in general position, got n = {n}")
+    rng = random.Random(seed)
     ps = PointSet(())
     while ps.n < n:
         cand = Point(Fraction(rng.randint(-spread, spread)), Fraction(rng.randint(-spread, spread)))

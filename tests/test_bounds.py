@@ -303,6 +303,12 @@ class TestCrossingBound:
             closed = float((mpmath.mpf(2) / 27) * (15 - mpmath.pi**2))
         assert abs(crossing_coefficient() - closed) < 1e-10
 
+    def test_rational_identity_is_exact(self):
+        # 3/8 + 1/216 + (2/27)(79/8 - pi^2) = (2/27)(15 - pi^2): the rational
+        # parts agree exactly, and the coefficient is 10/9 - (2/27) pi^2.
+        assert F(3, 8) + F(1, 216) + F(2, 27) * F(79, 8) == F(2, 27) * 15 == F(10, 9)
+        assert crossing_coefficient() == 10 / 9 - 2 * math.pi**2 / 27
+
     def test_gap_closure(self):
         closure = (crossing_coefficient() - GENERAL_LOWER_COEFFICIENT) / (
             BEST_UPPER_COEFFICIENT - GENERAL_LOWER_COEFFICIENT
@@ -335,6 +341,23 @@ class TestSeriesAndIntegrals:
         assert abs(quoted["(1-2x)(x-1/3)^2 on [1/3,1/2]"].exact - 1 / 7776) == 0
         # j = 2 window: delta = 1/18, closed form delta^4/6 = 1/629856
         assert abs(quoted["window integral j=2"].exact - 1 / 629856) < 1e-18
+
+    def test_quadratures_match_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(40):
+            lefts = {
+                "(1-2x)x^2 on [0,1/2]": mpmath.mpf(0),
+                "(1-2x)(x-1/3)^2 on [1/3,1/2]": mpmath.mpf(1) / 3,
+            }
+            for j in (2, 3, 4):
+                lefts[f"window integral j={j}"] = 0.5 - 1 / mpmath.mpf(3 * j * (j + 1))
+            checks = series_and_integral_report().integrals
+            assert [c.name for c in checks] == list(lefts)
+            for c in checks:
+                a = lefts[c.name]
+                oracle = mpmath.quad(lambda x: (1 - 2 * x) * (x - a) ** 2, [a, 0.5])
+                assert abs(c.quadrature - float(oracle)) <= 1e-12, c.name
 
     def test_series_tail_shrinks(self):
         short = series_and_integral_report(terms=50).series_error

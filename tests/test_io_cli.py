@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -63,6 +64,15 @@ class TestPointSetFiles:
         path.write_text(json.dumps({"n": 3, "points": [["0/1", "0/1"]]}))
         with pytest.raises(ValueError):
             load_point_set(path)
+
+
+def test_random_sampler_refuses_more_than_the_grid_holds(monkeypatch):
+    # Refused before the first draw: no general-position set on the
+    # 121 x 121 grid has more than two points in a row, so n = 243 would
+    # never be reached.
+    monkeypatch.setattr(verify.random, "Random", None)
+    with pytest.raises(ValueError, match="at most 242 points"):
+        random_general_position_set(243, 0)
 
 
 class TestGenCommand:
@@ -353,6 +363,15 @@ def test_exit_codes(tmp_path, capsys, argv, payload, code):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_deeply_nested_file_exits_two(tmp_path, capsys):
+    # json.loads raises RecursionError on 100,000 open brackets.
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000)
+    assert main(["analyze", "--input", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -602,17 +621,21 @@ class TestParserReuse:
             assert result == _run_in_one_process([argv])[0], argv
 
 
-class TestLazyMpmath:
-    """mpmath is imported only by the coefficient and the series report."""
+class TestStandardLibraryOnly:
+    """The commands load no module outside the standard library and ksetlab."""
 
     @staticmethod
-    def _run(argv: list[str]) -> tuple[int, bool]:
-        # A fresh interpreter, so that no other test has imported mpmath.
+    def _run(argv: list[str]) -> tuple[int, list[str]]:
+        # A fresh interpreter, so that only what the command imports is new.
         code = (
             "import sys\n"
+            "before = set(sys.modules)\n"
             "from ksetlab.cli import main\n"
             f"rc = main({argv!r})\n"
-            "print(rc, 'mpmath' in sys.modules)\n"
+            "allowed = sys.stdlib_module_names | {'ksetlab'}\n"
+            "extra = sorted(m for m in set(sys.modules) - before\n"
+            "               if m.partition('.')[0] not in allowed)\n"
+            "print(repr((rc, extra)))\n"
         )
         src = str(Path(ksetlab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -620,15 +643,14 @@ class TestLazyMpmath:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env,
             check=True,
         ).stdout
-        rc, loaded = out.split()[-2:]
-        return int(rc), loaded == "True"
+        return ast.literal_eval(out.splitlines()[-1])
 
-    def test_gen_and_analyze_do_not_import_it(self, tmp_path):
+    def test_gen_analyze_and_bounds_table(self, tmp_path):
         path = tmp_path / "g.json"
-        assert self._run(["gen", "--n", "9", "--seed", "1", "--out", str(path)]) == (0, False)
-        assert self._run(["analyze", "--input", str(path), "--require-decomp"]) == (0, False)
-        assert self._run(["bounds", "--n", "12"]) == (0, False)
+        assert self._run(["gen", "--n", "9", "--seed", "1", "--out", str(path)]) == (0, [])
+        assert self._run(["analyze", "--input", str(path), "--require-decomp"]) == (0, [])
+        assert self._run(["bounds", "--n", "12"]) == (0, [])
 
-    def test_coefficient_and_series_still_pass(self):
-        assert self._run(["bounds", "--coefficient"]) == (0, True)
-        assert self._run(["verify", "--suite", "series"]) == (0, True)
+    def test_coefficient_and_series(self):
+        assert self._run(["bounds", "--coefficient"]) == (0, [])
+        assert self._run(["verify", "--suite", "series"]) == (0, [])
