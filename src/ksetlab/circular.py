@@ -22,13 +22,14 @@ over the pairs groups them by critical direction (the 90-degree rotation of
 the pair's difference vector; ``geometry.critical_direction_pairs``, which
 also rejects degenerate sets), and the classes are sorted once per point
 set, counterclockwise over the upper half plane (``PointSet.classes``).
-That sorted list gives
-everything else: the default start direction (inside the narrowest gap
-between consecutive classes), one sample direction inside each gap, and the
-order of the swaps, which is the list rotated to begin at the first class
-ahead of the start direction.  Pairs of one class flip simultaneously; they
-are disjoint (a shared endpoint would be a collinear triple), so their swaps
-commute and are executed by increasing left site for determinism.
+That sorted list gives everything else: one sample direction inside each
+gap between consecutive classes, the start direction (the first gap's
+sample; the counts and the decomposition answer do not depend on it), and
+the order of the swaps, which is the list rotated to begin at the first
+class ahead of the start direction.  Pairs of one class flip
+simultaneously; they are disjoint (a shared endpoint would be a collinear
+triple), so their swaps commute and are executed by increasing left site
+for determinism.
 
 ``sweep`` is the one replay of the swaps, and a swap has one form, the
 ``Swap`` triple ``(site, i, j)``: the entries at sites ``site`` and
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -71,13 +72,9 @@ def gap_samples(classes: Classes) -> list[Direction]:
     if len(classes) == 1:
         w = classes[0][0]
         return [(-w[1], w[0])]
-    return [(a[0] + b[0], a[1] + b[1]) for a, b in _gap_bounds(classes)]
-
-
-def _gap_bounds(classes: Classes) -> list[tuple[Direction, Direction]]:
-    """The two directions bounding each gap, for two classes or more."""
     dirs = [w for w, _ in classes]
-    return list(zip(dirs, dirs[1:] + [(-dirs[0][0], -dirs[0][1])]))
+    ends = dirs[1:] + [(-dirs[0][0], -dirs[0][1])]
+    return [(a[0] + b[0], a[1] + b[1]) for a, b in zip(dirs, ends)]
 
 
 def interval_sample_directions(ps: PointSet) -> list[Direction]:
@@ -89,21 +86,10 @@ def interval_sample_directions(ps: PointSet) -> list[Direction]:
 
 
 def default_start_direction(ps: PointSet) -> Direction:
-    """Deterministic tie-free start direction: the sample direction of the
-    narrowest angular gap between consecutive critical directions (the
-    first of equals)."""
-    classes = ps.classes
-    if len(classes) < 2:
-        return gap_samples(classes)[0]
-
-    # cot is strictly decreasing on (0, pi), so the narrowest gap has the
-    # largest cot = dot / cross; max keeps the first of equals.
-    gaps = [
-        (a[0] * b[0] + a[1] * b[1], cross(a, b), (a[0] + b[0], a[1] + b[1]))
-        for a, b in _gap_bounds(classes)
-    ]
-    by_cot = cmp_to_key(lambda g, h: g[0] * h[1] - h[0] * g[1])
-    return max(gaps, key=by_cot)[2]
+    """The one start direction of a sweep of ``ps``: the sample of the first
+    gap, ``gap_samples(ps.classes)[0]``."""
+    # The first gap lies between the first two classes.
+    return gap_samples(ps.classes[:2])[0]
 
 
 def sweep(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], Iterator[list[Swap]]]:
@@ -228,19 +214,11 @@ def _tally(n: int, labels: tuple[str, ...] | None, swaps: Iterable[Swap]) -> Sit
 
 
 def site_counts(ps: PointSet) -> SiteCounts:
-    """The swaps at each site of a halfperiod of ``ps``, and the
+    """The swaps at each site of the halfperiod of ``ps``, and the
     heterogeneous ones among them, counted off one replay (``sweep``) from
-    the first gap's sample; no swap is recorded.
-
-    A pair that swaps at site i in the halfperiod from u swaps at site n-i
-    in the one from -u, so the count at one site depends on the start
-    direction, but the sum over sites i and n-i does not; that sum is all
-    the k-set and criticality counts read (``kset_vector_from_sites``,
-    ``critical_counts``).  Same as ``Halfperiod.site_counts`` of the
-    halfperiod built from that sample.
-    """
-    # The first gap lies between the first two classes.
-    _, flips = sweep(ps, gap_samples(ps.classes[:2])[0])
+    ``default_start_direction``; no swap is recorded.  Same as
+    ``build_halfperiod(ps).site_counts``."""
+    _, flips = sweep(ps, default_start_direction(ps))
     return _tally(ps.n, ps.labels, chain.from_iterable(flips))
 
 
@@ -275,10 +253,11 @@ class Halfperiod:
 
 
 def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfperiod:
-    """Build the halfperiod of ``ps`` starting at ``direction`` (default: a
-    deterministic tie-free direction).  The supplied direction must not be
-    perpendicular to any pair line, i.e. the initial projection order must
-    be strict.  Raises ``GeneralPositionError`` on a degenerate set."""
+    """Build the halfperiod of ``ps`` starting at ``direction`` (default:
+    ``default_start_direction``, so it is the halfperiod ``site_counts``
+    counts).  The supplied direction must not be perpendicular to any pair
+    line, i.e. the initial projection order must be strict.  Raises
+    ``GeneralPositionError`` on a degenerate set."""
     u = direction if direction is not None else default_start_direction(ps)
     initial, flips = sweep(ps, u)
     return Halfperiod(ps.n, initial, tuple(chain.from_iterable(flips)), u, ps.labels)

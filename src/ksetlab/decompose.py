@@ -109,8 +109,9 @@ def check_partition(
     if mode == "three":
         wanted.append(("b", "c", "a"))
     samples = gap_samples(ps.classes)
-    # Started inside gap 0, the sweep meets classes 1, 2, ... in turn, and
-    # class g opens gap g.  Pattern -> first gap reading it.
+    # Started inside gap 0 (``default_start_direction``), the sweep meets
+    # classes 1, 2, ... in turn, and class g opens gap g.  Pattern -> first
+    # gap reading it.
     initial, flips = sweep(ps, samples[0])
     thirds = Thirds(initial, part)
     first = {thirds.pattern(): 0}

@@ -5,19 +5,15 @@ result the CLI can render as JSON.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import bounds, circular, decompose
 from .errors import OracleSizeError
-from .geometry import (
-    DEFAULT_ORACLE_CAP,
-    Point,
-    PointSet,
-    is_general_position,
-    k_set_oracle,
-)
+from .geometry import DEFAULT_ORACLE_CAP, PointSet, k_set_oracle
 
 
 @dataclass(frozen=True)
@@ -61,21 +57,45 @@ def _finish(name: str, checks: list[CheckResult]) -> SuiteResult:
 def random_general_position_set(n: int, seed: int) -> PointSet:
     """Deterministic random point set with integer coordinates in general
     position (rejection-sampled).  No row of the grid holds three points of
-    such a set, so n above twice its 2*RANDOM_SPREAD + 1 rows is refused."""
+    such a set, so n above twice its 2*RANDOM_SPREAD + 1 rows is refused,
+    and a ``ValueError`` is raised once the points drawn block every cell.
+
+    A cell is blocked when it holds a point or lies on the line through two
+    of them: exactly the candidates that would break general position."""
     spread = RANDOM_SPREAD
     side = 2 * spread + 1
     if n > 2 * side:
         raise ValueError(f"the {side}x{side} grid holds at most {2 * side} points "
                          f"in general position, got n = {n}")
     rng = random.Random(seed)
-    ps = PointSet(())
-    while ps.n < n:
-        cand = Point(Fraction(rng.randint(-spread, spread)), Fraction(rng.randint(-spread, spread)))
-        trial = PointSet(ps.points + (cand,))
-        # The accepted set keeps the grouping its test computed.
-        if is_general_position(trial):
-            ps = trial
-    return ps
+    points: list[tuple[int, int]] = []
+    blocked: set[tuple[int, int]] = set()
+    while len(points) < n:
+        if len(blocked) == side * side:
+            raise ValueError(f"seed {seed} blocked every cell of the {side}x{side} "
+                             f"grid after {len(points)} points, got n = {n}")
+        cand = (rng.randint(-spread, spread), rng.randint(-spread, spread))
+        if cand in blocked:
+            continue
+        blocked.add(cand)
+        for p in points:
+            blocked.update(_grid_line(p, cand, spread))
+        points.append(cand)
+    return PointSet.from_coords(points)
+
+
+def _grid_line(p: tuple[int, int], q: tuple[int, int], spread: int) -> Iterator[tuple[int, int]]:
+    """The cells of the grid [-spread, spread]^2 on the line through p and q."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    g = math.gcd(dx, dy)
+    dx, dy = dx // g, dy // g
+    x, y = p
+    while abs(x) <= spread and abs(y) <= spread:
+        x, y = x - dx, y - dy
+    x, y = x + dx, y + dy
+    while abs(x) <= spread and abs(y) <= spread:
+        yield x, y
+        x, y = x + dx, y + dy
 
 
 def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:
@@ -87,33 +107,26 @@ def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:
         raise OracleSizeError(
             f"oracle capped at n <= {DEFAULT_ORACLE_CAP}, got max_n = {max_n}"
         )
+    groups = [
+        (f"random n={n} ({sets_per_n} sets)",
+         [random_general_position_set(n, ORACLE_BASE_SEED + 97 * n + t)
+          for t in range(sets_per_n)])
+        for n in range(4, max_n + 1)
+    ] + [
+        (f"generated n={n} ({len(ORACLE_GENERATED_SEEDS)} sets)",
+         [decompose.generate(n, seed) for seed in ORACLE_GENERATED_SEEDS])
+        for n in ORACLE_GENERATED_NS
+    ]
     checks: list[CheckResult] = []
-    for n in range(4, max_n + 1):
-        bad = 0
-        for t in range(sets_per_n):
-            ps = random_general_position_set(n, ORACLE_BASE_SEED + 97 * n + t)
-            fast = circular.kset_vector_from_sites(ps.n, circular.site_counts(ps)[0])
-            slow = k_set_oracle(ps)
-            if fast != slow:
-                bad += 1
-        checks.append(
-            CheckResult(
-                f"random n={n} ({sets_per_n} sets)",
-                bad == 0,
-                f"{bad} mismatches" if bad else "halfperiod counts = oracle counts",
-            )
+    for name, sets in groups:
+        bad = sum(
+            circular.kset_vector_from_sites(ps.n, circular.site_counts(ps)[0])
+            != k_set_oracle(ps)
+            for ps in sets
         )
-    for n in ORACLE_GENERATED_NS:
-        bad = 0
-        for seed in ORACLE_GENERATED_SEEDS:
-            ps = decompose.generate(n, seed)
-            fast = circular.kset_vector_from_sites(ps.n, circular.site_counts(ps)[0])
-            slow = k_set_oracle(ps)
-            if fast != slow:
-                bad += 1
         checks.append(
             CheckResult(
-                f"generated n={n} ({len(ORACLE_GENERATED_SEEDS)} sets)",
+                name,
                 bad == 0,
                 f"{bad} mismatches" if bad else "halfperiod counts = oracle counts",
             )

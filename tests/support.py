@@ -23,6 +23,10 @@ differences of the original coordinates, instead of the library's integer
 coordinates; the count oracle recounts the critical transpositions for each
 k, instead of reading the halfperiod's one-pass site counts.
 
+The random-set oracle is the plain rejection loop: each candidate is kept
+when the whole set with it added is in general position, instead of being
+looked up among the cells the accepted points block.
+
 The crossing-bound oracle sums (n-2k-1) * min_kset_count(k, n) one k at a
 time, instead of reading the crossing sum off ``bound_table(n)``.
 """
@@ -30,6 +34,7 @@ time, instead of reading the crossing sum off ``bound_table(n)``.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -43,7 +48,8 @@ from ksetlab.circular import (
 )
 from ksetlab.decompose import DecompositionWitness, check_halfperiod
 from ksetlab.errors import GeneralPositionError
-from ksetlab.geometry import Point, PointSet, orientation
+from ksetlab.geometry import Point, PointSet, is_general_position, orientation
+from ksetlab.verify import RANDOM_SPREAD
 
 
 # Six-point sets with a collinear triple on which replaying the flips alone
@@ -66,6 +72,20 @@ def crossing_lower_bound_by_min_counts(n: int) -> int:
     for k in range(1, (n - 2) // 2 + 1):
         total += (n - 2 * k - 1) * min_kset_count(k, n)
     return total
+
+
+def random_general_position_set_by_rejection(n: int, seed: int) -> PointSet:
+    """``verify.random_general_position_set`` by testing each candidate on
+    the whole set; never returns once the grid has no free cell left."""
+    spread = RANDOM_SPREAD
+    rng = random.Random(seed)
+    ps = PointSet(())
+    while ps.n < n:
+        cand = Point(Fraction(rng.randint(-spread, spread)), Fraction(rng.randint(-spread, spread)))
+        trial = PointSet(ps.points + (cand,))
+        if is_general_position(trial):
+            ps = trial
+    return ps
 
 
 def general_position_by_triples(ps: PointSet) -> bool:

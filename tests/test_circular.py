@@ -21,7 +21,8 @@ from ksetlab import (
     kset_vector_from_sites,
     site_counts,
 )
-from ksetlab.circular import block_classes, gap_samples
+from ksetlab import circular, decompose
+from ksetlab.circular import block_classes, default_start_direction, gap_samples, sweep
 from ksetlab.cli import _analyze_rows
 from ksetlab.verify import random_general_position_set
 
@@ -255,15 +256,19 @@ class TestCountingSweep:
     @given(grid_sets() | generated_sets(), st.data())
     def test_matches_halfperiod(self, ps, data):
         counts, het = site_counts(ps)
-        # Site by site it is the halfperiod from the first gap's sample...
-        first = build_halfperiod(ps, gap_samples(ps.classes)[0])
-        assert (counts, het) == first.site_counts
-        # ...and mirrored sites agree with the one from any start direction.
+        # Site by site it is the halfperiod from the default start, the
+        # first gap's sample...
         h = build_halfperiod(ps)
-        assert mirrored(counts) == mirrored(h.site_counts[0])
-        assert (het is None) == (ps.labels is None) == (h.site_counts[1] is None)
+        assert h.direction == default_start_direction(ps) == gap_samples(ps.classes)[0]
+        assert (counts, het) == h.site_counts
+        assert (het is None) == (ps.labels is None)
+        # ...and mirrored sites agree with the one from any start direction.
+        samples = gap_samples(ps.classes)
+        u = data.draw(st.sampled_from([*samples, *[(-x, -y) for x, y in samples]]))
+        other = build_halfperiod(ps, u).site_counts
+        assert mirrored(counts) == mirrored(other[0])
         if het is not None:
-            assert mirrored(het) == mirrored(h.site_counts[1])
+            assert mirrored(het) == mirrored(other[1])
         assert kset_vector_from_sites(ps.n, counts) == kset_vector_from_halfperiod(h)
         # analyze's running sums: het and hom for every k.
         k_max = (ps.n - 1) // 2
@@ -278,6 +283,29 @@ class TestCountingSweep:
                 assert (row["het"], row["hom"]) == (rep.het, rep.hom)
         k_lo = data.draw(st.integers(1, k_max))
         assert _analyze_rows(ps, k_lo, k_max) == rows[k_lo - 1 :]
+
+
+class TestStartDirection:
+    def test_counting_and_decomposition_start_in_the_first_gap(self, monkeypatch):
+        # site_counts, build_halfperiod, check_partition and find_partition
+        # (whose every candidate is one more check_partition) all sweep from
+        # gap_samples(ps.classes)[0].
+        ps = generate(9, seed=5)
+        starts = []
+
+        def recording(ps, u):
+            starts.append(u)
+            return sweep(ps, u)
+
+        monkeypatch.setattr(circular, "sweep", recording)
+        monkeypatch.setattr(decompose, "sweep", recording)
+        site_counts(ps)
+        build_halfperiod(ps)
+        decompose.check_partition(ps)
+        assert len(starts) == 3
+        decompose.find_partition(ps.with_labels(None))
+        assert len(starts) > 4
+        assert set(starts) == {gap_samples(ps.classes)[0]}
 
 
 class TestHalfperiodInvariants:
@@ -350,10 +378,14 @@ class TestValidSwapDigraphs:
         with pytest.raises(LabelingError):
             build_valid_digraphs(h, 2)
         ps = generate(9, seed=5)
-        h_bad = build_halfperiod(ps)  # default direction: blocks not guaranteed
-        if block_classes(h_bad) is None:
-            with pytest.raises(LabelingError):
-                build_valid_digraphs(h_bad, 4)
+        h_bad = next(
+            (h for h in (build_halfperiod(ps, u) for u in gap_samples(ps.classes))
+             if block_classes(h) is None),
+            None,
+        )
+        assert h_bad is not None
+        with pytest.raises(LabelingError):
+            build_valid_digraphs(h_bad, 4)
 
     def test_k_range(self):
         h = self._block_halfperiod(9, 0)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -169,10 +170,11 @@ class TestFindPartition:
         hexagon = PointSet.from_coords(
             [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
         )
-        w = find_partition(hexagon)
-        # exhaustive search is its own oracle; verify whichever way it lands
-        if w is not None:
-            assert check_partition(hexagon, w.partition) is not None
+        # No balanced labeling passes the projection oracle, so the search
+        # must come back empty.
+        assert find_partition(hexagon) is None
+        for labels in set(permutations("aabbcc")):
+            assert check_partition_by_sampling(hexagon, labels) is None
 
 
 # Labeled sets on a small integer grid: n = 3, 6 or 9 distinct points and a

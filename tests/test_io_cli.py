@@ -27,6 +27,8 @@ from ksetlab.cli import main
 from ksetlab.io import format_fraction, parse_fraction, point_set_to_dict
 from ksetlab.verify import random_general_position_set
 
+from support import random_general_position_set_by_rejection
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -73,6 +75,20 @@ def test_random_sampler_refuses_more_than_the_grid_holds(monkeypatch):
     monkeypatch.setattr(verify.random, "Random", None)
     with pytest.raises(ValueError, match="at most 242 points"):
         random_general_position_set(243, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_sampler_matches_rejection_loop(seed):
+    for n in [*range(31), 45, 60]:
+        expected = random_general_position_set_by_rejection(n, seed)
+        assert random_general_position_set(n, seed) == expected
+
+
+def test_random_sampler_raises_when_every_cell_is_blocked():
+    # Greedy draws on the 121 x 121 grid block every cell after 170-odd
+    # points, well below the 242-point limit.
+    with pytest.raises(ValueError, match="blocked every cell"):
+        random_general_position_set(200, 0)
 
 
 class TestGenCommand:
