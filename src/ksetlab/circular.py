@@ -38,14 +38,12 @@ for determinism.
 swaps at each site, and the decomposition check in ``decompose`` reads
 them class by class: after each class, the permutation is the projection
 order along the sample direction of the gap that follows it.  ``Thirds``
-follows the points across the thirds of the permutation through the swaps;
-it is the one place that decides whether the thirds are three pure class
-blocks.
+follows through the swaps which third of the permutation each point sits
+in: the split into thirds that ``decompose`` reads.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -147,54 +145,36 @@ def _replay(initial: tuple[int, ...], classes: Classes) -> Iterator[list[Swap]]:
 
 
 class Thirds:
-    """Which third of a permutation of n = 3s points each point sits in and,
-    given labels, how many points of each class every third holds.  An
-    adjacent swap moves points between thirds only at site s or 2s."""
+    """Which third of a permutation of n = 3s points each point sits in,
+    followed through adjacent swaps.  A swap moves points between thirds
+    only at site s or 2s."""
 
-    def __init__(self, perm: Sequence[int], labels: Sequence[str] | None = None):
+    def __init__(self, perm: Sequence[int]):
         self.s = s = len(perm) // 3
         self.third = [0] * len(perm)
         for site, p in enumerate(perm):
             self.third[p] = site // s
-        self.labels = labels
-        if labels is not None:
-            self.counts = [
-                Counter(labels[p] for p in perm[t * s : (t + 1) * s]) for t in range(3)
-            ]
 
     def swap(self, site: int, i: int, j: int) -> bool:
         """Record the swap of points i and j at ``site``; True iff they
         changed thirds."""
         if site % self.s:
             return False
-        third, labels = self.third, self.labels
-        ti, tj = third[i], third[j]
-        third[i], third[j] = tj, ti
-        if labels is not None and labels[i] != labels[j]:
-            ci, cj = self.counts[ti], self.counts[tj]
-            ci[labels[i]] -= 1
-            ci[labels[j]] += 1
-            cj[labels[j]] -= 1
-            cj[labels[i]] += 1
+        self.third[i], self.third[j] = self.third[j], self.third[i]
         return True
 
-    def pattern(self) -> tuple[str, ...] | None:
-        """The class filling each third, or None if some third is mixed."""
-        out = []
-        for counts in self.counts:
-            label = next((c for c, k in counts.items() if k == self.s), None)
-            if label is None:
-                return None
-            out.append(label)
-        return tuple(out)
 
-    def blocks(self) -> tuple[str, str, str] | None:
-        """The pattern when the thirds are three pure blocks of three
-        different classes, else None."""
-        roles = self.pattern()
-        if roles is None or len(set(roles)) != 3:
-            return None
-        return roles  # type: ignore[return-value]
+def block_roles(
+    perm: Sequence[int], labels: Sequence[str]
+) -> tuple[str, str, str] | None:
+    """The classes filling the three thirds of ``perm``, or None unless its
+    thirds are three pure blocks of three different classes."""
+    s, rest = divmod(len(perm), 3)
+    if rest:
+        return None
+    blocks = [{labels[p] for p in perm[t * s : (t + 1) * s]} for t in range(3)]
+    roles = tuple(c for block in blocks if len(block) == 1 for c in block)
+    return roles if len(set(roles)) == 3 else None  # type: ignore[return-value]
 
 
 def _tally(n: int, labels: tuple[str, ...] | None, swaps: Iterable[Swap]) -> SiteCounts:
@@ -385,12 +365,10 @@ class ValidSwapDigraph:
 def block_classes(h: Halfperiod) -> tuple[str, str, str] | None:
     """Classes occupying the three thirds of the initial permutation, or
     None if some third is mixed or two thirds hold one class
-    (``Thirds.blocks``)."""
+    (``block_roles``)."""
     if h.labels is None:
         raise LabelingError("halfperiod carries no labels")
-    if h.n % 3 != 0:
-        return None
-    return Thirds(h.initial_permutation, h.labels).blocks()
+    return block_roles(h.initial_permutation, h.labels)
 
 
 def build_valid_digraphs(

@@ -2,30 +2,24 @@
 
 A labeled point set (equal classes a, b, c) is 3-decomposable when three
 directed lines realize the block projection orders a,b,c / b,a,c / b,c,a.
-Block order is constant on each angular gap between consecutive critical
-directions, so the projection orders of the circular sequence decide it
-exactly, with no floating point and no randomness.  ``check_partition``
-replays one halfperiod, started inside the first gap, and keeps a label
-count for each third of the permutation (``circular.Thirds``, kept next to
-the sweep whose swaps it follows); only a swap at site s or 2s (s = n/3)
-moves a point between thirds.  After each class of simultaneous flips the
-permutation is the order along the sample direction of the gap that class
-opens, and its reversal the order along the negated sample, so each wanted
-block order is read off with its first realizing direction.
-The direction-sampling check it replaces (project every point along each
-sample direction and its negation) is kept as a test oracle.
+Each block order is a split of the points into thirds (the third, 0, 1 or
+2, of each point), and the split of the projection order is constant on
+each angular gap between consecutive critical directions, so one sweep
+decides 3-decomposability exactly, with no floating point and no
+randomness.  ``_read_splits`` replays the halfperiod from the first gap,
+follows each point's third (``circular.Thirds``; only a swap at site s or
+2s, s = n/3, moves one) and maps each split read after a class of flips to
+the first gap sample realizing it; the negated sample realizes its
+reversal (third t becomes 2 - t).  ``check_partition`` looks up the splits
+of the given partition (the direction-sampling check it replaces is kept
+as a test oracle); ``find_partition`` decides every split read and its
+reversal, thirds 0, 1, 2 named a, b, c: the a,b,c split of any
+3-decomposition is one of them.
 
-An unlabeled set is decided exhaustively: the block order a,b,c forces the
-three classes to appear as contiguous thirds of some permutation of the
-full circular sequence, so the contiguous-thirds partitions of the
-halfperiod's permutations and their reversals enumerate every candidate.
-They change only at a swap at site s or 2s, so there are at most
-2 (1 + that many swaps) of them.
-
-The halfperiod indices (s, t) of a witness come from the same counters:
-``locate_halfperiod_witness`` replays the halfperiod started at l1, whose
-initial permutation is the three class blocks, and stops at the first
-y,z,x pattern after the first y,x,z one; ``check_halfperiod`` runs the
+The halfperiod indices (s, t) of a witness come from the same tracked
+thirds: ``locate_halfperiod_witness`` replays the halfperiod started at l1,
+whose initial permutation is the class blocks x, y, z, and stops at the
+first y,z,x split after the first y,x,z one; ``check_halfperiod`` runs the
 same scan over a recorded ``Halfperiod``.
 
 The generator places n/3 points in a small disk at each vertex of a fixed
@@ -42,14 +36,14 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .circular import (
     Direction,
     Halfperiod,
     Swap,
     Thirds,
-    default_start_direction,
+    block_roles,
     gap_samples,
     sweep,
 )
@@ -67,6 +61,12 @@ _CLUSTER_CENTERS = (
     Point(Fraction(1), Fraction(0)),
     Point(Fraction(1, 2), Fraction(9, 10)),
 )
+
+#: The block orders each mode requires, in witness order.
+_BLOCK_ORDERS = {"three": ("abc", "bac", "bca"), "two": ("abc", "bac")}
+
+#: A split into thirds: entry p is the third (0, 1 or 2) of point p.
+Split = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -90,78 +90,89 @@ def _normalize_partition(
     return of.labels
 
 
+def _splits(labels: Sequence[str], orders: Iterable[Sequence[str]]) -> list[Split]:
+    """For each block order, the split putting class ``order[t]`` in third t."""
+    return [tuple(order.index(c) for c in labels) for order in orders]
+
+
+def _read_splits(
+    ps: PointSet, wanted: Collection[Split] = ()
+) -> dict[Split, Direction]:
+    """Map each split into thirds that one sweep reads to the sample of the
+    first gap realizing it.  The sweep starts at the first gap's sample
+    (``default_start_direction``) and meets classes 1, 2, ... in turn; class
+    g opens gap g.  Stops once every split in ``wanted`` is mapped, and with
+    none wanted reads the whole halfperiod."""
+    samples = gap_samples(ps.classes)
+    initial, flips = sweep(ps, samples[0])
+    thirds = Thirds(initial)
+    first = {tuple(thirds.third): samples[0]}
+    for u, swaps in zip(samples[1:], flips):
+        moved = False
+        for swap in swaps:
+            moved |= thirds.swap(*swap)
+        if moved:
+            first.setdefault(tuple(thirds.third), u)
+            if wanted and all(w in first for w in wanted):
+                break
+    return first
+
+
+def _witness(
+    part: tuple[str, ...], wanted: list[Split], first: dict[Split, Direction]
+) -> DecompositionWitness | None:
+    """The witness of ``part``: each wanted split's direction in the map
+    ``_read_splits`` built, else the negated direction of its reversal
+    (third t becomes 2 - t); None if some split has neither."""
+    found: list[Direction] = []
+    for split in wanted:
+        if split in first:
+            found.append(first[split])
+        elif (rev := tuple(2 - t for t in split)) in first:
+            found.append((-first[rev][0], -first[rev][1]))
+        else:
+            return None
+    l3 = found[2] if len(found) == 3 else None
+    return DecompositionWitness(part, (found[0], found[1], l3))
+
+
 def check_partition(
-    ps: PointSet,
-    labels: Iterable[str] | None = None,
-    mode: str = "three",
+    ps: PointSet, labels: Iterable[str] | None = None, mode: str = "three"
 ) -> DecompositionWitness | None:
     """Search for witness directions making the given partition a
     3-decomposition.  ``mode='three'`` (default) requires the block orders
     a,b,c / b,a,c / b,c,a; ``mode='two'`` requires only the first two.
 
-    Each witness is the first realizing direction among the gap samples
+    Each block order is a split into thirds, looked up in the splits one
+    sweep reads (``_read_splits``, stopped once all are read): its witness
+    is the first realizing direction among the gap samples
     (``gap_samples``), else the first among their negations.
     """
-    if mode not in ("three", "two"):
+    if mode not in _BLOCK_ORDERS:
         raise ValueError(f"mode must be 'three' or 'two', got {mode!r}")
     part = _normalize_partition(ps, labels)
-    wanted: list[tuple[str, ...]] = [("a", "b", "c"), ("b", "a", "c")]
-    if mode == "three":
-        wanted.append(("b", "c", "a"))
-    samples = gap_samples(ps.classes)
-    # Started inside gap 0 (``default_start_direction``), the sweep meets
-    # classes 1, 2, ... in turn, and class g opens gap g.  Pattern -> first
-    # gap reading it.
-    initial, flips = sweep(ps, samples[0])
-    thirds = Thirds(initial, part)
-    first = {thirds.pattern(): 0}
-    for g, swaps in zip(range(1, len(samples)), flips):
-        moved = False
-        for swap in swaps:
-            moved |= thirds.swap(*swap)
-        if moved:
-            first.setdefault(thirds.pattern(), g)
-            if all(w in first for w in wanted):
-                break
-    found: list[Direction] = []
-    for w in wanted:
-        if w in first:
-            found.append(samples[first[w]])
-        elif w[::-1] in first:
-            u = samples[first[w[::-1]]]
-            found.append((-u[0], -u[1]))
-        else:
-            return None
-    l3 = found[2] if mode == "three" else None
-    return DecompositionWitness(part, (found[0], found[1], l3))
+    wanted = _splits(part, _BLOCK_ORDERS[mode])
+    return _witness(part, wanted, _read_splits(ps, wanted))
 
 
 def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | None:
     """Exhaustively search for a 3-decomposition of an (unlabeled) set.
 
-    The block order a,b,c must hold in some permutation of the circular
-    sequence, so the contiguous-thirds assignments of all halfperiod
-    permutations and their reversals cover every possible partition.  They
-    change only at a swap at site s or 2s, so a candidate is proposed for
-    the initial permutation and after each such swap, each with its
-    reversal; each new candidate is handed to ``check_partition``.  Returns
-    the first witness found, or None after exhausting all candidates.
+    The a,b,c split of any 3-decomposition, or its reversal, is read by one
+    sweep, so the splits read and their reversals, thirds 0, 1, 2 named
+    a, b, c, are every candidate partition.  Each, in the order read, is
+    decided by looking up its splits in the map of that one sweep, as
+    ``check_partition`` would.  Returns the first witness found, or None.
     """
-    n = ps.n
-    if n % 3 != 0 or n < 3:
-        raise LabelingError(f"3-decomposition needs n divisible by 3, got n = {n}")
-    initial, flips = sweep(ps, default_start_direction(ps))
-    thirds = Thirds(initial)
-    seen: set[tuple[str, ...]] = set()
-    for swap in chain([None], chain.from_iterable(flips)):
-        if swap is not None and not thirds.swap(*swap):
-            continue
+    if mode not in _BLOCK_ORDERS:
+        raise ValueError(f"mode must be 'three' or 'two', got {mode!r}")
+    if ps.n % 3 or ps.n < 3:
+        raise LabelingError(f"3-decomposition needs n divisible by 3, got n = {ps.n}")
+    first = _read_splits(ps)
+    for split in first:
         for names in (CLASS_NAMES, CLASS_NAMES[::-1]):
-            key = tuple(names[t] for t in thirds.third)
-            if key in seen:
-                continue
-            seen.add(key)
-            witness = check_partition(ps, key, mode=mode)
+            part = tuple(names[t] for t in split)
+            witness = _witness(part, _splits(part, _BLOCK_ORDERS[mode]), first)
             if witness is not None:
                 return witness
     return None
@@ -172,26 +183,21 @@ def _block_pattern_indices(
 ) -> tuple[int, int] | None:
     """Scan a swap replay for the halfperiod witnesses: ``initial`` must be
     three pure class blocks (x, y, z); return the 1-based index s of the
-    first swap after which the permutation reads y,x,z in blocks and the
-    first t > s after which it reads y,z,x, or None.  The block pattern
+    first swap after which the tracked thirds are the y,x,z split and the
+    first t > s after which they are the y,z,x split, or None.  The split
     changes only when a point changes thirds."""
-    if len(initial) % 3:
-        return None
-    thirds = Thirds(initial, labels)
-    roles = thirds.blocks()
+    roles = block_roles(initial, labels)
     if roles is None:
         return None
     x, y, z = roles
-    s_idx: int | None = None
+    targets = [list(split) for split in _splits(labels, ((y, x, z), (y, z, x)))]
+    thirds = Thirds(initial)
+    found: list[int] = []
     for idx, swap in enumerate(swaps, 1):
-        if not thirds.swap(*swap):
-            continue
-        pat = thirds.pattern()
-        if s_idx is None:
-            if pat == (y, x, z):
-                s_idx = idx
-        elif pat == (y, z, x):
-            return (s_idx, idx)
+        if thirds.swap(*swap) and thirds.third == targets[len(found)]:
+            found.append(idx)
+            if len(found) == 2:
+                return found[0], found[1]
     return None
 
 

@@ -15,6 +15,8 @@ strings and parsed back with ``fractions.Fraction``.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,8 +28,16 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent beyond the int digit
+    limit (``sys.get_int_max_str_digits()``, when set): ``Fraction`` reads
+    "1e5000" as 10**5000, a power that limit does not guard."""
+    text = str(text)
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise ValueError(f"exponent beyond {limit} in {text!r}")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

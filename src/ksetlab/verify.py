@@ -56,9 +56,10 @@ def _finish(name: str, checks: list[CheckResult]) -> SuiteResult:
 
 def random_general_position_set(n: int, seed: int) -> PointSet:
     """Deterministic random point set with integer coordinates in general
-    position (rejection-sampled).  No row of the grid holds three points of
-    such a set, so n above twice its 2*RANDOM_SPREAD + 1 rows is refused,
-    and a ``ValueError`` is raised once the points drawn block every cell.
+    position: each draw that lands on a blocked cell is drawn again.  No row
+    of the grid holds three points of such a set, so n above twice its
+    2*RANDOM_SPREAD + 1 rows is refused, and a ``ValueError`` is raised once
+    the points drawn block every cell.
 
     A cell is blocked when it holds a point or lies on the line through two
     of them: exactly the candidates that would break general position."""

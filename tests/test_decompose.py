@@ -36,11 +36,29 @@ from support import (
     halfperiod_witness_by_halfperiod,
 )
 
-# Frozen 6-point set on which the exhaustive search finds no decomposition
-# (the search itself is the oracle here).
+# Frozen 6-point set on which no balanced labeling is a decomposition.
 NON_DECOMPOSABLE_6 = PointSet.from_coords(
     [(-3, -54), (38, 0), (38, 46), (41, 37), (59, 49), (-28, 30)]
 )
+
+#: Every balanced labeling of six points.
+BALANCED_6 = sorted(set(permutations("aabbcc")))
+
+
+@st.composite
+def unlabeled_grid_sets(draw, n):
+    """n distinct points in general position on a small integer grid."""
+    coords = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    ps = PointSet.from_coords(coords)
+    assume(is_general_position(ps))
+    return ps
 
 
 def assert_witness_orders(ps, witness):
@@ -114,46 +132,63 @@ class TestFindPartition:
         assert w is not None
 
     def test_absence_after_exhausting_all_candidates(self, monkeypatch):
-        calls = []
-        real = decompose_mod.check_partition
+        sweeps = []
+        real = decompose_mod.sweep
 
-        def counting(ps, labels=None, mode="three", **kwargs):
-            calls.append(tuple(labels))
-            return real(ps, labels, mode=mode, **kwargs)
+        def recording(ps, u):
+            sweeps.append(u)
+            return real(ps, u)
 
-        monkeypatch.setattr(decompose_mod, "check_partition", counting)
-        assert find_partition(NON_DECOMPOSABLE_6) is None
-        # every candidate partition is distinct and there are at most
-        # 2*C(n,2) of them (thirds of each permutation of the full period)
-        assert len(calls) == len(set(calls))
-        assert len(calls) <= 2 * math.comb(6, 2)
+        monkeypatch.setattr(decompose_mod, "sweep", recording)
+        for mode in ("three", "two"):
+            assert find_partition(NON_DECOMPOSABLE_6, mode) is None
+        # One sweep per search decides every candidate, and none was missed:
+        # no balanced labeling passes even the two-condition projection oracle.
+        assert len(sweeps) == 2
+        for labels in BALANCED_6:
+            assert check_partition_by_sampling(NON_DECOMPOSABLE_6, labels, "two") is None
 
-    def test_candidates_only_at_block_boundaries(self, monkeypatch):
-        # The thirds of a permutation change only at a swap at site s or 2s,
-        # so the search proposes the initial thirds and those after each such
-        # swap, each with its reversal: the distinct thirds of every
-        # permutation of the halfperiod and its reversal, in order.
-        ps = random_general_position_set(15, 0)
-        h = build_halfperiod(ps)
-        boundary_swaps = sum(1 for site, _, _ in h.swaps if site in (5, 10))
-        every = []
-        for perm in h.permutations():
-            for candidate in (perm, perm[::-1]):
-                labels = [""] * 15
-                for site, point in enumerate(candidate):
-                    labels[point] = "abc"[site // 5]
-                every.append(tuple(labels))
-        calls = []
-        real = decompose_mod.check_partition
+    def test_bad_mode_raises_before_any_sweep(self, monkeypatch):
+        def no_sweep(ps, u):
+            raise AssertionError("swept before checking the mode")
 
-        def counting(ps, labels=None, mode="three", **kwargs):
-            calls.append(tuple(labels))
-            return real(ps, labels, mode=mode, **kwargs)
+        ps = generate(9, seed=0).with_labels(None)
+        monkeypatch.setattr(decompose_mod, "sweep", no_sweep)
+        with pytest.raises(ValueError, match="mode"):
+            find_partition(ps, mode="one")
 
-        monkeypatch.setattr(decompose_mod, "check_partition", counting)
-        assert find_partition(ps) is None
-        assert calls == list(dict.fromkeys(every))
-        assert len(calls) <= 2 * (1 + boundary_swaps)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(unlabeled_grid_sets(6), st.sampled_from(["three", "two"]))
+    def test_none_exactly_when_no_labeling_passes_the_oracle(self, ps, mode):
+        w = find_partition(ps, mode)
+        passing = [
+            labels
+            for labels in BALANCED_6
+            if check_partition_by_sampling(ps, labels, mode) is not None
+        ]
+        assert (w is None) == (not passing)
+        if w is not None:
+            assert w == check_partition_by_sampling(ps, w.partition, mode)
+
+    # Random seed 0 has no decomposition, seed 18 only a two-condition one.
+    @pytest.mark.parametrize(
+        "ps",
+        [random_general_position_set(9, seed) for seed in (0, 18)]
+        + [generate(9, seed, shape).with_labels(None)
+           for seed, shape in zip((2, 3), GENERATOR_SHAPES)],
+    )
+    def test_none_exactly_when_no_labeling_passes_the_check(self, ps):
+        balanced = set(permutations("aaabbbccc"))
+        assert len(balanced) == 1680
+        for mode in ("three", "two"):
+            w = find_partition(ps, mode)
+            passing = [
+                labels for labels in balanced if check_partition(ps, labels, mode) is not None
+            ]
+            assert (w is None) == (not passing)
+            if w is not None:
+                assert w == check_partition(ps, w.partition, mode)
+                assert w == check_partition_by_sampling(ps, w.partition, mode)
 
     def test_recovers_generated_n30(self):
         ps = generate(30, seed=0)
@@ -173,7 +208,7 @@ class TestFindPartition:
         # No balanced labeling passes the projection oracle, so the search
         # must come back empty.
         assert find_partition(hexagon) is None
-        for labels in set(permutations("aabbcc")):
+        for labels in BALANCED_6:
             assert check_partition_by_sampling(hexagon, labels) is None
 
 

@@ -54,6 +54,16 @@ class TestPointSetFiles:
         assert format_fraction(Fraction(5)) == "5/1"
         assert parse_fraction("3/4") == Fraction(3, 4)
         assert parse_fraction("-7/2") == Fraction(-7, 2)
+        assert parse_fraction("15e-1") == Fraction(3, 2)
+        assert parse_fraction("1e4300") == 10**4300
+
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000", " 1E+5_000 "])
+    def test_exponent_beyond_the_digit_limit_rejected(self, text):
+        # Fraction reads 10**exponent, which the int digit limit does not
+        # guard; without the check these parse in under a millisecond, but
+        # an exponent in the millions runs for seconds.
+        with pytest.raises(ValueError, match="exponent beyond 4300"):
+            parse_fraction(text)
 
     def test_schema_fields(self, tmp_path):
         ps = generate(6, 0)
@@ -364,6 +374,8 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["verify", "--suite", "series", "--terms", "45"], None, 2),
         (["verify", "--terms", "45"], None, 2),
         (["verify", "--suite", "series", "--terms", "46"], None, 0),
+        # A decimal exponent beyond the int digit limit.
+        (["analyze"], {"points": [["1e5000", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}, 2),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
