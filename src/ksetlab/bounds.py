@@ -16,11 +16,20 @@ Quantities computed here:
                - 1/3,
 
   where b is the unique integer with C(b+1,2) < n/m <= C(b+2,2) and the
-  generalized binomial C(x,2) := x(x-1)/2 is clamped to 0 for x < 2 (so a
-  term contributes only once its count window is genuinely open; note
-  x(x-1)/2 > 0 for x < 0, hence the clamp rather than a sign test).  The
+  generalized binomial C(x,2) := x(x-1)/2 is clamped to 0 for x < 2 (a term
+  counts only once its window is open; x(x-1)/2 > 0 for x < 0).  The
   first two terms are the general lower bound for arbitrary point sets; the
   j-sum is the 3-decomposable refinement.
+
+  Y is computed on integers.  With D_j = 3j(j+1) and
+  A_j = 2*D_j*(k+1) - n*(D_j - 2) = D_j*(1-m) + 2n, the j-term
+  3j(j+1)*C(A_j/(2*D_j), 2) is A_j*(A_j - 2*D_j)/(8*D_j), open exactly when
+  A_j >= 4*D_j, that is j(j+1)*3(m+3) <= 2n: for j = 2..J, and J <= b.  As
+  sum_{j=2}^{J} 1/D_j = (J-1)/(6(J+1)), the open terms sum to
+  (J-1)*(n^2/(12(J+1)) - n*m/2 + (m^2-1)(J^2+4J+6)/8), so Y is one integer
+  over 24(J+1).  The depth b, like every (b, q, r) threshold below, is the
+  least b >= 0 with (b+1)(b+2)*den >= 2*num for a ratio num/den > 0, the
+  largest b with b(b+1) < t = ceil(2*num/den): b = (isqrt(4t-3) - 1) // 2.
 
 * ``bqr_decompose``: for 1 <= i and positive j, the unique (b, q, r) with
 
@@ -103,22 +112,17 @@ def _defined(value, k: int, n: int):
     return value
 
 
-def binom2(x: Fraction | int) -> Fraction:
-    """Generalized binomial C(x,2) = x(x-1)/2, clamped to 0 for x < 2."""
-    x = Fraction(x)
-    if x < 2:
-        return Fraction(0)
-    return x * (x - 1) / 2
+def _threshold(num: int, den: int) -> int:
+    """``triangular_threshold(num/den)`` for num, den > 0, on integers."""
+    t = -(-2 * num // den)
+    return (math.isqrt(4 * t - 3) - 1) // 2
 
 
-def triangular_threshold(ratio: Fraction) -> int:
+def triangular_threshold(ratio: Fraction | int) -> int:
     """The unique integer b >= 0 with C(b+1,2) < ratio <= C(b+2,2)."""
     if ratio <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
-    b = 0
-    while math.comb(b + 2, 2) < ratio:
-        b += 1
-    return b
+    return _threshold(*ratio.as_integer_ratio())
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ class BqrDecomposition:
 
 
 def _bqr(i: int, j: int) -> BqrDecomposition:
-    b = triangular_threshold(Fraction(j, i))
+    b = _threshold(j, i)
     rem = j - i * math.comb(b + 1, 2)
     q, r = divmod(rem - 1, b + 1)
     return BqrDecomposition(b, q, r + 1, i, j)
@@ -157,16 +161,11 @@ def bqr_decompose(i: int, j: int) -> BqrDecomposition:
 def _closed_form(k: int, n: int, m: int) -> tuple[int, Fraction]:
     """The refinement depth b and Y(k,n), for a nonempty window m: the one
     place Y is computed, called by ``bound_report`` alone."""
-    s = n // 3
-    depth = triangular_threshold(Fraction(n, m))
-    total = 3 * binom2(k + 1) + 3 * binom2(k - s + 1) - Fraction(1, 3)
-    for j in range(2, depth + 1):
-        arg = Fraction(k + 1) - (Fraction(1, 2) - Fraction(1, 3 * j * (j + 1))) * n
-        if arg < 2:
-            # Arguments decrease in j; all later terms are clamped to 0.
-            break
-        total += 3 * j * (j + 1) * binom2(arg)
-    return depth, total
+    base = 9 * math.comb(k + 1, 2) + 9 * math.comb(max(k - n // 3 + 1, 0), 2) - 1
+    # J, the last open j (1 when none is): 4j(j+1) <= 8n // (3(m+3)).
+    J = max(1, (math.isqrt(8 * n // (3 * m + 9) + 1) - 1) // 2)
+    terms = 2 * n * n + 3 * (J + 1) * ((m * m - 1) * (J * J + 4 * J + 6) - 4 * n * m)
+    return _threshold(n, m), Fraction(8 * (J + 1) * base + (J - 1) * terms, 24 * (J + 1))
 
 
 def _require_extremal_args(k: int, n: int) -> tuple[int, int]:

@@ -48,7 +48,7 @@ class UsageError(Exception):
 
 
 def _frac_cell(value: Fraction | int | None) -> str:
-    return UNDEF if value is None else str(Fraction(value))
+    return UNDEF if value is None else str(value)
 
 
 @contextlib.contextmanager

@@ -15,6 +15,7 @@ strings and parsed back with ``fractions.Fraction``.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -27,13 +28,21 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _int_digit_limit() -> int:
+    """The interpreter's int digit limit, ``sys.get_int_max_str_digits()``
+    (0 when unlimited), or CPython's default of 4300 where the interpreter
+    predates it (Python 3.10.0-3.10.6)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return 4300 if get is None else get()
+
+
 def parse_fraction(text: str) -> Fraction:
     """``Fraction(text)``, refusing a decimal exponent beyond the int digit
-    limit (``sys.get_int_max_str_digits()``, when set): ``Fraction`` reads
-    "1e5000" as 10**5000, a power that limit does not guard."""
+    limit (``_int_digit_limit()``, when set): ``Fraction`` reads "1e5000" as
+    10**5000, a power that limit does not guard."""
     text = str(text)
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
-    limit = sys.get_int_max_str_digits()
+    limit = _int_digit_limit()
     if exponent and limit and abs(int(exponent[1])) > limit:
         raise ValueError(f"exponent beyond {limit} in {text!r}")
     try:
@@ -66,11 +75,24 @@ def point_set_from_dict(data: dict) -> PointSet:
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ValueError("'labels' must be a list")
+    # The lcm of the denominators scales every coordinate to an integer
+    # (``PointSet.coords``); past the digit limit each orientation test on
+    # the scaled coordinates multiplies numbers of that many digits.
+    limit = _int_digit_limit()
+    too_large = 10**limit if limit else None
+    common = 1
     pts = []
     for idx, p in enumerate(points):
         if not isinstance(p, list) or len(p) != 2:
             raise ValueError(f"point {idx} is not an [x, y] pair")
-        pts.append(Point(parse_fraction(p[0]), parse_fraction(p[1])))
+        pt = Point(parse_fraction(p[0]), parse_fraction(p[1]))
+        common = math.lcm(common, pt.x.denominator, pt.y.denominator)
+        if too_large is not None and common >= too_large:
+            raise ValueError(
+                f"the denominators' least common multiple exceeds {limit} digits"
+                f" at point {idx}"
+            )
+        pts.append(pt)
     return PointSet(tuple(pts), tuple(labels) if labels is not None else None)
 
 

@@ -29,6 +29,10 @@ looked up among the cells the accepted points block.
 
 The crossing-bound oracle sums (n-2k-1) * min_kset_count(k, n) one k at a
 time, instead of reading the crossing sum off ``bound_table(n)``.
+
+The Y oracle evaluates the paper's formula term by term in ``Fraction``s,
+with the clamped binomial and a linear scan for the depth, instead of the
+library's integer closed form.
 """
 
 from __future__ import annotations
@@ -61,6 +65,33 @@ DEGENERATE_SETS = [
     PointSet.from_coords([(0, 0), (1, 1), (2, 2), (0, 5), (3, -1), (-2, 3)]),
     PointSet.from_coords([(0, 0), (4, 1), (0, 0), (1, 3), (3, 3), (2, -3)]),
 ]
+
+
+def binom2(x: Fraction | int) -> Fraction:
+    """Generalized binomial C(x,2) = x(x-1)/2, clamped to 0 for x < 2."""
+    x = Fraction(x)
+    if x < 2:
+        return Fraction(0)
+    return x * (x - 1) / 2
+
+
+def kset_lower_bound_by_fractions(k: int, n: int) -> tuple[int, Fraction]:
+    """The refinement depth b and Y(k,n) for a nonempty window, term by
+    term: b by scanning C(b+2,2) < n/m upwards, then
+    3*C(k+1,2) + 3*C(k-s+1,2) + 3 * sum_{j=2}^{b} j(j+1) * C(arg_j,2) - 1/3
+    with arg_j = k+1 - (1/2 - 1/(3j(j+1)))*n."""
+    s, m = n // 3, n - 2 * k - 1
+    depth = 0
+    while math.comb(depth + 2, 2) < Fraction(n, m):
+        depth += 1
+    total = 3 * binom2(k + 1) + 3 * binom2(k - s + 1) - Fraction(1, 3)
+    for j in range(2, depth + 1):
+        arg = Fraction(k + 1) - (Fraction(1, 2) - Fraction(1, 3 * j * (j + 1))) * n
+        if arg < 2:
+            # Arguments decrease in j; all later terms are clamped to 0.
+            break
+        total += 3 * j * (j + 1) * binom2(arg)
+    return depth, total
 
 
 def crossing_lower_bound_by_min_counts(n: int) -> int:

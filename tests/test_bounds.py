@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ksetlab.bounds as bounds_mod
 from ksetlab import (
@@ -27,13 +29,17 @@ from ksetlab.bounds import (
     BEST_UPPER_COEFFICIENT,
     GENERAL_LOWER_COEFFICIENT,
     BoundReport,
-    binom2,
+    _closed_form,
     bound_report,
     bound_table,
 )
 from ksetlab.verify import slack_suite
 
-from support import crossing_lower_bound_by_min_counts
+from support import (
+    binom2,
+    crossing_lower_bound_by_min_counts,
+    kset_lower_bound_by_fractions,
+)
 
 F = Fraction
 
@@ -50,6 +56,24 @@ class TestRefinementDepth:
                 ratio = F(num, den)
                 b = triangular_threshold(ratio)
                 assert math.comb(b + 1, 2) < ratio <= math.comb(b + 2, 2)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        num=st.integers(min_value=1, max_value=10**30),
+        den=st.integers(min_value=1, max_value=10**6),
+    )
+    def test_threshold_brackets_huge_ratios(self, num, den):
+        # b reaches about 1.4e15 at 10**30: far beyond any linear scan.
+        ratio = F(num, den)
+        b = triangular_threshold(ratio)
+        assert math.comb(b + 1, 2) < ratio <= math.comb(b + 2, 2)
+
+    @pytest.mark.parametrize("b", [0, 1, 2, 10**15])
+    def test_threshold_at_triangular_numbers(self, b):
+        # C(b+2,2) itself is still b; one part above it is b+1.
+        t = math.comb(b + 2, 2)
+        assert triangular_threshold(t) == triangular_threshold(F(2 * t - 1, 2)) == b
+        assert triangular_threshold(F(10**9 * t + 1, 10**9)) == b + 1
 
     def test_empty_window(self):
         with pytest.raises(UndefinedWindowError):
@@ -100,6 +124,19 @@ class TestKsetLowerBound:
             arg = F(k + 1) - (F(1, 2) - F(1, 3 * j * (j + 1))) * n
             assert arg < 2
             assert binom2(arg) == 0
+
+    def test_equals_term_by_term_oracle(self):
+        # Every (k, n) with a nonempty window up to n = 300, and every k at
+        # n = 3000, where the depth reaches 77.
+        pairs = [
+            (k, n)
+            for n in [*range(6, 301, 3), 3000]
+            for k in range(1, (n - 1) // 2 + 1)
+            if n - 2 * k - 1 >= 1
+        ]
+        assert len(pairs) == 7450 + 1499
+        for k, n in pairs:
+            assert _closed_form(k, n, n - 2 * k - 1) == kset_lower_bound_by_fractions(k, n)
 
     def test_refinement_term_active(self):
         # (k, n) = (17, 36): the j = 2 argument is exactly 2, contributing

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +26,12 @@ from ksetlab import (
     verify,
 )
 from ksetlab.cli import main
-from ksetlab.io import format_fraction, parse_fraction, point_set_to_dict
+from ksetlab.io import (
+    format_fraction,
+    parse_fraction,
+    point_set_from_dict,
+    point_set_to_dict,
+)
 from ksetlab.verify import random_general_position_set
 
 from support import random_general_position_set_by_rejection
@@ -64,6 +71,37 @@ class TestPointSetFiles:
         # an exponent in the millions runs for seconds.
         with pytest.raises(ValueError, match="exponent beyond 4300"):
             parse_fraction(text)
+
+    def test_interpreter_without_a_digit_limit(self, monkeypatch):
+        # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits; the
+        # guards then use CPython's default of 4300.
+        monkeypatch.setattr("ksetlab.io.sys", types.SimpleNamespace())
+        assert parse_fraction("1/2") == Fraction(1, 2)
+        with pytest.raises(ValueError, match="exponent beyond 4300"):
+            parse_fraction("1e5000")
+
+    def test_huge_common_denominator_rejected(self, tmp_path, capsys):
+        # Twelve 901-digit denominators, pairwise nearly coprime: their lcm
+        # passes 4300 digits at the sixth point.  Scaling to it made analyze
+        # slow down about as n^3 (8 s at 12 points).
+        points = [[f"1/{10**900 + i}", f"{i * i}/1"] for i in range(12)]
+        src = tmp_path / "huge.json"
+        src.write_text(json.dumps({"points": points}))
+        start = time.perf_counter()
+        assert main(["analyze", "--input", str(src)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds 4300 digits" in err
+        assert err.count("\n") == 1
+
+    def test_non_dyadic_sets_load_unchanged(self):
+        # 60 points whose 120 coordinates have distinct odd prime
+        # denominators (an lcm of about 280 digits), and a generated set.
+        primes = [p for p in range(3, 700) if all(p % d for d in range(2, p))][:120]
+        coords = [(Fraction(i + 1, primes[2 * i]), Fraction(i * i + 1, primes[2 * i + 1]))
+                  for i in range(60)]
+        for ps in (PointSet.from_coords(coords), generate(60, 0)):
+            assert point_set_from_dict(point_set_to_dict(ps)) == ps
 
     def test_schema_fields(self, tmp_path):
         ps = generate(6, 0)
