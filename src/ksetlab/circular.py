@@ -16,38 +16,28 @@ k-element separable subsets equals the number of k-critical swaps.  At
 ``k = n/2`` (even ``n``) each swap at the middle site cuts off a halving
 set on *both* sides, hence counts twice.
 
-Everything is computed exactly, on the integer coordinates
-(``PointSet.coords``).  Directions are primitive integer vectors.  One pass
-over the pairs groups them by critical direction (the 90-degree rotation of
-the pair's difference vector; ``geometry.critical_direction_pairs``, which
-also rejects degenerate sets), and the classes are sorted once per point
-set, counterclockwise over the upper half plane (``PointSet.classes``).
-That sorted list gives everything else: one sample direction inside each
-gap between consecutive classes, the start direction (the first gap's
-sample; the counts and the decomposition answer do not depend on it), and
-the order of the swaps, which is the list rotated to begin at the first
-class ahead of the start direction.  Pairs of one class flip
-simultaneously; they are disjoint (a shared endpoint would be a collinear
-triple), so their swaps commute and are executed by increasing left site
-for determinism.
-
-``sweep`` is the one replay of the swaps, and a swap has one form, the
-``Swap`` triple ``(site, i, j)``: the entries at sites ``site`` and
-``site + 1`` (1-based) trade places, and they are the points ``i < j``.
-``build_halfperiod`` records the triples, ``site_counts`` only counts the
-swaps at each site, and the decomposition check in ``decompose`` reads
-them class by class: after each class, the permutation is the projection
-order along the sample direction of the gap that follows it.  ``Thirds``
-follows through the swaps which third of the permutation each point sits
-in: the split into thirds that ``decompose`` reads.
+Everything is exact, on the integer coordinates (``PointSet.coords``);
+directions are primitive integer vectors.  The pairs, sorted once per
+point set by critical direction (``PointSet.classes``), give the sample
+inside each gap between consecutive classes (``gap_sample``), the start
+direction (the first gap's sample) and the order of the swaps: the pair
+order rotated to begin at the first class ahead of the start.  The pairs
+of one class are disjoint and their swaps commute; they are listed by
+increasing left site.  ``replay`` is the one replay of the swaps, into flat
+columns (``Replay``); the one from the default start is kept on the point
+set (``PointSet.replay``).  A swap outside the columns is a ``Swap``,
+``(site, i, j)``: points ``i < j`` at sites ``site``, ``site + 1`` trade.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .errors import GeneralPositionError, LabelingError
 from .geometry import Classes, Direction, KSetVector, PointSet, cross
@@ -60,113 +50,102 @@ Swap = tuple[int, int, int]
 SiteCounts = tuple[tuple[int, ...], tuple[int, ...] | None]
 
 
+def gap_sample(classes: Classes, g: int) -> Direction:
+    """A tie-free direction strictly inside gap ``g``, between class g and
+    the next one (the last gap ends at the negated first class)."""
+    if len(classes) < 2:
+        x, y = classes.direction(0) if len(classes) else (0, -1)
+        return (-y, x)
+    x, y = classes.direction(g)
+    u, v = classes.direction(g + 1) if g + 1 < len(classes) else (-c for c in classes.direction(0))
+    return (x + u, y + v)
+
+
 def gap_samples(classes: Classes) -> list[Direction]:
-    """One tie-free direction strictly inside each gap between consecutive
-    critical directions, covering a half turn: gap ``g`` lies between
-    ``classes[g]`` and the next class (the last one between the last class
-    and the negated first)."""
-    if not classes:
-        return [(1, 0)]
-    if len(classes) == 1:
-        w = classes[0][0]
-        return [(-w[1], w[0])]
-    dirs = [w for w, _ in classes]
-    ends = dirs[1:] + [(-dirs[0][0], -dirs[0][1])]
-    return [(a[0] + b[0], a[1] + b[1]) for a, b in zip(dirs, ends)]
+    """Every gap's sample (``gap_sample``), covering a half turn."""
+    return [gap_sample(classes, g) for g in range(max(len(classes), 1))]
 
 
 def interval_sample_directions(ps: PointSet) -> list[Direction]:
-    """One tie-free direction strictly inside each angular interval between
-    consecutive critical directions, covering a half turn.  The negations of
-    the returned vectors sample the other half turn.
-    """
+    """``gap_samples(ps.classes)``; negated, they sample the other half turn."""
     return gap_samples(ps.classes)
 
 
 def default_start_direction(ps: PointSet) -> Direction:
-    """The one start direction of a sweep of ``ps``: the sample of the first
-    gap, ``gap_samples(ps.classes)[0]``."""
-    # The first gap lies between the first two classes.
-    return gap_samples(ps.classes[:2])[0]
+    """The one start direction of a sweep of ``ps``, the first gap's sample."""
+    return gap_sample(ps.classes, 0)
 
 
-def sweep(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], Iterator[list[Swap]]]:
-    """Replay the swaps of the halfperiod of ``ps`` that starts at ``u``.
+@dataclass(eq=False, repr=False)  # columns of up to millions of entries
+class Replay:
+    """One halfperiod in flat columns: swap ``k`` trades points ``firsts[k]``
+    and ``seconds[k]`` at sites ``sites[k]``, ``sites[k] + 1``.  ``initial``
+    is the order along ``direction``; class ``first`` flips first, then the
+    classes after it, wrapping around."""
 
-    Returns the initial permutation (point indices ordered along ``u``,
-    which must tie no pair) and an iterator that yields, class by class in
-    the order a direction turning counterclockwise from ``u`` meets them,
-    the swaps that class makes.  The iterator replays lazily: a consumer may
-    stop early.  Run to the end, it checks that the last permutation
-    reverses the first.
-    """
-    # Grouped first, so that a degenerate set raises GeneralPositionError
-    # rather than a tie.
-    classes = ps.classes
-    ux, uy = u
-    height = [ux * x + uy * y for x, y in ps.coords]
+    classes: Classes
+    direction: Direction
+    initial: tuple[int, ...]
+    first: int
+    sites: array
+    firsts: array
+    seconds: array
+
+    def swaps(self) -> tuple[Swap, ...]:
+        i, j = self.firsts, self.seconds
+        return tuple(zip(self.sites, map(min, i, j), map(max, i, j)))
+
+
+def replay(ps: PointSet, u: Direction) -> Replay:
+    """Replay the halfperiod of ``ps`` that starts at ``u``, which must tie
+    no pair of projections.  Each swap must trade two neighbours, and the
+    last permutation must reverse the first."""
+    classes = ps.classes  # first: a degenerate set raises GeneralPositionError, not a tie
+    height = [u[0] * x + u[1] * y for x, y in ps.coords]
     initial = tuple(sorted(range(len(height)), key=height.__getitem__))
-    for a, b in zip(initial, initial[1:]):
-        if height[a] == height[b]:
-            raise ValueError(f"start direction {u} ties a pair of projections")
-    # Each class flips where the rotating direction crosses it.  Turning
-    # counterclockwise from u, the first class met is the first one ahead
-    # of u taken mod a half turn; the classes then follow in sorted order.
+    if any(height[a] == height[b] for a, b in zip(initial, initial[1:])):
+        raise ValueError(f"start direction {u} ties a pair of projections")
+    # Turning counterclockwise from u, the first class met is the first one
+    # ahead of u taken mod a half turn.
     upper = u if u[1] > 0 or (u[1] == 0 and u[0] > 0) else (-u[0], -u[1])
-    start = next((k for k, (w, _) in enumerate(classes) if cross(upper, w) > 0), 0)
-    return initial, _replay(initial, classes[start:] + classes[:start])
-
-
-def _replay(initial: tuple[int, ...], classes: Classes) -> Iterator[list[Swap]]:
-    perm = list(initial)
-    pos = [0] * len(perm)
-    for i, v in enumerate(perm):
-        pos[v] = i
-    for _, pairs in classes:
-        swaps = []
-        if len(pairs) > 1:
-            # Simultaneous flips are pairwise disjoint; execute left to right.
-            pairs = sorted(pairs, key=lambda p: min(pos[p[0]], pos[p[1]]))
-        for i, j in pairs:
-            a, b = pos[i], pos[j]
-            if a > b:
-                a, b = b, a
-            if b != a + 1:
-                raise GeneralPositionError(
-                    "swap of a non-adjacent pair; the input is degenerate"
-                )
-            perm[a], perm[b] = perm[b], perm[a]
-            pos[perm[a]] = a
-            pos[perm[b]] = b
-            swaps.append((a + 1, i, j))
-        yield swaps
-    if perm != list(reversed(initial)):
+    count = len(classes)
+    first = bisect_left(range(count), True, key=lambda g: cross(upper, classes.direction(g)) > 0)
+    first %= max(count, 1)
+    cut, starts = classes.starts[first], classes.starts
+    firsts, seconds = classes.a[cut:] + classes.a[:cut], classes.b[cut:] + classes.b[:cut]
+    pos = sorted(range(len(initial)), key=initial.__getitem__)  # the site of each point
+    sites = array(firsts.typecode)
+    put = sites.append
+    for i, j in zip(firsts, seconds):
+        x = pos[i]
+        y = pos[j]
+        if x - y not in (1, -1):
+            raise GeneralPositionError("swap of a non-adjacent pair; the input is degenerate")
+        put(x if x > y else y)
+        pos[i] = y
+        pos[j] = x
+    if any(pos[p] != len(pos) - 1 - site for site, p in enumerate(initial)):
         raise GeneralPositionError("halfperiod replay did not reverse the order")
+    for g in classes.multi:  # list the swaps of one class by left site
+        lo = (starts[g] - cut) % len(sites)
+        hi = lo + starts[g + 1] - starts[g]
+        block = sorted(zip(sites[lo:hi], firsts[lo:hi], seconds[lo:hi]))
+        for column, values in zip((sites, firsts, seconds), zip(*block)):
+            column[lo:hi] = array(column.typecode, values)
+    return Replay(classes, u, initial, first, sites, firsts, seconds)
 
 
-class Thirds:
-    """Which third of a permutation of n = 3s points each point sits in,
-    followed through adjacent swaps.  A swap moves points between thirds
-    only at site s or 2s."""
-
-    def __init__(self, perm: Sequence[int]):
-        self.s = s = len(perm) // 3
-        self.third = [0] * len(perm)
-        for site, p in enumerate(perm):
-            self.third[p] = site // s
-
-    def swap(self, site: int, i: int, j: int) -> bool:
-        """Record the swap of points i and j at ``site``; True iff they
-        changed thirds."""
-        if site % self.s:
-            return False
-        self.third[i], self.third[j] = self.third[j], self.third[i]
-        return True
+def sweep(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], list[list[Swap]]]:
+    """The halfperiod of ``ps`` from ``u`` (``ps.replay`` from the default
+    start): the initial permutation, and the swaps of each class in the
+    order a direction turning counterclockwise from u meets them."""
+    r = ps.replay if u == default_start_direction(ps) else replay(ps, u)
+    starts, count, swaps = r.classes.starts, len(r.classes), iter(r.swaps())
+    met = [(r.first + t) % count for t in range(count)]
+    return r.initial, [list(islice(swaps, starts[g + 1] - starts[g])) for g in met]
 
 
-def block_roles(
-    perm: Sequence[int], labels: Sequence[str]
-) -> tuple[str, str, str] | None:
+def block_roles(perm: Sequence[int], labels: Sequence[str]) -> tuple[str, str, str] | None:
     """The classes filling the three thirds of ``perm``, or None unless its
     thirds are three pure blocks of three different classes."""
     s, rest = divmod(len(perm), 3)
@@ -177,29 +156,22 @@ def block_roles(
     return roles if len(set(roles)) == 3 else None  # type: ignore[return-value]
 
 
-def _tally(n: int, labels: tuple[str, ...] | None, swaps: Iterable[Swap]) -> SiteCounts:
-    """Count ``swaps`` by site, and the heterogeneous ones when there are
-    labels, in one pass."""
-    counts = [0] * max(n, 1)
+def _count_sites(n: int, labels: Sequence[str] | None, sites, firsts, seconds) -> SiteCounts:
+    """Swap k is at ``sites[k]`` and trades ``firsts[k]`` and ``seconds[k]``."""
+    width = range(max(n, 1))
+    counts = Counter(sites)
     if labels is None:
-        for site, _, _ in swaps:
-            counts[site] += 1
-        return tuple(counts), None
-    het = [0] * len(counts)
-    for site, i, j in swaps:
-        counts[site] += 1
-        if labels[i] != labels[j]:
-            het[site] += 1
-    return tuple(counts), tuple(het)
+        return tuple(counts[i] for i in width), None
+    het = Counter(s for s, i, j in zip(sites, firsts, seconds) if labels[i] != labels[j])
+    return tuple(counts[i] for i in width), tuple(het[i] for i in width)
 
 
 def site_counts(ps: PointSet) -> SiteCounts:
     """The swaps at each site of the halfperiod of ``ps``, and the
-    heterogeneous ones among them, counted off one replay (``sweep``) from
-    ``default_start_direction``; no swap is recorded.  Same as
-    ``build_halfperiod(ps).site_counts``."""
-    _, flips = sweep(ps, default_start_direction(ps))
-    return _tally(ps.n, ps.labels, chain.from_iterable(flips))
+    heterogeneous ones among them, counted off its one replay
+    (``PointSet.replay``).  Same as ``build_halfperiod(ps).site_counts``."""
+    r = ps.replay
+    return _count_sites(ps.n, ps.labels, r.sites, r.firsts, r.seconds)
 
 
 @dataclass(frozen=True)
@@ -226,10 +198,8 @@ class Halfperiod:
 
     @cached_property
     def site_counts(self) -> SiteCounts:
-        """Swaps at each site, and the heterogeneous ones among them (None
-        without labels), in one pass: entry ``i`` counts site ``i`` (entry 0
-        is unused)."""
-        return _tally(self.n, self.labels, self.swaps)
+        """Swaps at each site, and the heterogeneous ones (``SiteCounts``)."""
+        return _count_sites(self.n, self.labels, *(zip(*self.swaps) if self.swaps else [()] * 3))
 
 
 def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfperiod:
@@ -238,9 +208,8 @@ def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfpe
     counts).  The supplied direction must not be perpendicular to any pair
     line, i.e. the initial projection order must be strict.  Raises
     ``GeneralPositionError`` on a degenerate set."""
-    u = direction if direction is not None else default_start_direction(ps)
-    initial, flips = sweep(ps, u)
-    return Halfperiod(ps.n, initial, tuple(chain.from_iterable(flips)), u, ps.labels)
+    r = ps.replay if direction is None else replay(ps, direction)
+    return Halfperiod(ps.n, r.initial, r.swaps(), r.direction, ps.labels)
 
 
 @dataclass(frozen=True)
@@ -267,13 +236,10 @@ class CriticalityReport:
 
 
 def _mirror_classes(n: int, site_counts: dict[int, int]) -> dict[int, int]:
-    out = {}
-    for i in range(1, n // 2 + 1):
-        c = site_counts.get(i, 0)
-        if i != n - i:
-            c += site_counts.get(n - i, 0)
-        out[i] = c
-    return out
+    return {
+        i: site_counts.get(i, 0) + (site_counts.get(n - i, 0) if i != n - i else 0)
+        for i in range(1, n // 2 + 1)
+    }
 
 
 def critical_counts(h: Halfperiod, k: int) -> CriticalityReport:
@@ -284,30 +250,17 @@ def critical_counts(h: Halfperiod, k: int) -> CriticalityReport:
         raise ValueError(f"k must satisfy 1 <= k < n/2, got k={k}, n={n}")
     counts, het_counts = h.site_counts
     by_position = dict(enumerate(counts[1:], 1))
-    het_by_position = None
-    hom = het = None
-    if het_counts is not None:
-        het_by_position = dict(enumerate(het_counts[1:], 1))
+    het_by_position = None if het_counts is None else dict(enumerate(het_counts[1:], 1))
 
     def critical_sum(counts: dict[int, int]) -> int:
         return sum(c for i, c in counts.items() if i <= k or i >= n - k)
 
     total = critical_sum(by_position)
-    if het_by_position is not None:
-        het = critical_sum(het_by_position)
-        hom = total - het
+    het = None if het_by_position is None else critical_sum(het_by_position)
     return CriticalityReport(
-        n=n,
-        k=k,
-        total=total,
-        hom=hom,
-        het=het,
-        by_position=by_position,
-        het_by_position=het_by_position,
-        i_critical=_mirror_classes(n, by_position),
-        i_critical_het=(
-            _mirror_classes(n, het_by_position) if het_by_position is not None else None
-        ),
+        n, k, total, None if het is None else total - het, het, by_position, het_by_position,
+        _mirror_classes(n, by_position),
+        None if het_by_position is None else _mirror_classes(n, het_by_position),
     )
 
 
@@ -316,13 +269,10 @@ def kset_vector_from_sites(n: int, counts: tuple[int, ...]) -> KSetVector:
     (``site_counts``): ``e_k`` equals the number of k-critical swaps for
     k < n/2; for even n each swap at the middle site yields two halving
     sets, so ``e_{n/2}`` doubles the site count."""
-    e = {}
-    for k in range(1, n // 2 + 1):
-        if 2 * k < n:
-            e[k] = counts[k] + counts[n - k]
-        else:
-            e[k] = 2 * counts[k]
-    return KSetVector.from_counts(n, e)
+    return KSetVector.from_counts(n, {
+        k: counts[k] + counts[n - k] if 2 * k < n else 2 * counts[k]
+        for k in range(1, n // 2 + 1)
+    })
 
 
 def kset_vector_from_halfperiod(h: Halfperiod) -> KSetVector:

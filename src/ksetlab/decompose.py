@@ -6,21 +6,23 @@ Each block order is a split of the points into thirds (the third, 0, 1 or
 2, of each point), and the split of the projection order is constant on
 each angular gap between consecutive critical directions, so one sweep
 decides 3-decomposability exactly, with no floating point and no
-randomness.  ``_read_splits`` replays the halfperiod from the first gap,
-follows each point's third (``circular.Thirds``; only a swap at site s or
-2s, s = n/3, moves one) and maps each split read after a class of flips to
-the first gap sample realizing it; the negated sample realizes its
-reversal (third t becomes 2 - t).  ``check_partition`` looks up the splits
-of the given partition (the direction-sampling check it replaces is kept
-as a test oracle); ``find_partition`` decides every split read and its
-reversal, thirds 0, 1, 2 named a, b, c: the a,b,c split of any
-3-decomposition is one of them.
+randomness.  ``_read_splits`` reads the point set's one cached replay of
+the halfperiod from the first gap (``PointSet.replay``, flat columns of
+sites and points), follows each point's third through the swaps at site s
+or 2s, s = n/3 (the only ones that move a point between thirds), and maps
+each split read after a class of flips to the first gap sample realizing
+it; the negated sample realizes its reversal (third t becomes 2 - t).
+``check_partition`` looks up the splits of the given partition (the
+direction-sampling check it replaces is kept as a test oracle);
+``find_partition`` decides every split read and its reversal, thirds 0, 1,
+2 named a, b, c: the a,b,c split of any 3-decomposition is one of them.
 
 The halfperiod indices (s, t) of a witness come from the same tracked
-thirds: ``locate_halfperiod_witness`` replays the halfperiod started at l1,
-whose initial permutation is the class blocks x, y, z, and stops at the
-first y,z,x split after the first y,x,z one; ``check_halfperiod`` runs the
-same scan over a recorded ``Halfperiod``.
+thirds: ``locate_halfperiod_witness`` replays the halfperiod started at l1
+(``circular.replay``), whose initial permutation is the class blocks x, y,
+z, and scans its swaps at sites s and 2s for the first y,z,x split after
+the first y,x,z one; ``check_halfperiod`` runs the same scan over a
+recorded ``Halfperiod``.
 
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
@@ -33,20 +35,12 @@ caller that needs it does not check the set again.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
 from typing import Collection, Iterable, Sequence
 
-from .circular import (
-    Direction,
-    Halfperiod,
-    Swap,
-    Thirds,
-    block_roles,
-    gap_samples,
-    sweep,
-)
+from .circular import Direction, Halfperiod, Replay, block_roles, gap_sample, replay
 from .errors import GeneralPositionError, LabelingError
 from .geometry import CLASS_NAMES, Point, PointSet, is_general_position
 from .geometry import normalize_labels
@@ -95,26 +89,53 @@ def _splits(labels: Sequence[str], orders: Iterable[Sequence[str]]) -> list[Spli
     return [tuple(order.index(c) for c in labels) for order in orders]
 
 
+def _thirds(perm: Sequence[int]) -> list[int]:
+    """The third (0, 1 or 2) of the permutation ``perm`` of n = 3s points
+    that each point sits in."""
+    s = len(perm) // 3
+    third = [0] * len(perm)
+    for site, p in enumerate(perm):
+        third[p] = site // s
+    return third
+
+
+def _boundary_swaps(r: Replay, s: int) -> list[int]:
+    """The swaps of ``r`` at a site that is a multiple of s: for n = 3s, the
+    ones at sites s and 2s, which move a point between thirds."""
+    return [k for k, site in enumerate(r.sites) if not site % s]
+
+
+def _class_of(r: Replay, k: int) -> int:
+    """The class swap ``k`` of ``r`` belongs to."""
+    starts = r.classes.starts
+    return bisect_right(starts, (k + starts[r.first]) % len(r.sites)) - 1
+
+
 def _read_splits(
     ps: PointSet, wanted: Collection[Split] = ()
 ) -> dict[Split, Direction]:
     """Map each split into thirds that one sweep reads to the sample of the
-    first gap realizing it.  The sweep starts at the first gap's sample
-    (``default_start_direction``) and meets classes 1, 2, ... in turn; class
-    g opens gap g.  Stops once every split in ``wanted`` is mapped, and with
-    none wanted reads the whole halfperiod."""
-    samples = gap_samples(ps.classes)
-    initial, flips = sweep(ps, samples[0])
-    thirds = Thirds(initial)
-    first = {tuple(thirds.third): samples[0]}
-    for u, swaps in zip(samples[1:], flips):
-        moved = False
-        for swap in swaps:
-            moved |= thirds.swap(*swap)
-        if moved:
-            first.setdefault(tuple(thirds.third), u)
-            if wanted and all(w in first for w in wanted):
-                break
+    first gap realizing it.  The sweep (``PointSet.replay``) starts at the
+    first gap's sample (``default_start_direction``) and meets classes 1,
+    2, ... in turn; class g opens gap g, and the last class met, 0, closes
+    the halfperiod.  Stops once every split in ``wanted`` is mapped, and
+    with none wanted reads the whole halfperiod."""
+    r = ps.replay
+    third = _thirds(r.initial)
+    first = {tuple(third): r.direction}
+    moves = [(_class_of(r, k), r.firsts[k], r.seconds[k]) for k in _boundary_swaps(r, ps.n // 3)]
+    final = (r.first or len(r.classes)) - 1
+    for idx, (g, i, j) in enumerate(moves):
+        third[i], third[j] = third[j], third[i]
+        if idx + 1 < len(moves) and moves[idx + 1][0] == g:
+            continue  # class g moves another point
+        if g == final:
+            break
+        split = tuple(third)
+        if split not in first:
+            first[split] = gap_sample(ps.classes, g)
+        if wanted and all(w in first for w in wanted):
+            break
     return first
 
 
@@ -179,23 +200,25 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
 
 
 def _block_pattern_indices(
-    initial: Sequence[int], swaps: Iterable[Swap], labels: Sequence[str]
+    initial: Sequence[int], moves: Iterable[tuple[int, int, int]], labels: Sequence[str]
 ) -> tuple[int, int] | None:
-    """Scan a swap replay for the halfperiod witnesses: ``initial`` must be
-    three pure class blocks (x, y, z); return the 1-based index s of the
-    first swap after which the tracked thirds are the y,x,z split and the
-    first t > s after which they are the y,z,x split, or None.  The split
-    changes only when a point changes thirds."""
+    """Scan a replay for the halfperiod witnesses: ``initial`` must be
+    three pure class blocks (x, y, z), and ``moves`` holds ``(k, i, j)`` for
+    each swap that moves points i and j between thirds, k its 1-based index
+    in the halfperiod.  Return the k after which the thirds are first the
+    y,x,z split and the first k after that after which they are the y,z,x
+    split, or None."""
     roles = block_roles(initial, labels)
     if roles is None:
         return None
     x, y, z = roles
     targets = [list(split) for split in _splits(labels, ((y, x, z), (y, z, x)))]
-    thirds = Thirds(initial)
+    third = _thirds(initial)
     found: list[int] = []
-    for idx, swap in enumerate(swaps, 1):
-        if thirds.swap(*swap) and thirds.third == targets[len(found)]:
-            found.append(idx)
+    for k, i, j in moves:
+        third[i], third[j] = third[j], third[i]
+        if third == targets[len(found)]:
+            found.append(k)
             if len(found) == 2:
                 return found[0], found[1]
     return None
@@ -212,9 +235,10 @@ def check_halfperiod(
     Returns (s, t) (0-based permutation indices) or None.  Given labels
     are checked as a ``PointSet`` checks its own (``LabelingError``).
     """
-    return _block_pattern_indices(
-        h.initial_permutation, h.swaps, _normalize_partition(h, labels)
-    )
+    labels = _normalize_partition(h, labels)
+    s = h.n // 3
+    moves = ((k, i, j) for k, (site, i, j) in enumerate(h.swaps, 1) if not site % s)
+    return _block_pattern_indices(h.initial_permutation, moves, labels)
 
 
 def locate_halfperiod_witness(
@@ -224,11 +248,11 @@ def locate_halfperiod_witness(
     halfperiod from the first witness direction (whose initial permutation
     is then the three class blocks) and scan it for the b,a,c and b,c,a
     permutations, as ``check_halfperiod`` does on the recorded halfperiod.
-    No swap is recorded and the replay stops at t."""
-    initial, flips = sweep(ps, witness.directions[0])
-    indices = _block_pattern_indices(
-        initial, chain.from_iterable(flips), witness.partition
-    )
+    Only the swaps that move a point between thirds are scanned, and none
+    is recorded as a ``Swap``."""
+    r = replay(ps, witness.directions[0])
+    moves = ((k + 1, r.firsts[k], r.seconds[k]) for k in _boundary_swaps(r, ps.n // 3))
+    indices = _block_pattern_indices(r.initial, moves, witness.partition)
     return replace(witness, halfperiod_indices=indices)
 
 

@@ -8,6 +8,10 @@ once by the least common multiple of all denominators to plain integers.  A
 uniform positive scaling keeps every orientation sign, projection order and
 critical direction, so nothing read off the integers changes.
 
+The pairs live in flat columns (``Classes``, built once per point set by
+``group_pairs``): their endpoints in two arrays, counterclockwise by
+critical direction, and the start of each class in a third.
+
 The two counting routines here are deliberately brute force; they act as the
 ground truth that the faster circular-sequence machinery is validated
 against:
@@ -26,10 +30,13 @@ against:
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import combinations
+from itertools import accumulate, combinations, count, filterfalse, repeat
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import GeneralPositionError, LabelingError, OracleSizeError
@@ -40,7 +47,6 @@ CLASS_NAMES = ("a", "b", "c")
 
 Direction = tuple[int, int]
 Pairs = tuple[tuple[int, int], ...]
-Classes = list[tuple[Direction, Pairs]]
 
 
 @dataclass(frozen=True)
@@ -61,11 +67,11 @@ class PointSet:
     Labels, when present, must split the points into thirds; this is checked
     at construction (``normalize_labels``).  General position is *not*
     checked here: it falls out of grouping the pairs by critical direction
-    (``critical_direction_pairs``), which the operations that need it do.
+    (``group_pairs``), which the operations that need it do.
 
-    ``coords`` and ``classes`` are computed at most once per instance and
-    kept on it; ``with_labels`` hands them to the relabeled set, since
-    labels change neither.
+    ``coords``, ``classes`` and ``replay`` are computed at most once per
+    instance and kept on it; ``with_labels`` hands them to the relabeled
+    set, since labels change none of them.
     """
 
     points: tuple[Point, ...]
@@ -108,31 +114,20 @@ class PointSet:
         )
 
     @cached_property
-    def classes(self) -> Classes:
-        """The pairs grouped by critical direction (``critical_direction_pairs``,
-        which raises ``GeneralPositionError`` on a degenerate set), sorted
-        counterclockwise within the upper half plane."""
-        classes = list(critical_direction_pairs(self).items())
-        try:
-            # By angle in floating point.  Only near-ties can come out in the
-            # wrong order, so one exact pass checks that each class turns
-            # counterclockwise to the next, and the exact sort below runs
-            # only if one does not.
-            classes.sort(key=lambda c: math.atan2(c[0][1], c[0][0]))
-        except OverflowError:  # a direction beyond the float range
-            pass
-        else:
-            if all(
-                a[0] * b[1] > a[1] * b[0]
-                for (a, _), (b, _) in zip(classes, classes[1:])
-            ):
-                return classes
-        classes.sort(key=cmp_to_key(lambda a, b: -cross(a[0], b[0])))
-        return classes
+    def classes(self) -> "Classes":
+        """The pairs grouped by critical direction, counterclockwise
+        (``group_pairs``; raises ``GeneralPositionError`` if degenerate)."""
+        return group_pairs(self)
+
+    @cached_property
+    def replay(self):
+        """The default-start halfperiod, replayed once (``circular.replay``)."""
+        from .circular import default_start_direction, replay
+        return replay(self, default_start_direction(self))
 
 
 #: The cached properties of a ``PointSet`` that do not depend on its labels.
-_LABEL_FREE = ("coords", "classes")
+_LABEL_FREE = ("coords", "classes", "replay")
 
 
 def normalize_labels(labels: Iterable[str], n: int) -> tuple[str, ...]:
@@ -158,50 +153,112 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     +1 for a counterclockwise turn, -1 for clockwise, 0 for collinear.
     """
     d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    if d > 0:
-        return 1
-    if d < 0:
-        return -1
-    return 0
+    return (d > 0) - (d < 0)
 
 
 def cross(u: Direction, v: Direction) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def critical_direction_pairs(ps: PointSet) -> dict[Direction, Pairs]:
-    """The index pairs ``(i, j)``, ``i < j``, grouped by critical direction:
-    the 90-degree rotation of the pair's difference vector, along which the
-    pair projects to one value, as a primitive integer vector in the upper
-    half plane.  Read off the integer coordinates (``PointSet.coords``).
+@dataclass(eq=False, repr=False)  # columns of up to millions of entries
+class Classes:
+    """The ``C(n,2)`` pairs grouped by critical direction, in flat columns:
+    the k-th pair counterclockwise joins points ``a[k]`` and ``b[k]``, b to
+    the right of a or straight below it, so that its critical direction,
+    ``b - a`` turned by 90 degrees, lies in the upper half plane.  Class g
+    is pairs ``starts[g]`` to ``starts[g + 1] - 1``, and ``multi`` lists the
+    classes of more than one pair.  ``classes[g]`` is class g as its
+    primitive direction and its sorted pairs ``(i, j)``, ``i < j``."""
 
-    This is also the general-position test; it raises ``GeneralPositionError``
-    on coincident points or a collinear triple.  Three collinear points put
-    two pairs sharing a point into one class, and two such pairs are three
-    collinear points.
+    xy: tuple[tuple[int, int], ...]
+    a: array
+    b: array
+    starts: array
+    multi: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def direction(self, g: int) -> Direction:
+        k = self.starts[g]
+        (xa, ya), (xb, yb) = self.xy[self.a[k]], self.xy[self.b[k]]
+        d = math.gcd(xb - xa, yb - ya)
+        return (ya - yb) // d, (xb - xa) // d
+
+    def __getitem__(self, g: int) -> tuple[Direction, Pairs]:
+        span = slice(self.starts[g], self.starts[g + 1])
+        a, b = self.a[span], self.b[span]
+        return self.direction(g), tuple(sorted(zip(map(min, a, b), map(max, a, b))))
+
+
+def group_pairs(ps: PointSet) -> Classes:
+    """The pairs of ``ps`` grouped by critical direction (``Classes``), off
+    the integer coordinates: presorted by the float angle of ``b - a``, then
+    checked, and grouped, by one exact pass (``_classes_in_order``), and
+    sorted exactly only if that order is wrong.  Floating point only orders.
+    Also the general-position test: raises ``GeneralPositionError`` on
+    coincident points or a collinear triple (two pairs of one class that
+    share a point).
     """
     xy = ps.coords
-    gcd = math.gcd
-    classes: dict[Direction, Pairs] = {}
-    for i, (xi, yi) in enumerate(xy):
-        for j in range(i + 1, len(xy)):
-            xj, yj = xy[j]
-            dx, dy = xj - xi, yj - yi
-            if not dx and not dy:
-                raise GeneralPositionError(f"points {i} and {j} coincide")
-            # (-dy, dx) made primitive and turned into the upper half plane.
-            g = gcd(dx, dy)
-            if dx > 0 or (dx == 0 and dy < 0):
-                w = (-dy // g, dx // g)
-            else:
-                w = (dy // g, -dx // g)
-            # Tuples, not lists: most classes hold one pair, and a tuple of
-            # one is the smallest container for it.
-            classes[w] = classes.get(w, ()) + ((i, j),)
-    for pairs in classes.values():
-        if len(pairs) > 1 and len({p for pair in pairs for p in pair}) < 2 * len(pairs):
+    n = len(xy)
+    if len(set(xy)) < n:
+        i = next(i for i, p in enumerate(xy) if p in xy[i + 1 :])
+        raise GeneralPositionError(f"points {i} and {xy.index(xy[i], i + 1)} coincide")
+    # Ranked left to right, downwards on a vertical: between ranks r < s,
+    # b - a points right or straight down, at an angle in [-90, 90).
+    rank = sorted(range(n), key=lambda p: (xy[p][0], -xy[p][1]))
+    xs, ys = [xy[p][0] for p in rank], [xy[p][1] for p in rank]
+    code = "H" if n <= 1 << 16 else "I"
+    a, b, angle = array(code), array(code), []
+    for r in range(n - 1):
+        a += array(code, [rank[r]]) * (n - 1 - r)
+        b.fromlist(rank[r + 1 :])
+    try:
+        for r in range(n - 1):
+            dy = map(sub, ys[r + 1 :], repeat(ys[r]))
+            angle += map(math.atan2, dy, map(sub, xs[r + 1 :], repeat(xs[r])))
+    except OverflowError:  # a coordinate beyond the float range
+        angle = [0.0] * len(a)
+    order = sorted(range(len(a)), key=angle.__getitem__)
+    del angle
+    found = _classes_in_order(xy, a, b, order)
+    if found is None:
+
+        def turn(k: int, q: int) -> int:
+            (xa, ya), (xb, yb), (xc, yc), (xd, yd) = xy[a[k]], xy[b[k]], xy[a[q]], xy[b[q]]
+            return (yb - ya) * (xd - xc) - (xb - xa) * (yd - yc)
+
+        order.sort(key=cmp_to_key(turn))
+        found = _classes_in_order(xy, a, b, order)
+    return found  # type: ignore[return-value]
+
+
+def _classes_in_order(
+    xy: tuple[tuple[int, int], ...], a: array, b: array, order: list[int]
+) -> Classes | None:
+    """The pairs ``a[k], b[k]`` taken in ``order`` as ``Classes``, or None
+    unless each pair's ``b - a`` turns counterclockwise from the one before
+    it or parallels it.  One pass, in exact integers."""
+    a, b = (array(c.typecode, map(c.__getitem__, order)) for c in (a, b))
+    xs, ys = [x for x, _ in xy], [y for _, y in xy]
+    joins: list[int] = []  # the pairs parallel to the one before them
+    px = py = 0
+    for k, i, j in zip(count(), a, b):
+        dx, dy = xs[j] - xs[i], ys[j] - ys[i]
+        turn = px * dy - py * dx
+        if turn <= 0 and k:
+            if turn:
+                return None
+            joins.append(k)
+        px, py = dx, dy
+    starts = array("I", filterfalse(set(joins).__contains__, range(len(a) + 1)))
+    multi = sorted({bisect_right(starts, k) - 1 for k in joins})
+    for g in multi:
+        ends = a[starts[g] : starts[g + 1]] + b[starts[g] : starts[g + 1]]
+        if len(set(ends)) < len(ends):
             raise GeneralPositionError("point set has a collinear triple")
-    return classes
+    return Classes(xy, a, b, starts, tuple(multi))
 
 
 def is_general_position(ps: PointSet) -> bool:
@@ -215,10 +272,7 @@ def is_general_position(ps: PointSet) -> bool:
 
 def _in_triangle(a: Point, b: Point, c: Point, p: Point) -> bool:
     # Strict containment; inputs are in general position so no zeros occur.
-    s1 = orientation(a, b, p)
-    s2 = orientation(b, c, p)
-    s3 = orientation(c, a, p)
-    return s1 == s2 == s3
+    return orientation(a, b, p) == orientation(b, c, p) == orientation(c, a, p)
 
 
 def crossing_number(ps: PointSet) -> int:
@@ -255,12 +309,8 @@ class KSetVector:
     def from_counts(cls, n: int, e: dict[int, int]) -> "KSetVector":
         if any(v < 0 for v in e.values()):
             raise ValueError("k-set counts must be nonnegative")
-        prefix: dict[int, int] = {}
-        running = 0
-        for k in sorted(e):
-            running += e[k]
-            prefix[k] = running
-        return cls(n, dict(sorted(e.items())), prefix)
+        e = dict(sorted(e.items()))
+        return cls(n, e, dict(zip(e, accumulate(e.values()))))
 
 
 def k_set_oracle(ps: PointSet, cap: int | None = None) -> KSetVector:

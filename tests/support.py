@@ -23,6 +23,12 @@ differences of the original coordinates, instead of the library's integer
 coordinates; the count oracle recounts the critical transpositions for each
 k, instead of reading the halfperiod's one-pass site counts.
 
+The kernel oracles are the library's earlier kernel: a dict of per-pair
+tuples keyed by primitive direction, sorted by float angle and checked by
+one exact pass of its classes, and a replay that yields the swaps class by
+class.  The flat kernel (``PointSet.classes``, ``PointSet.replay``) must
+give the same classes, swaps, site counts and splits.
+
 The random-set oracle is the plain rejection loop: each candidate is kept
 when the whole set with it added is in general position, instead of being
 looked up among the cells the accepted points block.
@@ -41,7 +47,8 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from functools import cmp_to_key
+from itertools import chain, combinations
 
 from ksetlab.bounds import min_kset_count
 from ksetlab.circular import (
@@ -52,7 +59,7 @@ from ksetlab.circular import (
 )
 from ksetlab.decompose import DecompositionWitness, check_halfperiod
 from ksetlab.errors import GeneralPositionError
-from ksetlab.geometry import Point, PointSet, is_general_position, orientation
+from ksetlab.geometry import Point, PointSet, cross, is_general_position, orientation
 from ksetlab.verify import RANDOM_SPREAD
 
 
@@ -160,6 +167,126 @@ def critical_direction_pairs_by_fractions(ps: PointSet) -> dict:
         if len(pairs) > 1 and len({p for pair in pairs for p in pair}) < 2 * len(pairs):
             raise GeneralPositionError("point set has a collinear triple")
     return classes
+
+
+def critical_direction_pairs(ps: PointSet) -> dict:
+    """The pairs ``(i, j)``, ``i < j``, grouped by primitive critical
+    direction in the upper half plane, from the integer coordinates, one
+    tuple per pair; raises ``GeneralPositionError`` as the library does."""
+    xy = ps.coords
+    classes: dict = {}
+    for i, (xi, yi) in enumerate(xy):
+        for j in range(i + 1, len(xy)):
+            xj, yj = xy[j]
+            dx, dy = xj - xi, yj - yi
+            if not dx and not dy:
+                raise GeneralPositionError(f"points {i} and {j} coincide")
+            g = math.gcd(dx, dy)
+            if dx > 0 or (dx == 0 and dy < 0):
+                w = (-dy // g, dx // g)
+            else:
+                w = (dy // g, -dx // g)
+            classes[w] = classes.get(w, ()) + ((i, j),)
+    for pairs in classes.values():
+        if len(pairs) > 1 and len({p for pair in pairs for p in pair}) < 2 * len(pairs):
+            raise GeneralPositionError("point set has a collinear triple")
+    return classes
+
+
+def classes_by_sorting(ps: PointSet) -> list:
+    """``list(ps.classes)``: the grouping above sorted by float angle, kept
+    when each class turns counterclockwise to the next, else sorted
+    exactly."""
+    classes = list(critical_direction_pairs(ps).items())
+    try:
+        classes.sort(key=lambda c: math.atan2(c[0][1], c[0][0]))
+    except OverflowError:
+        pass
+    else:
+        if all(a[0] * b[1] > a[1] * b[0] for (a, _), (b, _) in zip(classes, classes[1:])):
+            return classes
+    classes.sort(key=cmp_to_key(lambda a, b: -cross(a[0], b[0])))
+    return classes
+
+
+def gap_samples_of(classes: list) -> list[Direction]:
+    """``gap_samples`` of a list of (direction, pairs) classes."""
+    if not classes:
+        return [(1, 0)]
+    if len(classes) == 1:
+        w = classes[0][0]
+        return [(-w[1], w[0])]
+    dirs = [w for w, _ in classes]
+    ends = dirs[1:] + [(-dirs[0][0], -dirs[0][1])]
+    return [(a[0] + b[0], a[1] + b[1]) for a, b in zip(dirs, ends)]
+
+
+def sweep_by_classes(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], list[list]]:
+    """``circular.sweep`` from the classes of ``classes_by_sorting``, one
+    class at a time, with the same checks."""
+    classes = classes_by_sorting(ps)
+    ux, uy = u
+    height = [ux * x + uy * y for x, y in ps.coords]
+    initial = tuple(sorted(range(len(height)), key=height.__getitem__))
+    for a, b in zip(initial, initial[1:]):
+        if height[a] == height[b]:
+            raise ValueError(f"start direction {u} ties a pair of projections")
+    upper = u if u[1] > 0 or (u[1] == 0 and u[0] > 0) else (-u[0], -u[1])
+    start = next((k for k, (w, _) in enumerate(classes) if cross(upper, w) > 0), 0)
+    perm = list(initial)
+    pos = [0] * len(perm)
+    for i, v in enumerate(perm):
+        pos[v] = i
+    flips = []
+    for _, pairs in classes[start:] + classes[:start]:
+        swaps = []
+        for i, j in sorted(pairs, key=lambda p: min(pos[p[0]], pos[p[1]])):
+            a, b = sorted((pos[i], pos[j]))
+            if b != a + 1:
+                raise GeneralPositionError("swap of a non-adjacent pair; the input is degenerate")
+            perm[a], perm[b] = perm[b], perm[a]
+            pos[perm[a]], pos[perm[b]] = a, b
+            swaps.append((a + 1, i, j))
+        flips.append(swaps)
+    if perm != list(reversed(initial)):
+        raise GeneralPositionError("halfperiod replay did not reverse the order")
+    return initial, flips
+
+
+def site_counts_by_replay(ps: PointSet) -> tuple:
+    """``site_counts(ps)`` tallied swap by swap off ``sweep_by_classes``
+    from the first gap's sample."""
+    _, flips = sweep_by_classes(ps, gap_samples_of(classes_by_sorting(ps))[0])
+    counts = [0] * max(ps.n, 1)
+    het = None if ps.labels is None else [0] * len(counts)
+    for site, i, j in chain.from_iterable(flips):
+        counts[site] += 1
+        if het is not None and ps.labels[i] != ps.labels[j]:
+            het[site] += 1
+    return tuple(counts), None if het is None else tuple(het)
+
+
+def read_splits_by_replay(ps: PointSet) -> list:
+    """``decompose._read_splits(ps)`` as a list of items, from
+    ``sweep_by_classes``: the split into thirds after each class that
+    moves a point across site s or 2s, with the sample of the gap after
+    it, first occurrence kept."""
+    samples = gap_samples_of(classes_by_sorting(ps))
+    initial, flips = sweep_by_classes(ps, samples[0])
+    s = ps.n // 3
+    third = [0] * ps.n
+    for site, p in enumerate(initial):
+        third[p] = site // s
+    first = {tuple(third): samples[0]}
+    for u, swaps in zip(samples[1:], flips):
+        moved = False
+        for site, i, j in swaps:
+            if site % s == 0:
+                third[i], third[j] = third[j], third[i]
+                moved = True
+        if moved:
+            first.setdefault(tuple(third), u)
+    return list(first.items())
 
 
 def critical_counts_by_recount(h: Halfperiod, k: int) -> dict:

@@ -22,7 +22,13 @@ from ksetlab import (
     site_counts,
 )
 from ksetlab import circular, decompose
-from ksetlab.circular import block_classes, default_start_direction, gap_samples, sweep
+from ksetlab.circular import (
+    block_classes,
+    default_start_direction,
+    gap_samples,
+    replay,
+    sweep,
+)
 from ksetlab.cli import _analyze_rows
 from ksetlab.verify import random_general_position_set
 
@@ -288,22 +294,26 @@ class TestCountingSweep:
 class TestStartDirection:
     def test_counting_and_decomposition_start_in_the_first_gap(self, monkeypatch):
         # site_counts, build_halfperiod, check_partition and find_partition
-        # each sweep once, from gap_samples(ps.classes)[0].
+        # read one replay, from gap_samples(ps.classes)[0], cached on the
+        # point set and handed on to its relabeled copies.
         ps = generate(9, seed=5)
+        fresh = PointSet(ps.points, ps.labels)
         starts = []
 
         def recording(ps, u):
             starts.append(u)
-            return sweep(ps, u)
+            return replay(ps, u)
 
-        monkeypatch.setattr(circular, "sweep", recording)
-        monkeypatch.setattr(decompose, "sweep", recording)
-        site_counts(ps)
-        build_halfperiod(ps)
-        decompose.check_partition(ps)
-        assert len(starts) == 3
-        decompose.find_partition(ps.with_labels(None))
-        assert len(starts) == 4
+        monkeypatch.setattr(circular, "replay", recording)
+        monkeypatch.setattr(decompose, "replay", recording)
+        site_counts(fresh)
+        build_halfperiod(fresh)
+        decompose.check_partition(fresh)
+        assert len(starts) == 1
+        decompose.find_partition(fresh.with_labels(None))
+        assert len(starts) == 1
+        assert sweep(fresh, starts[0])[0] == build_halfperiod(fresh).initial_permutation
+        assert len(starts) == 1
         assert set(starts) == {gap_samples(ps.classes)[0]}
 
 

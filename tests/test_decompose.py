@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import ksetlab.decompose as decompose_mod
+import ksetlab.circular as circular_mod
 from ksetlab import (
     DecompositionWitness,
     GeneralPositionError,
@@ -133,15 +133,16 @@ class TestFindPartition:
 
     def test_absence_after_exhausting_all_candidates(self, monkeypatch):
         sweeps = []
-        real = decompose_mod.sweep
+        real = circular_mod.replay
 
         def recording(ps, u):
             sweeps.append(u)
             return real(ps, u)
 
-        monkeypatch.setattr(decompose_mod, "sweep", recording)
+        monkeypatch.setattr(circular_mod, "replay", recording)
         for mode in ("three", "two"):
-            assert find_partition(NON_DECOMPOSABLE_6, mode) is None
+            # A fresh copy each time: the replay is cached on the point set.
+            assert find_partition(PointSet(NON_DECOMPOSABLE_6.points), mode) is None
         # One sweep per search decides every candidate, and none was missed:
         # no balanced labeling passes even the two-condition projection oracle.
         assert len(sweeps) == 2
@@ -152,8 +153,8 @@ class TestFindPartition:
         def no_sweep(ps, u):
             raise AssertionError("swept before checking the mode")
 
-        ps = generate(9, seed=0).with_labels(None)
-        monkeypatch.setattr(decompose_mod, "sweep", no_sweep)
+        ps = PointSet(generate(9, seed=0).points)
+        monkeypatch.setattr(circular_mod, "replay", no_sweep)
         with pytest.raises(ValueError, match="mode"):
             find_partition(ps, mode="one")
 

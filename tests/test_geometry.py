@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -17,16 +18,21 @@ from ksetlab import (
     k_set_oracle,
     orientation,
 )
-from ksetlab import geometry
-from ksetlab.circular import kset_vector_from_sites, site_counts
-from ksetlab.geometry import KSetVector, critical_direction_pairs
+from ksetlab import decompose, geometry
+from ksetlab.circular import build_halfperiod, gap_samples, kset_vector_from_sites, site_counts
+from ksetlab.geometry import KSetVector, group_pairs
 from ksetlab.verify import random_general_position_set
 
 from support import (
     DEGENERATE_SETS,
+    classes_by_sorting,
     critical_direction_pairs_by_fractions,
+    gap_samples_of,
     general_position_by_triples,
     kset_counts_by_hulls,
+    read_splits_by_replay,
+    site_counts_by_replay,
+    sweep_by_classes,
 )
 
 HEXAGON = PointSet.from_coords([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
@@ -102,10 +108,16 @@ MIXED_POINTS = st.tuples(
 
 
 def grouping_or_error(group, ps):
+    """The classes ``group(ps)`` returns, counterclockwise, as (direction,
+    pairs) items, or the error it raises."""
     try:
-        return list(group(ps).items())
+        return list(group(ps))
     except GeneralPositionError as exc:
         return ("error", str(exc))
+
+
+def by_fractions(ps):
+    return by_exact_angle(critical_direction_pairs_by_fractions(ps))
 
 
 class TestIntegerKernel:
@@ -129,9 +141,7 @@ class TestIntegerKernel:
     )
     def test_grouping_matches_fraction_oracle(self, coords):
         ps = PointSet.from_coords(coords)
-        assert grouping_or_error(critical_direction_pairs, ps) == grouping_or_error(
-            critical_direction_pairs_by_fractions, ps
-        )
+        assert grouping_or_error(group_pairs, ps) == grouping_or_error(by_fractions, ps)
 
     @pytest.mark.parametrize("ps", DEGENERATE_SETS)
     def test_degenerate_sets_same_error(self, ps):
@@ -139,9 +149,9 @@ class TestIntegerKernel:
             [(p.x / 7 + Fraction(1, 3), p.y / 7) for p in ps.points]
         )
         for case in (ps, scaled):
-            got = grouping_or_error(critical_direction_pairs, case)
+            got = grouping_or_error(group_pairs, case)
             assert got[0] == "error"
-            assert got == grouping_or_error(critical_direction_pairs_by_fractions, case)
+            assert got == grouping_or_error(by_fractions, case)
 
     def test_random_sets_match_fraction_oracle(self):
         for n, seed in ((10, 1), (20, 2), (30, 3)):
@@ -149,9 +159,7 @@ class TestIntegerKernel:
             ps = PointSet.from_coords(
                 [(p.x / (3 + i % 5), p.y / (7 + i % 3)) for i, p in enumerate(base.points)]
             )
-            assert grouping_or_error(critical_direction_pairs, ps) == grouping_or_error(
-                critical_direction_pairs_by_fractions, ps
-            )
+            assert grouping_or_error(group_pairs, ps) == grouping_or_error(by_fractions, ps)
 
 
 def by_exact_angle(grouping: dict) -> list:
@@ -177,14 +185,15 @@ class TestAngularSort:
 
     def test_float_near_tie_takes_exact_sort(self, monkeypatch):
         # (big, 1) and (big + 1, 1) have one float angle, so the presort
-        # keeps them in grouping order, which is the wrong one.
+        # keeps their pairs in the order they are enumerated, (0, 1) before
+        # (0, 2) (point 1 is above point 2), which is the wrong one.
         big = 10**17
         ps = PointSet.from_coords([(0, 0), (1, -big), (1, -big - 1), (-3, 2)])
         assert math.atan2(1, big) == math.atan2(1, big + 1)
-        order = list(critical_direction_pairs(ps))
-        assert order.index((big, 1)) < order.index((big + 1, 1))
+        order = [pairs for _, pairs in group_pairs(PointSet(ps.points))]
+        assert order.index(((0, 2),)) < order.index(((0, 1),))
         calls = self._count_exact_sorts(monkeypatch)
-        assert ps.classes == by_exact_angle(critical_direction_pairs_by_fractions(ps))
+        assert list(ps.classes) == by_fractions(ps)
         assert len(calls) == 1
         assert kset_vector_from_sites(ps.n, site_counts(ps)[0]) == k_set_oracle(ps)
 
@@ -195,8 +204,92 @@ class TestAngularSort:
                 [(p.x / (3 + i % 5), p.y / (7 + i % 3)) for i, p in enumerate(base.points)]
             )
             calls = self._count_exact_sorts(monkeypatch)
-            assert ps.classes == by_exact_angle(critical_direction_pairs_by_fractions(ps))
+            assert list(ps.classes) == by_fractions(ps)
             assert calls == []
+
+
+def flat_kernel(ps):
+    """The flat kernel's classes, gap samples, site counts, splits into
+    thirds (n a positive multiple of 3) and the halfperiod from the default
+    start, every gap sample and every negated one; or the error."""
+    try:
+        classes = list(ps.classes)
+    except GeneralPositionError as exc:
+        return ("error", str(exc))
+    samples = gap_samples(ps.classes)
+    starts = [None, *samples, *[(-x, -y) for x, y in samples]]
+    halfperiods = [build_halfperiod(ps, u) for u in starts]
+    out = {
+        "classes": classes,
+        "samples": samples,
+        "site_counts": site_counts(ps),
+        "halfperiods": [(h.initial_permutation, h.swaps) for h in halfperiods],
+    }
+    if ps.n and ps.n % 3 == 0:
+        out["splits"] = list(decompose._read_splits(ps).items())
+    return out
+
+
+def reference_kernel(ps):
+    """``flat_kernel`` from the dict-of-tuples grouping and the class by
+    class replay of ``support``."""
+    try:
+        classes = classes_by_sorting(ps)
+    except GeneralPositionError as exc:
+        return ("error", str(exc))
+    samples = gap_samples_of(classes)
+    starts = [samples[0], *samples, *[(-x, -y) for x, y in samples]]
+    halfperiods = []
+    for u in starts:
+        initial, flips = sweep_by_classes(ps, u)
+        halfperiods.append((initial, tuple(s for swaps in flips for s in swaps)))
+    out = {
+        "classes": classes,
+        "samples": samples,
+        "site_counts": site_counts_by_replay(ps),
+        "halfperiods": halfperiods,
+    }
+    if ps.n and ps.n % 3 == 0:
+        out["splits"] = read_splits_by_replay(ps)
+    return out
+
+
+@st.composite
+def kernel_inputs(draw):
+    coords = draw(
+        st.lists(MIXED_POINTS, max_size=9)
+        | st.lists(MIXED_POINTS, min_size=3, max_size=12, unique=True)
+    )
+    labels = None
+    if coords and len(coords) % 3 == 0 and draw(st.booleans()):
+        labels = draw(st.permutations("abc" * (len(coords) // 3)))
+    return PointSet.from_coords(coords, labels)
+
+
+class TestFlatKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kernel_inputs())
+    def test_matches_dict_kernel(self, ps):
+        assert flat_kernel(ps) == reference_kernel(ps)
+
+    def test_large_coordinates_at_n_150(self):
+        rng = random.Random(150)
+        coords = [(rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)) for _ in range(150)]
+        labels = [c for c in "abc" for _ in range(50)]
+        rng.shuffle(labels)
+        for ps in (PointSet.from_coords(coords), PointSet.from_coords(coords, labels)):
+            classes = classes_by_sorting(ps)
+            assert list(ps.classes) == classes
+            assert len(classes) == math.comb(150, 2)
+            assert site_counts(ps) == site_counts_by_replay(ps)
+            assert list(decompose._read_splits(ps).items()) == read_splits_by_replay(ps)
+            samples = gap_samples_of(classes)
+            assert gap_samples(ps.classes) == samples
+            for u in (samples[0], samples[4000], samples[-1], (-samples[77][0], -samples[77][1])):
+                initial, flips = sweep_by_classes(ps, u)
+                h = build_halfperiod(ps, u)
+                assert h.initial_permutation == initial
+                assert h.swaps == tuple(s for swaps in flips for s in swaps)
 
 
 class TestCrossingNumber:

@@ -563,16 +563,32 @@ class TestGroupOnce:
         ps = generate(9, 4)
         path = tmp_path / "in.json"
         save_point_set(ps if labeled else ps.with_labels(None), path)
-        groupings = self._record(monkeypatch, geometry, "critical_direction_pairs")
+        groupings = self._record(monkeypatch, geometry, "group_pairs")
         argv = ["analyze", "--input", str(path)] + ["--require-decomp"] * require_decomp
         assert main(argv) == 0
         assert len(groupings) == 1
+
+    def test_analyze_require_decomp_replays_once(self, tmp_path, capsys, monkeypatch):
+        # check_partition's splits and the site counts read one replay of
+        # the default-start halfperiod, cached on the point set.
+        path = tmp_path / "in.json"
+        save_point_set(generate(9, 4), path)
+        replays = []
+        real = circular.replay
+
+        def counting(ps, u):
+            replays.append(u)
+            return real(ps, u)
+
+        monkeypatch.setattr(circular, "replay", counting)
+        assert main(["analyze", "--input", str(path), "--require-decomp"]) == 0
+        assert replays == [circular.default_start_direction(load_point_set(path))]
 
     # Seeds whose first draws have a collinear triple, so the generator
     # redraws: each attempt is grouped once, by its general-position test,
     # and the accepted set's check, witness and halfperiod reuse that.
     def test_generate_groups_once_per_attempt(self, monkeypatch):
-        groupings = self._record(monkeypatch, geometry, "critical_direction_pairs")
+        groupings = self._record(monkeypatch, geometry, "group_pairs")
         attempts = self._record(monkeypatch, decompose, "is_general_position")
         generate(12, 13)
         generate(12, 16, "near-optimal-template")
@@ -580,7 +596,7 @@ class TestGroupOnce:
         assert groupings == attempts
 
     def test_gen_groups_once_per_attempt(self, tmp_path, capsys, monkeypatch):
-        groupings = self._record(monkeypatch, geometry, "critical_direction_pairs")
+        groupings = self._record(monkeypatch, geometry, "group_pairs")
         attempts = self._record(monkeypatch, decompose, "is_general_position")
         argv = ["gen", "--n", "12", "--seed", "16", "--shape", "near-optimal-template"]
         assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
