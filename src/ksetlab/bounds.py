@@ -75,8 +75,8 @@ validate (k, n) once and never compute Y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .circular import ValidSwapDigraph
 from .errors import UndefinedWindowError
@@ -125,8 +125,7 @@ def triangular_threshold(ratio: Fraction | int) -> int:
     return _threshold(*ratio.as_integer_ratio())
 
 
-@dataclass(frozen=True)
-class BqrDecomposition:
+class BqrDecomposition(NamedTuple):
     """The unique decomposition j = i*C(b+1,2) + q*(b+1) + r with
     0 <= q < i and 1 <= r <= b+1."""
 
@@ -136,18 +135,17 @@ class BqrDecomposition:
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        assert self.j == (
-            self.i * math.comb(self.b + 1, 2) + self.q * (self.b + 1) + self.r
-        )
-        assert 0 <= self.q < self.i and 1 <= self.r <= self.b + 1
-
 
 def _bqr(i: int, j: int) -> BqrDecomposition:
+    """The one constructor of ``BqrDecomposition``, which asserts its
+    invariants."""
     b = _threshold(j, i)
     rem = j - i * math.comb(b + 1, 2)
     q, r = divmod(rem - 1, b + 1)
-    return BqrDecomposition(b, q, r + 1, i, j)
+    r += 1
+    assert j == i * math.comb(b + 1, 2) + q * (b + 1) + r
+    assert 0 <= q < i and 1 <= r <= b + 1
+    return BqrDecomposition(b, q, r, i, j)
 
 
 def bqr_decompose(i: int, j: int) -> BqrDecomposition:
@@ -158,14 +156,15 @@ def bqr_decompose(i: int, j: int) -> BqrDecomposition:
     return _bqr(i, j)
 
 
-def _closed_form(k: int, n: int, m: int) -> tuple[int, Fraction]:
-    """The refinement depth b and Y(k,n), for a nonempty window m: the one
+def _closed_form(k: int, n: int, m: int) -> tuple[int, int, int]:
+    """The refinement depth b and Y(k,n) = num/den as ``(b, num, den)``,
+    den > 0 and the fraction not reduced, for a nonempty window m: the one
     place Y is computed, called by ``bound_report`` alone."""
     base = 9 * math.comb(k + 1, 2) + 9 * math.comb(max(k - n // 3 + 1, 0), 2) - 1
     # J, the last open j (1 when none is): 4j(j+1) <= 8n // (3(m+3)).
     J = max(1, (math.isqrt(8 * n // (3 * m + 9) + 1) - 1) // 2)
     terms = 2 * n * n + 3 * (J + 1) * ((m * m - 1) * (J * J + 4 * J + 6) - 4 * n * m)
-    return _threshold(n, m), Fraction(8 * (J + 1) * base + (J - 1) * terms, 24 * (J + 1))
+    return _threshold(n, m), 8 * (J + 1) * base + (J - 1) * terms, 24 * (J + 1)
 
 
 def _require_extremal_args(k: int, n: int) -> tuple[int, int]:
@@ -225,12 +224,16 @@ def extremal_indegree(k: int, n: int, i: int) -> int:
     m, s = _require_extremal_args(k, n)
     if not 1 <= i <= s:
         raise ValueError(f"vertex index must be in 1..{s}, got {i}")
+    return _indegree(m, i)
+
+
+def _indegree(m: int, i: int) -> int:
+    """``extremal_indegree`` at window m, for a valid (k, n) and vertex i."""
     d = _bqr(m, i)
     return m * d.b + d.q
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bound quantities at one (k, n); fields are None where the empty
     valid window (m = 0) leaves them undefined."""
 
@@ -250,8 +253,9 @@ class BoundReport:
 
 def bound_report(k: int, n: int) -> BoundReport:
     """Assemble every bound quantity at (k, n), tolerating the m = 0 case.
-    The one place they are derived: Y is computed once, and ceil(Y), hom
-    and L come from it; the single-quantity functions read their field."""
+    The one place they are derived: Y = num/den is computed once, on
+    integers, and ceil(Y), hom and L come from num and den; the
+    single-quantity functions read their field."""
     _require_k_n(k, n)
     s = n // 3
     m = n - 2 * k - 1
@@ -259,28 +263,26 @@ def bound_report(k: int, n: int) -> BoundReport:
     low = 3 * math.comb(k + 1, 2)
     het = low if k <= s else 3 * math.comb(s + 1, 2) + (k - s) * n
     depth = y = hom = edges = summands = sharp = None
+    ceil_y = low
     if m >= 1:
-        depth, y = _closed_form(k, n, m)
+        depth, num, den = _closed_form(k, n, m)
+        y = Fraction(num, den)
+        ceil_y = -(-num // den)
     if k <= s:
         hom, sharp = Fraction(0), Fraction(low)
     elif y is not None:
-        hom = y - het
+        hom = Fraction(num - het * den, den)
         summands = _edge_summands(m, s)
         edges = sum(summands)
         sharp = Fraction(het + 3 * (math.comb(s, 2) - edges))
-        if sharp < y:
+        if sharp.numerator * den < num:
             raise AssertionError(
                 f"sharp bound {sharp} fell below the closed form {y} at k={k}, n={n}"
             )
-    return BoundReport(
-        n=n, k=k, m=m, s=s, depth=depth, y=y,
-        ceil_y=low if y is None else math.ceil(y), het=het, hom_lower=hom,
-        edges=edges, edge_summands=summands, l=sharp,
-    )
+    return BoundReport(n, k, m, s, depth, y, ceil_y, het, hom, edges, summands, sharp)
 
 
-@dataclass(frozen=True)
-class BoundTable:
+class BoundTable(NamedTuple):
     """The reports of every k < n/2 at one n, and the crossing bound
     sum_k (n-2k-1) * ceil(Y(k,n)) read off them."""
 
@@ -373,8 +375,7 @@ def crossing_coefficient() -> float:
     return float(rational) - 2 * math.pi**2 / 27
 
 
-@dataclass(frozen=True)
-class IntegralCheck:
+class IntegralCheck(NamedTuple):
     name: str
     quadrature: float
     exact: float
@@ -385,8 +386,7 @@ class IntegralCheck:
         return self.error <= QUADRATURE_TOLERANCE
 
 
-@dataclass(frozen=True)
-class SeriesIntegralReport:
+class SeriesIntegralReport(NamedTuple):
     series_sum: float
     series_target: float
     series_error: float

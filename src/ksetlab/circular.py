@@ -34,13 +34,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GeneralPositionError, LabelingError
-from .geometry import Classes, Direction, KSetVector, PointSet, cross
+from .geometry import Classes, Direction, Frozen, KSetVector, PointSet, cross
 
 #: One adjacent swap: the left site (1-based) and the two points swapped,
 #: smaller first.
@@ -76,20 +75,27 @@ def default_start_direction(ps: PointSet) -> Direction:
     return gap_sample(ps.classes, 0)
 
 
-@dataclass(eq=False, repr=False)  # columns of up to millions of entries
 class Replay:
     """One halfperiod in flat columns: swap ``k`` trades points ``firsts[k]``
     and ``seconds[k]`` at sites ``sites[k]``, ``sites[k] + 1``.  ``initial``
     is the order along ``direction``; class ``first`` flips first, then the
     classes after it, wrapping around."""
 
-    classes: Classes
-    direction: Direction
-    initial: tuple[int, ...]
-    first: int
-    sites: array
-    firsts: array
-    seconds: array
+    # Columns of up to millions of entries: compared by identity, not shown.
+    __slots__ = ("classes", "direction", "initial", "first", "sites", "firsts", "seconds")
+
+    def __init__(
+        self,
+        classes: Classes,
+        direction: Direction,
+        initial: tuple[int, ...],
+        first: int,
+        sites: array,
+        firsts: array,
+        seconds: array,
+    ) -> None:
+        self.classes, self.direction, self.initial, self.first = classes, direction, initial, first
+        self.sites, self.firsts, self.seconds = sites, firsts, seconds
 
     def swaps(self) -> tuple[Swap, ...]:
         i, j = self.firsts, self.seconds
@@ -174,19 +180,32 @@ def site_counts(ps: PointSet) -> SiteCounts:
     return _count_sites(ps.n, ps.labels, r.sites, r.firsts, r.seconds)
 
 
-@dataclass(frozen=True)
-class Halfperiod:
+class Halfperiod(Frozen):
     """A halfperiod of the circular sequence of a point set: the initial
     permutation (point indices ordered along ``direction``) plus the
     ``C(n,2)`` adjacent swaps that carry it to its reversal, in order, each
     a ``Swap`` ``(site, i, j)``: the points ``i < j`` at sites ``site`` and
     ``site + 1`` (1-based) trade places."""
 
+    _fields = ("n", "initial_permutation", "swaps", "direction", "labels")
     n: int
     initial_permutation: tuple[int, ...]
     swaps: tuple[Swap, ...]
     direction: Direction
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
+
+    def __init__(
+        self,
+        n: int,
+        initial_permutation: tuple[int, ...],
+        swaps: tuple[Swap, ...],
+        direction: Direction,
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            n=n, initial_permutation=initial_permutation, swaps=swaps,
+            direction=direction, labels=labels,
+        )
 
     def permutations(self) -> Iterator[tuple[int, ...]]:
         """Yield all C(n,2) + 1 permutations in rotation order."""
@@ -212,8 +231,7 @@ def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfpe
     return Halfperiod(ps.n, r.initial, r.swaps(), r.direction, ps.labels)
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     """Swap counts of a halfperiod at a fixed k.
 
     ``total`` is the number of (<=k)-critical swaps (site <= k or
@@ -281,8 +299,7 @@ def kset_vector_from_halfperiod(h: Halfperiod) -> KSetVector:
     return kset_vector_from_sites(h.n, h.site_counts[0])
 
 
-@dataclass(frozen=True)
-class ValidSwapDigraph:
+class ValidSwapDigraph(NamedTuple):
     """Digraph of valid (non-critical) same-class swaps.
 
     Vertices are ``1..order``; an edge ``(l, j)`` with ``l < j`` records that

@@ -18,12 +18,11 @@ import argparse
 import contextlib
 import csv
 import functools
-import inspect
 import json
 import sys
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import bounds as bounds_mod
 from . import circular, decompose, verify
@@ -47,8 +46,9 @@ class UsageError(Exception):
     """A command-line value or input file a command cannot use."""
 
 
-def _frac_cell(value: Fraction | int | None) -> str:
-    return UNDEF if value is None else str(value)
+def _cell(value: Fraction | int | None) -> Fraction | int | str:
+    """A CSV cell: the value, written as ``str`` writes it, or UNDEF for None."""
+    return UNDEF if value is None else value
 
 
 @contextlib.contextmanager
@@ -63,9 +63,10 @@ def _output(path: str | None) -> Iterator[TextIO]:
         yield out
 
 
-def _write_csv(out: TextIO, columns: list[str], rows: Iterable[dict]) -> None:
-    writer = csv.DictWriter(out, fieldnames=columns)
-    writer.writeheader()
+def _write_csv(out: TextIO, columns: list[str], rows: Iterable[Sequence]) -> None:
+    """The header, then each row, its cells in column order."""
+    writer = csv.writer(out)
+    writer.writerow(columns)
     writer.writerows(rows)
 
 
@@ -83,7 +84,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> list[dict]:
+def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> list[list]:
+    """The ``analyze`` rows for k_lo <= k <= k_hi, in ``ANALYZE_COLUMNS``
+    order."""
     n = ps.n
     counts, het_counts = circular.site_counts(ps)
     vec = circular.kset_vector_from_sites(n, counts)
@@ -96,28 +99,23 @@ def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> list[dict]:
             het += het_counts[k] + het_counts[n - k]
         if k < k_lo:
             continue
-        row: dict = {"n": n, "k": k, "e_k": vec.e[k], "e_le_k": vec.prefix[k]}
-        if het_counts is not None:
-            row["het"] = het
-            row["hom"] = vec.prefix[k] - het
-        else:
-            row["het"] = row["hom"] = UNDEF
+        row = [n, k, vec.e[k], vec.prefix[k]]
+        row += [UNDEF] * 2 if het_counts is None else [het, vec.prefix[k] - het]
         if n % 3 == 0:
             br = bounds_mod.bound_report(k, n)
-            row["Y"] = _frac_cell(br.y)
-            row["ceilY"] = br.ceil_y
-            row["L"] = _frac_cell(br.l)
-            row["E"] = UNDEF if br.edges is None else br.edges
-            row["satisfied"] = "true" if vec.prefix[k] >= br.ceil_y else "false"
+            row += [
+                _cell(br.y), br.ceil_y, _cell(br.l), _cell(br.edges),
+                "true" if vec.prefix[k] >= br.ceil_y else "false",
+            ]
         else:
-            row["Y"] = row["ceilY"] = row["L"] = row["E"] = UNDEF
-            row["satisfied"] = UNDEF
+            row += [UNDEF] * 5
         rows.append(row)
     return rows
 
 
-def _exit_code(rows: list[dict]) -> int:
-    return 1 if any(r["satisfied"] == "false" for r in rows) else 0
+def _exit_code(rows: list[list]) -> int:
+    """1 if some row's last cell, ``satisfied``, is false, else 0."""
+    return 1 if any(r[-1] == "false" for r in rows) else 0
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -190,31 +188,21 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bounds_rows(ns: list[int], only_k: int | None) -> Iterable[dict]:
-    """The rows of the ``bounds`` table, one at a time: for each n, the
-    given k or every k < n/2, read off one ``bound_table(n)`` with its
-    ``cr_lower``."""
+def _bounds_rows(ns: list[int], only_k: int | None) -> Iterator[list]:
+    """The rows of the ``bounds`` table, one at a time, in
+    ``BOUNDS_COLUMNS`` order: for each n, the given k or every k < n/2,
+    read off one ``bound_table(n)`` with its ``cr_lower``."""
     for n in ns:
         table = bounds_mod.bound_table(n)
-        ratio = table.crossing / comb(n, 4)
+        ratio = f"{table.crossing / comb(n, 4):.8f}"
         for br in table.reports:
             if only_k is not None and br.k != only_k:
                 continue
-            yield {
-                "n": n,
-                "k": br.k,
-                "m": br.m,
-                "depth": UNDEF if br.depth is None else br.depth,
-                "Y": _frac_cell(br.y),
-                "Y_dec": UNDEF if br.y is None else f"{float(br.y):.6f}",
-                "ceilY": br.ceil_y,
-                "het": br.het,
-                "hom": _frac_cell(br.hom_lower),
-                "L": _frac_cell(br.l),
-                "E": UNDEF if br.edges is None else br.edges,
-                "cr_lower": table.crossing,
-                "cr_ratio_dec": f"{ratio:.8f}",
-            }
+            yield [
+                n, br.k, br.m, _cell(br.depth), _cell(br.y),
+                UNDEF if br.y is None else f"{float(br.y):.6f}", br.ceil_y, br.het,
+                _cell(br.hom_lower), _cell(br.l), _cell(br.edges), table.crossing, ratio,
+            ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -228,9 +216,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if "oracle" in names and args.sets_per_n is not None and args.sets_per_n < 1:
         raise UsageError(f"--sets-per-n must be at least 1, got {args.sets_per_n}")
-    if "slack" in names and args.max_n is not None and args.max_n < 6:
-        # The slack sweep starts at n = 6; below it, it would check nothing.
-        raise UsageError(f"the slack suite needs --max-n at least 6, got {args.max_n}")
+    for suite in ("edges", "slack"):
+        if suite in names and args.max_n is not None and args.max_n < 6:
+            # Both sweeps start at n = 6; below it, they would check nothing.
+            raise UsageError(f"the {suite} suite needs --max-n at least 6, got {args.max_n}")
     if "slack" in names and args.max_b is not None and args.max_b < 0:
         raise UsageError(f"--max-b must be at least 0, got {args.max_b}")
     min_terms = bounds_mod.SERIES_MIN_TERMS
@@ -242,9 +231,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _output(args.out) as out:
         results = []
         for name in names:
-            params = inspect.signature(verify.SUITES[name]).parameters
             kwargs = {
-                p: getattr(args, p) for p in params if getattr(args, p) is not None
+                p: getattr(args, p)
+                for p in verify.SUITE_OPTIONS[name]
+                if getattr(args, p) is not None
             }
             results.append(verify.run_suite(name, **kwargs))
         ok = all(r.ok for r in results)
@@ -256,13 +246,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _sweep_work(item: tuple[int, int, str]) -> list[dict]:
+def _sweep_work(item: tuple[int, int, str]) -> list[list]:
+    """The ``sweep`` rows of one generated set, in ``SWEEP_COLUMNS`` order."""
     n, seed, shape = item
-    rows = _analyze_rows(decompose.generate(n, seed, shape), 1, (n - 1) // 2)
-    return [
-        {"seed": seed, "shape": shape, **{c: row[c] for c in SWEEP_COLUMNS if c in row}}
-        for row in rows
-    ]
+    rows = []
+    for row in _analyze_rows(decompose.generate(n, seed, shape), 1, (n - 1) // 2):
+        cells = dict(zip(ANALYZE_COLUMNS, row), seed=seed, shape=shape)
+        rows.append([cells[c] for c in SWEEP_COLUMNS])
+    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

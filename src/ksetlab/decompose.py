@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .circular import Direction, Halfperiod, Replay, block_roles, gap_sample, replay
 from .errors import GeneralPositionError, LabelingError
@@ -63,8 +62,7 @@ _BLOCK_ORDERS = {"three": ("abc", "bac", "bca"), "two": ("abc", "bac")}
 Split = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DecompositionWitness:
+class DecompositionWitness(NamedTuple):
     """A verified decomposition: the per-point classes, the three witness
     directions (the third is None in two-condition mode), and optionally the
     halfperiod indices (s, t) locating the b,a,c and b,c,a permutations."""
@@ -253,7 +251,7 @@ def locate_halfperiod_witness(
     r = replay(ps, witness.directions[0])
     moves = ((k + 1, r.firsts[k], r.seconds[k]) for k in _boundary_swaps(r, ps.n // 3))
     indices = _block_pattern_indices(r.initial, moves, witness.partition)
-    return replace(witness, halfperiod_indices=indices)
+    return witness._replace(halfperiod_indices=indices)
 
 
 def _draw_cluster_offsets(

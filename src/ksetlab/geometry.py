@@ -32,12 +32,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import accumulate, combinations, count, filterfalse, repeat
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GeneralPositionError, LabelingError, OracleSizeError
 
@@ -49,8 +48,7 @@ Direction = tuple[int, int]
 Pairs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: Fraction
     y: Fraction
 
@@ -59,8 +57,37 @@ class Point:
         return cls(Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True)
-class PointSet:
+class Frozen:
+    """A record with read-only fields, named in ``_fields``, that keeps its
+    ``cached_property`` values in its ``__dict__``: equal to a record of
+    the same class with equal fields, hashed by its fields, and shown as
+    ``Name(field=value, ...)``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class PointSet(Frozen):
     """An ordered planar configuration, optionally labeled into three
     equal-size classes 'a', 'b', 'c'.
 
@@ -74,13 +101,17 @@ class PointSet:
     set, since labels change none of them.
     """
 
+    _fields = ("points", "labels")
     points: tuple[Point, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", normalize_labels(self.labels, self.n))
+    def __init__(
+        self, points: Iterable[Point], labels: Iterable[str] | None = None
+    ) -> None:
+        points = tuple(points)
+        if labels is not None:
+            labels = normalize_labels(labels, len(points))
+        self.__dict__.update(points=points, labels=labels)
 
     @property
     def n(self) -> int:
@@ -160,7 +191,6 @@ def cross(u: Direction, v: Direction) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-@dataclass(eq=False, repr=False)  # columns of up to millions of entries
 class Classes:
     """The ``C(n,2)`` pairs grouped by critical direction, in flat columns:
     the k-th pair counterclockwise joins points ``a[k]`` and ``b[k]``, b to
@@ -170,11 +200,18 @@ class Classes:
     classes of more than one pair.  ``classes[g]`` is class g as its
     primitive direction and its sorted pairs ``(i, j)``, ``i < j``."""
 
-    xy: tuple[tuple[int, int], ...]
-    a: array
-    b: array
-    starts: array
-    multi: tuple[int, ...]
+    # Columns of up to millions of entries: compared by identity, not shown.
+    __slots__ = ("xy", "a", "b", "starts", "multi")
+
+    def __init__(
+        self,
+        xy: tuple[tuple[int, int], ...],
+        a: array,
+        b: array,
+        starts: array,
+        multi: tuple[int, ...],
+    ) -> None:
+        self.xy, self.a, self.b, self.starts, self.multi = xy, a, b, starts, multi
 
     def __len__(self) -> int:
         return len(self.starts) - 1
@@ -295,8 +332,7 @@ def crossing_number(ps: PointSet) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class KSetVector:
+class KSetVector(NamedTuple):
     """Counts of k-sets: ``e[k]`` is the number of k-element subsets cut off
     by some line, for 1 <= k <= floor(n/2); ``prefix[k]`` is the running sum
     e_{<=k}."""

@@ -7,24 +7,21 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import bounds, circular, decompose
 from .errors import OracleSizeError
 from .geometry import DEFAULT_ORACLE_CAP, PointSet, k_set_oracle
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     ok: bool
     checks: tuple[CheckResult, ...]
@@ -157,7 +154,7 @@ def edges_suite(max_n: int = 60) -> SuiteResult:
                 ind[j - 1] > min(m + out[j - 1], j - 1) for j in range(1, s + 1)
             ):
                 bad_degree += 1
-            formula = sorted(bounds.extremal_indegree(k, n, i) for i in range(1, s + 1))
+            formula = sorted(bounds._indegree(m, i) for i in range(1, s + 1))
             if sorted(ind) != formula:
                 bad_multiset += 1
     checks.append(
@@ -256,6 +253,13 @@ SUITES = {
     "edges": edges_suite,
     "slack": slack_suite,
     "series": series_suite,
+}
+#: The parameters of each suite, which ``verify`` fills from its options.
+SUITE_OPTIONS = {
+    "oracle": ("max_n", "sets_per_n"),
+    "edges": ("max_n",),
+    "slack": ("max_b", "max_n"),
+    "series": ("terms",),
 }
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, combinations
@@ -369,7 +368,7 @@ def halfperiod_witness_by_halfperiod(
     """``locate_halfperiod_witness`` by recording the halfperiod of the
     relabeled set from l1 and scanning it with ``check_halfperiod``."""
     h = build_halfperiod(ps.with_labels(witness.partition), witness.directions[0])
-    return replace(witness, halfperiod_indices=check_halfperiod(h))
+    return witness._replace(halfperiod_indices=check_halfperiod(h))
 
 
 def block_pattern_indices_by_permutations(h: Halfperiod) -> tuple[int, int] | None:

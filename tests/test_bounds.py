@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ksetlab.bounds as bounds_mod
@@ -136,7 +136,9 @@ class TestKsetLowerBound:
         ]
         assert len(pairs) == 7450 + 1499
         for k, n in pairs:
-            assert _closed_form(k, n, n - 2 * k - 1) == kset_lower_bound_by_fractions(k, n)
+            depth, num, den = _closed_form(k, n, n - 2 * k - 1)
+            assert den > 0
+            assert (depth, F(num, den)) == kset_lower_bound_by_fractions(k, n)
 
     def test_refinement_term_active(self):
         # (k, n) = (17, 36): the j = 2 argument is exactly 2, contributing
@@ -418,6 +420,35 @@ class TestBoundReport:
         br = bound_report(2, 9)
         assert br.l == 9 and br.edges is None and br.hom_lower == 0
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=2, max_value=1000).map(lambda t: 3 * t),
+        k=st.integers(min_value=1, max_value=1499),
+    )
+    @example(n=438, k=218)  # Y = 90398, an integer
+    @example(n=9, k=4)  # the empty window
+    def test_integer_fields_equal_fraction_recomputation(self, n, k):
+        # Y, ceil(Y), hom and L are derived on integers; each must be what
+        # Fraction arithmetic on the term-by-term Y gives, as a Fraction.
+        assume(2 * k < n)
+        s, m = n // 3, n - 2 * k - 1
+        het = 3 * math.comb(k + 1, 2) if k <= s else 3 * math.comb(s + 1, 2) + (k - s) * n
+        br = bound_report(k, n)
+        assert br.het == het
+        if m == 0:
+            assert br.y is None and br.ceil_y == 3 * math.comb(k + 1, 2)
+            return
+        depth, y = kset_lower_bound_by_fractions(k, n)
+        if k <= s:
+            hom, sharp = F(0), F(3 * math.comb(k + 1, 2))
+        else:
+            hom, sharp = y - het, F(het + 3 * (math.comb(s, 2) - extremal_edge_count(k, n)))
+        assert (br.depth, br.y, br.ceil_y, br.hom_lower, br.l) == (
+            depth, y, math.ceil(y), hom, sharp
+        )
+        assert all(type(v) is Fraction for v in (br.y, br.hom_lower, br.l))
+        assert br.l >= br.y
+
     def test_equals_single_quantity_functions(self):
         # bound_report computes Y once per (k, n); every field must be what
         # the public function for that quantity returns on its own.
@@ -448,8 +479,8 @@ class TestBoundReport:
                 )
                 got = bound_report(k, n)
                 assert got == expected
-                assert [type(v) for v in vars(got).values()] == [
-                    type(v) for v in vars(expected).values()
+                assert [type(v) for v in got._asdict().values()] == [
+                    type(v) for v in expected._asdict().values()
                 ]
 
 
@@ -466,8 +497,8 @@ class TestBoundTable:
             for got in table.reports:
                 expected = bound_report(got.k, n)
                 assert got == expected
-                assert [type(v) for v in vars(got).values()] == [
-                    type(v) for v in vars(expected).values()
+                assert [type(v) for v in got._asdict().values()] == [
+                    type(v) for v in expected._asdict().values()
                 ]
 
     def test_slack_sweep_reads_the_gap(self):

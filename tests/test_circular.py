@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import asdict
 from itertools import combinations
 
 import pytest
@@ -29,7 +28,7 @@ from ksetlab.circular import (
     replay,
     sweep,
 )
-from ksetlab.cli import _analyze_rows
+from ksetlab.cli import ANALYZE_COLUMNS, _analyze_rows
 from ksetlab.verify import random_general_position_set
 
 from support import DEGENERATE_SETS, critical_counts_by_recount
@@ -166,7 +165,7 @@ class TestCriticalCounts:
         for ps in sets:
             h = build_halfperiod(ps)
             for k in range(1, (ps.n - 1) // 2 + 1):
-                assert asdict(critical_counts(h, k)) == critical_counts_by_recount(h, k)
+                assert critical_counts(h, k)._asdict() == critical_counts_by_recount(h, k)
 
     def test_k_range_validated(self):
         h = build_halfperiod(TRIANGLE)
@@ -278,7 +277,7 @@ class TestCountingSweep:
         assert kset_vector_from_sites(ps.n, counts) == kset_vector_from_halfperiod(h)
         # analyze's running sums: het and hom for every k.
         k_max = (ps.n - 1) // 2
-        rows = _analyze_rows(ps, 1, k_max)
+        rows = [dict(zip(ANALYZE_COLUMNS, row)) for row in _analyze_rows(ps, 1, k_max)]
         assert [row["k"] for row in rows] == list(range(1, k_max + 1))
         for row in rows:
             rep = critical_counts(h, row["k"])
@@ -288,7 +287,8 @@ class TestCountingSweep:
             else:
                 assert (row["het"], row["hom"]) == (rep.het, rep.hom)
         k_lo = data.draw(st.integers(1, k_max))
-        assert _analyze_rows(ps, k_lo, k_max) == rows[k_lo - 1 :]
+        tail = _analyze_rows(ps, k_lo, k_max)
+        assert [dict(zip(ANALYZE_COLUMNS, row)) for row in tail] == rows[k_lo - 1 :]
 
 
 class TestStartDirection:

@@ -250,14 +250,12 @@ class TestAnalyzeCommand:
 
     def test_violated_bound_exits_one(self, tmp_path, monkeypatch):
         # force an unsatisfiable ceiling to exercise the failure exit path
-        import dataclasses
-
         import ksetlab.cli as cli_mod
 
         real = cli_mod.bounds_mod.bound_report
 
         def inflated(k, n):
-            return dataclasses.replace(real(k, n), ceil_y=10**6)
+            return real(k, n)._replace(ceil_y=10**6)
 
         monkeypatch.setattr(cli_mod.bounds_mod, "bound_report", inflated)
         src = tmp_path / "p6.json"
@@ -312,6 +310,24 @@ class TestBoundsCommand:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 7499
         assert len(calls) == len(set(calls)) == 7450
 
+    def test_n_range_6_300_file_digest(self, tmp_path):
+        # --out writes the same bytes as stdout.
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--n-range", "6:300", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "47ba94f374e13bca81ba35b2726b2bea8d4e350704c929b9717cd4c8f4ed74ec"
+
+    def test_single_rows_equal_their_table_rows(self, capsys):
+        # At n = 300: k = 77 <= n/3 (depth 1, hom 0, no E), k = 140 > n/3
+        # (depth 5, E and L from the extremal digraph), k = 149 (m = 1).
+        assert main(["bounds", "--n-range", "6:300"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        for k in (77, 140, 149):
+            assert main(["bounds", "--n", "300", "--k", str(k)]) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            assert table[0] == header
+            assert [line for line in table if line.startswith(f"300,{k},")] == [row]
+
     def test_n_range_6_300_digest(self, capsys):
         # The whole table, byte for byte.  The cr_lower fix planned in
         # ROADMAP.md (item 1: add the constant c(n) of the crossing identity)
@@ -337,6 +353,27 @@ class TestVerifyCommand:
 
     def test_edges_suite(self, capsys):
         assert main(["verify", "--suite", "edges", "--max-n", "30"]) == 0
+
+    def test_suite_options_are_the_suite_parameters(self):
+        # verify passes each suite the options named in SUITE_OPTIONS.
+        import inspect
+
+        assert verify.SUITE_OPTIONS.keys() == verify.SUITES.keys()
+        for name, suite in verify.SUITES.items():
+            assert verify.SUITE_OPTIONS[name] == tuple(inspect.signature(suite).parameters)
+
+    def test_options_reach_the_suite(self, monkeypatch, capsys):
+        calls = []
+        real = verify.run_suite
+
+        def recording(name, **kwargs):
+            calls.append((name, kwargs))
+            return real(name, **kwargs)
+
+        monkeypatch.setattr(verify, "run_suite", recording)
+        assert main(["verify", "--suite", "slack", "--max-b", "3", "--max-n", "12"]) == 0
+        assert main(["verify", "--suite", "edges", "--max-n", "12", "--terms", "50"]) == 0
+        assert calls == [("slack", {"max_b": 3, "max_n": 12}), ("edges", {"max_n": 12})]
 
     def test_oracle_suite_small(self, capsys):
         assert (
@@ -414,6 +451,10 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["verify", "--suite", "series", "--terms", "46"], None, 0),
         # A decimal exponent beyond the int digit limit.
         (["analyze"], {"points": [["1e5000", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}, 2),
+        # The edges sweep starts at n = 6; below it, it would check nothing.
+        (["verify", "--suite", "edges", "--max-n", "3"], None, 2),
+        (["verify", "--suite", "edges", "--max-n", "5"], None, 2),
+        (["verify", "--suite", "edges", "--max-n", "6"], None, 0),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
@@ -736,3 +777,21 @@ class TestStandardLibraryOnly:
     def test_coefficient_and_series(self):
         assert self._run(["bounds", "--coefficient"]) == (0, [])
         assert self._run(["verify", "--suite", "series"]) == (0, [])
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Which modules load, not how long: a fresh interpreter's modules before
+    # and after ``import ksetlab.cli``.  The records are NamedTuples and
+    # small classes, and verify's options are listed, not read off
+    # signatures.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ksetlab.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ksetlab.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out == "[]\n"
