@@ -23,10 +23,12 @@ inside each gap between consecutive classes (``gap_sample``), the start
 direction (the first gap's sample) and the order of the swaps: the pair
 order rotated to begin at the first class ahead of the start.  The pairs
 of one class are disjoint and their swaps commute; they are listed by
-increasing left site.  ``replay`` is the one replay of the swaps, into flat
-columns (``Replay``); the one from the default start is kept on the point
-set (``PointSet.replay``).  A swap outside the columns is a ``Swap``,
-``(site, i, j)``: points ``i < j`` at sites ``site``, ``site + 1`` trade.
+increasing left site.  ``replay`` is the one replay of the swaps, into the
+flat columns of a ``Halfperiod``; the one from the default start is kept on
+the point set (``PointSet.replay``), and site counts, k-set counts and the
+decomposition checks all read it.  A swap outside the columns is a
+``Swap``, ``(site, i, j)``: points ``i < j`` at sites ``site``, ``site + 1``
+trade; ``Halfperiod.swaps`` builds them only when asked.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
-from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GeneralPositionError, LabelingError
@@ -75,37 +76,75 @@ def default_start_direction(ps: PointSet) -> Direction:
     return gap_sample(ps.classes, 0)
 
 
-class Replay:
-    """One halfperiod in flat columns: swap ``k`` trades points ``firsts[k]``
-    and ``seconds[k]`` at sites ``sites[k]``, ``sites[k] + 1``.  ``initial``
-    is the order along ``direction``; class ``first`` flips first, then the
-    classes after it, wrapping around."""
+class Halfperiod(Frozen):
+    """One halfperiod of the circular sequence of a point set, in flat
+    columns: ``initial_permutation`` is the order of the points along
+    ``direction``, and swap ``k`` trades points ``firsts[k]`` and
+    ``seconds[k]`` at sites ``sites[k]``, ``sites[k] + 1`` (1-based).
+    Class ``first`` flips first, then the classes after it, wrapping
+    around; the last permutation reverses the first.  ``labels`` are the
+    point set's (None without).  It compares, hashes and shows as its
+    ``n``, ``initial_permutation``, ``swaps`` (each ``Swap``, built on
+    first use), ``direction`` and ``labels``."""
 
-    # Columns of up to millions of entries: compared by identity, not shown.
-    __slots__ = ("classes", "direction", "initial", "first", "sites", "firsts", "seconds")
+    _fields = ("n", "initial_permutation", "swaps", "direction", "labels")
 
     def __init__(
         self,
         classes: Classes,
         direction: Direction,
-        initial: tuple[int, ...],
+        initial_permutation: tuple[int, ...],
         first: int,
         sites: array,
         firsts: array,
         seconds: array,
+        labels: tuple[str, ...] | None = None,
     ) -> None:
-        self.classes, self.direction, self.initial, self.first = classes, direction, initial, first
-        self.sites, self.firsts, self.seconds = sites, firsts, seconds
+        self.__dict__.update(
+            n=len(initial_permutation), classes=classes, direction=direction,
+            initial_permutation=initial_permutation, first=first, sites=sites, firsts=firsts,
+            seconds=seconds, labels=labels,
+        )
 
+    def with_labels(self, labels: tuple[str, ...] | None) -> "Halfperiod":
+        """The same halfperiod, sharing its columns, with other labels."""
+        return Halfperiod(
+            self.classes, self.direction, self.initial_permutation, self.first,
+            self.sites, self.firsts, self.seconds, labels,
+        )
+
+    @cached_property
     def swaps(self) -> tuple[Swap, ...]:
         i, j = self.firsts, self.seconds
         return tuple(zip(self.sites, map(min, i, j), map(max, i, j)))
 
+    def permutations(self) -> Iterator[tuple[int, ...]]:
+        """Yield all C(n,2) + 1 permutations in rotation order."""
+        perm = list(self.initial_permutation)
+        yield tuple(perm)
+        for site in self.sites:
+            perm[site - 1], perm[site] = perm[site], perm[site - 1]
+            yield tuple(perm)
 
-def replay(ps: PointSet, u: Direction) -> Replay:
+    @cached_property
+    def site_counts(self) -> SiteCounts:
+        """Swaps at each site, and the heterogeneous ones (``SiteCounts``)."""
+        width = range(max(self.n, 1))
+        counts = Counter(self.sites)
+        labels = self.labels
+        if labels is None:
+            return tuple(counts[i] for i in width), None
+        het = Counter(
+            s for s, i, j in zip(self.sites, self.firsts, self.seconds) if labels[i] != labels[j]
+        )
+        return tuple(counts[i] for i in width), tuple(het[i] for i in width)
+
+
+def replay(ps: PointSet, u: Direction) -> Halfperiod:
     """Replay the halfperiod of ``ps`` that starts at ``u``, which must tie
-    no pair of projections.  Each swap must trade two neighbours, and the
-    last permutation must reverse the first."""
+    no pair of projections, with the labels of ``ps``.  Each swap must
+    trade two neighbours, and the last permutation must reverse the
+    first."""
     classes = ps.classes  # first: a degenerate set raises GeneralPositionError, not a tie
     height = [u[0] * x + u[1] * y for x, y in ps.coords]
     initial = tuple(sorted(range(len(height)), key=height.__getitem__))
@@ -138,22 +177,13 @@ def replay(ps: PointSet, u: Direction) -> Replay:
         block = sorted(zip(sites[lo:hi], firsts[lo:hi], seconds[lo:hi]))
         for column, values in zip((sites, firsts, seconds), zip(*block)):
             column[lo:hi] = array(column.typecode, values)
-    return Replay(classes, u, initial, first, sites, firsts, seconds)
-
-
-def sweep(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], list[list[Swap]]]:
-    """The halfperiod of ``ps`` from ``u`` (``ps.replay`` from the default
-    start): the initial permutation, and the swaps of each class in the
-    order a direction turning counterclockwise from u meets them."""
-    r = ps.replay if u == default_start_direction(ps) else replay(ps, u)
-    starts, count, swaps = r.classes.starts, len(r.classes), iter(r.swaps())
-    met = [(r.first + t) % count for t in range(count)]
-    return r.initial, [list(islice(swaps, starts[g + 1] - starts[g])) for g in met]
+    return Halfperiod(classes, u, initial, first, sites, firsts, seconds, ps.labels)
 
 
 def block_roles(perm: Sequence[int], labels: Sequence[str]) -> tuple[str, str, str] | None:
     """The classes filling the three thirds of ``perm``, or None unless its
-    thirds are three pure blocks of three different classes."""
+    thirds are three pure blocks of three different classes (for a
+    halfperiod's ``initial_permutation``, its block classes)."""
     s, rest = divmod(len(perm), 3)
     if rest:
         return None
@@ -162,73 +192,20 @@ def block_roles(perm: Sequence[int], labels: Sequence[str]) -> tuple[str, str, s
     return roles if len(set(roles)) == 3 else None  # type: ignore[return-value]
 
 
-def _count_sites(n: int, labels: Sequence[str] | None, sites, firsts, seconds) -> SiteCounts:
-    """Swap k is at ``sites[k]`` and trades ``firsts[k]`` and ``seconds[k]``."""
-    width = range(max(n, 1))
-    counts = Counter(sites)
-    if labels is None:
-        return tuple(counts[i] for i in width), None
-    het = Counter(s for s, i, j in zip(sites, firsts, seconds) if labels[i] != labels[j])
-    return tuple(counts[i] for i in width), tuple(het[i] for i in width)
-
-
 def site_counts(ps: PointSet) -> SiteCounts:
     """The swaps at each site of the halfperiod of ``ps``, and the
-    heterogeneous ones among them, counted off its one replay
-    (``PointSet.replay``).  Same as ``build_halfperiod(ps).site_counts``."""
-    r = ps.replay
-    return _count_sites(ps.n, ps.labels, r.sites, r.firsts, r.seconds)
-
-
-class Halfperiod(Frozen):
-    """A halfperiod of the circular sequence of a point set: the initial
-    permutation (point indices ordered along ``direction``) plus the
-    ``C(n,2)`` adjacent swaps that carry it to its reversal, in order, each
-    a ``Swap`` ``(site, i, j)``: the points ``i < j`` at sites ``site`` and
-    ``site + 1`` (1-based) trade places."""
-
-    _fields = ("n", "initial_permutation", "swaps", "direction", "labels")
-    n: int
-    initial_permutation: tuple[int, ...]
-    swaps: tuple[Swap, ...]
-    direction: Direction
-    labels: tuple[str, ...] | None
-
-    def __init__(
-        self,
-        n: int,
-        initial_permutation: tuple[int, ...],
-        swaps: tuple[Swap, ...],
-        direction: Direction,
-        labels: tuple[str, ...] | None = None,
-    ) -> None:
-        self.__dict__.update(
-            n=n, initial_permutation=initial_permutation, swaps=swaps,
-            direction=direction, labels=labels,
-        )
-
-    def permutations(self) -> Iterator[tuple[int, ...]]:
-        """Yield all C(n,2) + 1 permutations in rotation order."""
-        perm = list(self.initial_permutation)
-        yield tuple(perm)
-        for site, _, _ in self.swaps:
-            perm[site - 1], perm[site] = perm[site], perm[site - 1]
-            yield tuple(perm)
-
-    @cached_property
-    def site_counts(self) -> SiteCounts:
-        """Swaps at each site, and the heterogeneous ones (``SiteCounts``)."""
-        return _count_sites(self.n, self.labels, *(zip(*self.swaps) if self.swaps else [()] * 3))
+    heterogeneous ones among them, counted off its one replay:
+    ``build_halfperiod(ps).site_counts``."""
+    return build_halfperiod(ps).site_counts
 
 
 def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfperiod:
-    """Build the halfperiod of ``ps`` starting at ``direction`` (default:
-    ``default_start_direction``, so it is the halfperiod ``site_counts``
-    counts).  The supplied direction must not be perpendicular to any pair
-    line, i.e. the initial projection order must be strict.  Raises
-    ``GeneralPositionError`` on a degenerate set."""
-    r = ps.replay if direction is None else replay(ps, direction)
-    return Halfperiod(ps.n, r.initial, r.swaps(), r.direction, ps.labels)
+    """The halfperiod of ``ps`` starting at ``direction``, with the labels
+    of ``ps`` (default: ``default_start_direction``, the replay kept on the
+    point set, ``PointSet.replay``).  The supplied direction must not be
+    perpendicular to any pair line, i.e. the initial projection order must
+    be strict.  Raises ``GeneralPositionError`` on a degenerate set."""
+    return ps.replay if direction is None else replay(ps, direction)
 
 
 class CriticalityReport(NamedTuple):
@@ -267,14 +244,10 @@ def critical_counts(h: Halfperiod, k: int) -> CriticalityReport:
     if not 1 <= k or not 2 * k < n:
         raise ValueError(f"k must satisfy 1 <= k < n/2, got k={k}, n={n}")
     counts, het_counts = h.site_counts
+    total = sum(counts[1 : k + 1]) + sum(counts[n - k :])
+    het = None if het_counts is None else sum(het_counts[1 : k + 1]) + sum(het_counts[n - k :])
     by_position = dict(enumerate(counts[1:], 1))
     het_by_position = None if het_counts is None else dict(enumerate(het_counts[1:], 1))
-
-    def critical_sum(counts: dict[int, int]) -> int:
-        return sum(c for i, c in counts.items() if i <= k or i >= n - k)
-
-    total = critical_sum(by_position)
-    het = None if het_by_position is None else critical_sum(het_by_position)
     return CriticalityReport(
         n, k, total, None if het is None else total - het, het, by_position, het_by_position,
         _mirror_classes(n, by_position),
@@ -329,15 +302,6 @@ class ValidSwapDigraph(NamedTuple):
         return out[1:]
 
 
-def block_classes(h: Halfperiod) -> tuple[str, str, str] | None:
-    """Classes occupying the three thirds of the initial permutation, or
-    None if some third is mixed or two thirds hold one class
-    (``block_roles``)."""
-    if h.labels is None:
-        raise LabelingError("halfperiod carries no labels")
-    return block_roles(h.initial_permutation, h.labels)
-
-
 def build_valid_digraphs(
     h: Halfperiod, k: int
 ) -> tuple[ValidSwapDigraph, ValidSwapDigraph, ValidSwapDigraph]:
@@ -359,7 +323,7 @@ def build_valid_digraphs(
     s = n // 3
     if not (s < k and 2 * k < n):
         raise ValueError(f"k must satisfy n/3 < k < n/2, got k={k}, n={n}")
-    roles = block_classes(h)
+    roles = block_roles(h.initial_permutation, h.labels)
     if roles is None:
         raise LabelingError(
             "initial permutation is not three pure class blocks; rebuild the "
@@ -373,7 +337,7 @@ def build_valid_digraphs(
     role_of = {c: t for t, c in enumerate(roles)}
     lo, hi = k + 1, n - k - 1
     edge_sets: tuple[set, set, set] = (set(), set(), set())
-    for site, i, j in h.swaps:
+    for site, i, j in zip(h.sites, h.firsts, h.seconds):
         if h.labels[i] != h.labels[j]:
             continue
         if lo <= site <= hi:

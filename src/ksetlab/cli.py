@@ -172,23 +172,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         )
         return 0
     if args.n is not None:
-        ns = [args.n]
+        lo = hi = args.n
     elif args.n_range:
         lo, hi = _parse_range(args.n_range, "n")
-        ns = list(range(lo, hi + 1))
     else:
         raise UsageError("give --n, --n-range or --coefficient")
-    ns = [n for n in ns if n % 3 == 0 and n >= 6]
+    ns = range(max(6, lo + -lo % 3), hi + 1, 3)  # the multiples of 3 from 6 on
     if not ns:
         raise UsageError("no usable n (need multiples of 3, n >= 6)")
-    if args.k is not None and not any(1 <= args.k < n / 2 for n in ns):
+    if args.k is not None and not 1 <= args.k < ns[-1] / 2:
         raise UsageError("no k with 1 <= k < n/2 for the given n")
     with _output(args.out) as out:
         _write_csv(out, BOUNDS_COLUMNS, _bounds_rows(ns, args.k))
     return 0
 
 
-def _bounds_rows(ns: list[int], only_k: int | None) -> Iterator[list]:
+def _bounds_rows(ns: Iterable[int], only_k: int | None) -> Iterator[list]:
     """The rows of the ``bounds`` table, one at a time, in
     ``BOUNDS_COLUMNS`` order: for each n, the given k or every k < n/2,
     read off one ``bound_table(n)`` with its ``cr_lower``."""

@@ -7,22 +7,22 @@ Each block order is a split of the points into thirds (the third, 0, 1 or
 each angular gap between consecutive critical directions, so one sweep
 decides 3-decomposability exactly, with no floating point and no
 randomness.  ``_read_splits`` reads the point set's one cached replay of
-the halfperiod from the first gap (``PointSet.replay``, flat columns of
-sites and points), follows each point's third through the swaps at site s
-or 2s, s = n/3 (the only ones that move a point between thirds), and maps
-each split read after a class of flips to the first gap sample realizing
-it; the negated sample realizes its reversal (third t becomes 2 - t).
+the halfperiod from the first gap (``PointSet.replay``, a ``Halfperiod``
+in flat columns of sites and points), follows each point's third through
+the swaps at site s or 2s, s = n/3 (the only ones that move a point
+between thirds), and maps each split read after a class of flips to the
+first gap sample realizing it; the negated sample realizes its reversal
+(third t becomes 2 - t).
 ``check_partition`` looks up the splits of the given partition (the
 direction-sampling check it replaces is kept as a test oracle);
 ``find_partition`` decides every split read and its reversal, thirds 0, 1,
 2 named a, b, c: the a,b,c split of any 3-decomposition is one of them.
 
 The halfperiod indices (s, t) of a witness come from the same tracked
-thirds: ``locate_halfperiod_witness`` replays the halfperiod started at l1
-(``circular.replay``), whose initial permutation is the class blocks x, y,
-z, and scans its swaps at sites s and 2s for the first y,z,x split after
-the first y,x,z one; ``check_halfperiod`` runs the same scan over a
-recorded ``Halfperiod``.
+thirds: ``check_halfperiod`` scans the swaps at sites s and 2s of a
+halfperiod whose initial permutation is the class blocks x, y, z for the
+first y,z,x split after the first y,x,z one, and
+``locate_halfperiod_witness`` runs it on the halfperiod replayed from l1.
 
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
@@ -39,7 +39,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .circular import Direction, Halfperiod, Replay, block_roles, gap_sample, replay
+from .circular import Direction, Halfperiod, block_roles, build_halfperiod, gap_sample
 from .errors import GeneralPositionError, LabelingError
 from .geometry import CLASS_NAMES, Point, PointSet, is_general_position
 from .geometry import normalize_labels
@@ -47,6 +47,10 @@ from .geometry import normalize_labels
 GENERATOR_SHAPES = ("triangle-clusters", "near-optimal-template")
 
 _GENERATOR_ATTEMPTS = 256
+
+#: Cluster offsets are drawn on the grid of multiples of 1/_GRID in
+#: [-1, 1]^2, which has (2 * _GRID + 1)^2 points.
+_GRID = 64
 
 # Fixed, arbitrary non-degenerate template triangle for the generator.
 _CLUSTER_CENTERS = (
@@ -97,16 +101,16 @@ def _thirds(perm: Sequence[int]) -> list[int]:
     return third
 
 
-def _boundary_swaps(r: Replay, s: int) -> list[int]:
-    """The swaps of ``r`` at a site that is a multiple of s: for n = 3s, the
+def _boundary_swaps(h: Halfperiod, s: int) -> list[int]:
+    """The swaps of ``h`` at a site that is a multiple of s: for n = 3s, the
     ones at sites s and 2s, which move a point between thirds."""
-    return [k for k, site in enumerate(r.sites) if not site % s]
+    return [k for k, site in enumerate(h.sites) if not site % s]
 
 
-def _class_of(r: Replay, k: int) -> int:
-    """The class swap ``k`` of ``r`` belongs to."""
-    starts = r.classes.starts
-    return bisect_right(starts, (k + starts[r.first]) % len(r.sites)) - 1
+def _class_of(h: Halfperiod, k: int) -> int:
+    """The class swap ``k`` of ``h`` belongs to."""
+    starts = h.classes.starts
+    return bisect_right(starts, (k + starts[h.first]) % len(h.sites)) - 1
 
 
 def _read_splits(
@@ -119,7 +123,7 @@ def _read_splits(
     the halfperiod.  Stops once every split in ``wanted`` is mapped, and
     with none wanted reads the whole halfperiod."""
     r = ps.replay
-    third = _thirds(r.initial)
+    third = _thirds(r.initial_permutation)
     first = {tuple(third): r.direction}
     moves = [(_class_of(r, k), r.firsts[k], r.seconds[k]) for k in _boundary_swaps(r, ps.n // 3)]
     final = (r.first or len(r.classes)) - 1
@@ -197,31 +201,6 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     return None
 
 
-def _block_pattern_indices(
-    initial: Sequence[int], moves: Iterable[tuple[int, int, int]], labels: Sequence[str]
-) -> tuple[int, int] | None:
-    """Scan a replay for the halfperiod witnesses: ``initial`` must be
-    three pure class blocks (x, y, z), and ``moves`` holds ``(k, i, j)`` for
-    each swap that moves points i and j between thirds, k its 1-based index
-    in the halfperiod.  Return the k after which the thirds are first the
-    y,x,z split and the first k after that after which they are the y,z,x
-    split, or None."""
-    roles = block_roles(initial, labels)
-    if roles is None:
-        return None
-    x, y, z = roles
-    targets = [list(split) for split in _splits(labels, ((y, x, z), (y, z, x)))]
-    third = _thirds(initial)
-    found: list[int] = []
-    for k, i, j in moves:
-        third[i], third[j] = third[j], third[i]
-        if third == targets[len(found)]:
-            found.append(k)
-            if len(found) == 2:
-                return found[0], found[1]
-    return None
-
-
 def check_halfperiod(
     h: Halfperiod, labels: Iterable[str] | None = None
 ) -> tuple[int, int] | None:
@@ -230,34 +209,43 @@ def check_halfperiod(
     The initial permutation must consist of three pure class blocks
     (x, y, z); the function then scans for the earliest index s whose
     permutation reads y,x,z in blocks and the earliest t > s reading y,z,x.
-    Returns (s, t) (0-based permutation indices) or None.  Given labels
+    Returns (s, t) (0-based permutation indices) or None.  Only the swaps
+    at sites n/3 and 2n/3 (``_boundary_swaps``), the ones that move a
+    point between thirds, are read, and none as a ``Swap``.  Given labels
     are checked as a ``PointSet`` checks its own (``LabelingError``).
     """
     labels = _normalize_partition(h, labels)
-    s = h.n // 3
-    moves = ((k, i, j) for k, (site, i, j) in enumerate(h.swaps, 1) if not site % s)
-    return _block_pattern_indices(h.initial_permutation, moves, labels)
+    roles = block_roles(h.initial_permutation, labels)
+    if roles is None:
+        return None
+    x, y, z = roles
+    targets = [list(split) for split in _splits(labels, ((y, x, z), (y, z, x)))]
+    third = _thirds(h.initial_permutation)
+    found: list[int] = []
+    for k in _boundary_swaps(h, h.n // 3):
+        i, j = h.firsts[k], h.seconds[k]
+        third[i], third[j] = third[j], third[i]
+        if third == targets[len(found)]:
+            found.append(k + 1)
+            if len(found) == 2:
+                return found[0], found[1]
+    return None
 
 
 def locate_halfperiod_witness(
     ps: PointSet, witness: DecompositionWitness
 ) -> DecompositionWitness:
-    """Attach the halfperiod indices (s, t) to a witness: replay the
-    halfperiod from the first witness direction (whose initial permutation
-    is then the three class blocks) and scan it for the b,a,c and b,c,a
-    permutations, as ``check_halfperiod`` does on the recorded halfperiod.
-    Only the swaps that move a point between thirds are scanned, and none
-    is recorded as a ``Swap``."""
-    r = replay(ps, witness.directions[0])
-    moves = ((k + 1, r.firsts[k], r.seconds[k]) for k in _boundary_swaps(r, ps.n // 3))
-    indices = _block_pattern_indices(r.initial, moves, witness.partition)
-    return witness._replace(halfperiod_indices=indices)
+    """Attach the halfperiod indices (s, t) to a witness: ``check_halfperiod``
+    on the halfperiod replayed from the first witness direction, whose
+    initial permutation is then the three class blocks."""
+    h = build_halfperiod(ps, witness.directions[0])
+    return witness._replace(halfperiod_indices=check_halfperiod(h, witness.partition))
 
 
 def _draw_cluster_offsets(
     rng: random.Random, count: int, shape: str, center_idx: int
 ) -> list[tuple[Fraction, Fraction]]:
-    grid = 64
+    grid = _GRID
     offsets: set[tuple[Fraction, Fraction]] = set()
     if shape == "triangle-clusters":
         while len(offsets) < count:
@@ -299,14 +287,20 @@ def generate_with_witness(
     with the set.  General-position failures (possible at any radius, since
     within-cluster collinearity is scale invariant) trigger a redraw from
     the next substream of the seed.  Raises ``LabelingError`` for an n
-    that is not a positive multiple of 3 and ``GeneralPositionError`` when
-    no attempt succeeds.
+    that is not a positive multiple of 3, and ``GeneralPositionError`` when
+    no attempt succeeds or, before any draw, when a triangle cluster of n/3
+    points would not fit on the offset grid.
     """
     if n < 3 or n % 3 != 0:
         raise LabelingError(f"n must be a positive multiple of 3, got {n}")
     if shape not in GENERATOR_SHAPES:
         raise ValueError(f"shape must be one of {GENERATOR_SHAPES}, got {shape!r}")
-    per_cluster = n // 3
+    per_cluster, cells = n // 3, (2 * _GRID + 1) ** 2
+    if shape == "triangle-clusters" and per_cluster > cells:
+        raise GeneralPositionError(
+            f"triangle-clusters draws at most {cells} distinct points per cluster, "
+            f"got n/3 = {per_cluster}"
+        )
     radius = Fraction(1, 8)
     for attempt in range(_GENERATOR_ATTEMPTS):
         rng = random.Random(1_000_003 * seed + 7919 * attempt + n)

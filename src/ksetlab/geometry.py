@@ -66,7 +66,7 @@ class Frozen:
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -98,7 +98,8 @@ class PointSet(Frozen):
 
     ``coords``, ``classes`` and ``replay`` are computed at most once per
     instance and kept on it; ``with_labels`` hands them to the relabeled
-    set, since labels change none of them.
+    set, since labels change none of them (the replay's columns are shared
+    under the new labels).
     """
 
     _fields = ("points", "labels")
@@ -127,10 +128,12 @@ class PointSet(Frozen):
         return cls(pts, tuple(labels) if labels is not None else None)
 
     def with_labels(self, labels: Iterable[str] | None) -> "PointSet":
-        out = PointSet(self.points, tuple(labels) if labels is not None else None)
-        for name in _LABEL_FREE:
+        out = PointSet(self.points, labels)
+        for name in ("coords", "classes"):
             if name in self.__dict__:
                 out.__dict__[name] = self.__dict__[name]
+        if "replay" in self.__dict__:
+            out.__dict__["replay"] = self.replay.with_labels(out.labels)
         return out
 
     @cached_property
@@ -152,13 +155,9 @@ class PointSet(Frozen):
 
     @cached_property
     def replay(self):
-        """The default-start halfperiod, replayed once (``circular.replay``)."""
+        """The default-start ``Halfperiod``, replayed once (``circular.replay``)."""
         from .circular import default_start_direction, replay
         return replay(self, default_start_direction(self))
-
-
-#: The cached properties of a ``PointSet`` that do not depend on its labels.
-_LABEL_FREE = ("coords", "classes", "replay")
 
 
 def normalize_labels(labels: Iterable[str], n: int) -> tuple[str, ...]:

@@ -13,10 +13,9 @@ The decomposition oracle projects every point along each gap sample
 direction and its negation, instead of reading the halfperiod's block
 counters.
 
-The halfperiod-witness oracle records the whole halfperiod from l1 and
-scans it with ``check_halfperiod``, instead of reading (s, t) off a plain
-replay; that scan is in turn checked against one that reads the block
-pattern of every recorded permutation.
+The halfperiod-witness oracle reads the block pattern of every
+permutation of a halfperiod, instead of tracking the thirds through the
+swaps at sites n/3 and 2n/3 as ``check_halfperiod`` does.
 
 The grouping oracle groups the pairs by critical direction with ``Fraction``
 differences of the original coordinates, instead of the library's integer
@@ -53,10 +52,9 @@ from ksetlab.bounds import min_kset_count
 from ksetlab.circular import (
     Direction,
     Halfperiod,
-    build_halfperiod,
     interval_sample_directions,
 )
-from ksetlab.decompose import DecompositionWitness, check_halfperiod
+from ksetlab.decompose import DecompositionWitness
 from ksetlab.errors import GeneralPositionError
 from ksetlab.geometry import Point, PointSet, cross, is_general_position, orientation
 from ksetlab.verify import RANDOM_SPREAD
@@ -221,8 +219,9 @@ def gap_samples_of(classes: list) -> list[Direction]:
 
 
 def sweep_by_classes(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], list[list]]:
-    """``circular.sweep`` from the classes of ``classes_by_sorting``, one
-    class at a time, with the same checks."""
+    """The halfperiod ``circular.replay`` records, from the classes of
+    ``classes_by_sorting``, one class at a time, with the same checks: the
+    initial permutation and the ``(site, i, j)`` swaps of each class."""
     classes = classes_by_sorting(ps)
     ux, uy = u
     height = [ux * x + uy * y for x, y in ps.coords]
@@ -360,15 +359,6 @@ def check_partition_by_sampling(
         found.append(u)
     l3 = found[2] if mode == "three" else None
     return DecompositionWitness(part, (found[0], found[1], l3))
-
-
-def halfperiod_witness_by_halfperiod(
-    ps: PointSet, witness: DecompositionWitness
-) -> DecompositionWitness:
-    """``locate_halfperiod_witness`` by recording the halfperiod of the
-    relabeled set from l1 and scanning it with ``check_halfperiod``."""
-    h = build_halfperiod(ps.with_labels(witness.partition), witness.directions[0])
-    return witness._replace(halfperiod_indices=check_halfperiod(h))
 
 
 def block_pattern_indices_by_permutations(h: Halfperiod) -> tuple[int, int] | None:

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ksetlab.circular as circular_mod
+import ksetlab.decompose as decompose_mod
 from ksetlab import (
-    DecompositionWitness,
     GeneralPositionError,
     LabelingError,
     Point,
@@ -33,7 +33,6 @@ from support import (
     block_pattern_indices_by_permutations,
     check_partition_by_sampling,
     dot_point,
-    halfperiod_witness_by_halfperiod,
 )
 
 # Frozen 6-point set on which no balanced labeling is a decomposition.
@@ -278,7 +277,7 @@ def generated_sets_any_shape(draw):
 
 class TestWitnessReuse:
     """``gen`` takes the witness the generator's own check found, and reads
-    (s, t) off a plain replay from l1 instead of a recorded halfperiod."""
+    (s, t) off the halfperiod from l1 with ``check_halfperiod``."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
@@ -292,22 +291,20 @@ class TestWitnessReuse:
         assert witness == check_partition(ps)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(
-        labeled_grid_sets() | generated_sets_any_shape(),
-        st.sampled_from(["three", "two"]),
-        st.data(),
-    )
-    def test_replay_matches_recorded_halfperiod(self, ps, mode, data):
+    @given(labeled_grid_sets() | generated_sets_any_shape(), st.sampled_from(["three", "two"]))
+    def test_replay_matches_recorded_halfperiod(self, ps, mode):
+        # check_halfperiod, from every gap sample and its negation, against
+        # the blocks of every permutation; a located witness is its scan of
+        # the halfperiod from l1.
+        samples = gap_samples(ps.classes)
+        for u in samples + [(-x, -y) for x, y in samples]:
+            h = build_halfperiod(ps, u)
+            assert check_halfperiod(h) == block_pattern_indices_by_permutations(h)
         witness = check_partition(ps, mode=mode)
-        if witness is None:
-            # Still compare the two routes, from any tie-free direction.
-            samples = gap_samples(ps.classes)
-            u = data.draw(st.sampled_from(samples + [(-x, -y) for x, y in samples]))
-            witness = DecompositionWitness(ps.labels, (u, None, None))
-        located = locate_halfperiod_witness(ps, witness)
-        assert located == halfperiod_witness_by_halfperiod(ps, witness)
-        h = build_halfperiod(ps.with_labels(witness.partition), witness.directions[0])
-        assert located.halfperiod_indices == block_pattern_indices_by_permutations(h)
+        if witness is not None:
+            located = locate_halfperiod_witness(ps, witness)
+            h = build_halfperiod(ps.with_labels(witness.partition), witness.directions[0])
+            assert located.halfperiod_indices == block_pattern_indices_by_permutations(h)
 
 
 @pytest.mark.parametrize("ps", DEGENERATE_SETS)
@@ -388,6 +385,16 @@ class TestGenerate:
             generate(8, seed=0)
         with pytest.raises(ValueError):
             generate(9, seed=0, shape="pentagon")
+
+    def test_cluster_past_the_offset_grid_raises_before_drawing(self, monkeypatch):
+        # The 129 x 129 offset grid holds 16641 distinct offsets; a
+        # triangle cluster of 16642 points would redraw forever.
+        def no_draw(*args):
+            raise AssertionError("drew offsets for a cluster that cannot fit")
+
+        monkeypatch.setattr(decompose_mod, "_draw_cluster_offsets", no_draw)
+        with pytest.raises(GeneralPositionError, match="16641"):
+            generate(3 * 16642, seed=0)
 
     def test_n30_counts_meet_bound(self):
         ps = generate(30, seed=0)

@@ -455,11 +455,13 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["verify", "--suite", "edges", "--max-n", "3"], None, 2),
         (["verify", "--suite", "edges", "--max-n", "5"], None, 2),
         (["verify", "--suite", "edges", "--max-n", "6"], None, 0),
+        (["gen", "--n", "49926", "--seed", "0", "--out", "{tmp}/g.json"], None, 2),
+        (["bounds", "--n-range", "6:1000000000000", "--k", "0"], None, 2),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
     # 0 success, 2 usage or input error with a one-line message on stderr.
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
     if payload is not None:
         src = tmp_path / "in.json"
         src.write_text(json.dumps(payload))
@@ -609,11 +611,15 @@ class TestGroupOnce:
         assert main(argv) == 0
         assert len(groupings) == 1
 
-    def test_analyze_require_decomp_replays_once(self, tmp_path, capsys, monkeypatch):
-        # check_partition's splits and the site counts read one replay of
-        # the default-start halfperiod, cached on the point set.
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_analyze_require_decomp_replays_once(self, tmp_path, capsys, monkeypatch,
+                                                 labeled):
+        # check_partition's splits (or find_partition's, then the relabeled
+        # copy's) and the site counts read one replay of the default-start
+        # halfperiod, cached on the point set.
+        ps = generate(9, 4)
         path = tmp_path / "in.json"
-        save_point_set(generate(9, 4), path)
+        save_point_set(ps if labeled else ps.with_labels(None), path)
         replays = []
         real = circular.replay
 
@@ -646,8 +652,9 @@ class TestGroupOnce:
 
     def test_gen_checks_once_per_attempt(self, tmp_path, capsys, monkeypatch):
         # The witness gen prints is the generator's own check: one
-        # check_partition per attempt in general position, and no halfperiod
-        # is recorded for (s, t).
+        # check_partition per attempt in general position.  Two replays in
+        # all, the accepted set's check and then the one from l1 for (s, t),
+        # and no Swap tuple is built.
         calls = []
 
         def counting(module, name):
@@ -662,16 +669,24 @@ class TestGroupOnce:
 
         counting(decompose, "is_general_position")
         counting(decompose, "check_partition")
-        counting(circular, "build_halfperiod")
-        counting(circular, "Halfperiod")
+        counting(circular, "replay")
+        monkeypatch.setattr(circular.Halfperiod, "swaps", property(
+            lambda h: calls.append(("swaps", None))
+        ))
         argv = ["gen", "--n", "12", "--seed", "16", "--shape", "near-optimal-template"]
         assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
-        assert "halfperiod witness" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "halfperiod witness" in out
         names = [name for name, _ in calls]
         passed = [r for name, r in calls if name == "is_general_position" and r]
         assert names.count("is_general_position") == 3  # this seed redraws twice
         assert len(passed) == names.count("check_partition") == 1
-        assert "build_halfperiod" not in names and "Halfperiod" not in names
+        assert "swaps" not in names
+        order = [name for name in names if name in ("replay", "check_partition")]
+        assert order == ["replay", "check_partition", "replay"]
+        checked, from_l1 = [r for name, r in calls if name == "replay"]
+        assert checked.direction == circular.gap_sample(checked.classes, 0)
+        assert f"l1 = ({from_l1.direction[0]}, {from_l1.direction[1]})" in out
 
 
 def _run_in_one_process(argvs: list[list[str]]) -> list[list]:
