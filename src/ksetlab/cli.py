@@ -267,13 +267,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.parallel < 1:
         raise UsageError(f"--parallel must be at least 1, got {args.parallel}")
     items = [(n, seed, args.shape) for n in ns for seed in range(args.seeds)]
+    # The pool starts all its workers at the first submit: no more than sets.
+    workers = min(args.parallel, len(items))
     with _output(args.out) as out:
-        if args.parallel > 1:
+        if workers > 1:
             # Imported here, not at the top: it pulls in multiprocessing, which
             # costs every other command about 2 MB and 20 ms at startup.
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_work, items))
         else:
             results = [_sweep_work(item) for item in items]

@@ -27,7 +27,8 @@ first y,z,x split after the first y,x,z one, and
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
 three-point orders, which realize all six block patterns, so halving the
-radius until the checker passes always terminates.
+radius until the checker passes always terminates; each point is redrawn
+until it is in general position (``geometry.GeneralPositionDraw``).
 ``generate_with_witness`` hands back the accepted attempt's witness, so a
 caller that needs it does not check the set again.
 """
@@ -41,15 +42,14 @@ from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .circular import Direction, Halfperiod, block_roles, build_halfperiod, gap_sample
 from .errors import GeneralPositionError, LabelingError
-from .geometry import CLASS_NAMES, Point, PointSet, is_general_position
+from .geometry import CLASS_NAMES, DRAWS_PER_POINT, GeneralPositionDraw, Point, PointSet
 from .geometry import normalize_labels
 
 GENERATOR_SHAPES = ("triangle-clusters", "near-optimal-template")
 
 _GENERATOR_ATTEMPTS = 256
 
-#: Cluster offsets are drawn on the grid of multiples of 1/_GRID in
-#: [-1, 1]^2, which has (2 * _GRID + 1)^2 points.
+#: Triangle-cluster offsets are multiples of 1/_GRID in [-1, 1]^2.
 _GRID = 64
 
 # Fixed, arbitrary non-degenerate template triangle for the generator.
@@ -84,6 +84,12 @@ def _normalize_partition(
     if of.labels is None:
         raise LabelingError("no partition given and the point set is unlabeled")
     return of.labels
+
+
+def _block_orders(mode: str) -> tuple[str, ...]:
+    if mode not in _BLOCK_ORDERS:
+        raise ValueError(f"mode must be 'three' or 'two', got {mode!r}")
+    return _BLOCK_ORDERS[mode]
 
 
 def _splits(labels: Sequence[str], orders: Iterable[Sequence[str]]) -> list[Split]:
@@ -171,10 +177,9 @@ def check_partition(
     is the first realizing direction among the gap samples
     (``gap_samples``), else the first among their negations.
     """
-    if mode not in _BLOCK_ORDERS:
-        raise ValueError(f"mode must be 'three' or 'two', got {mode!r}")
+    orders = _block_orders(mode)
     part = _normalize_partition(ps, labels)
-    wanted = _splits(part, _BLOCK_ORDERS[mode])
+    wanted = _splits(part, orders)
     return _witness(part, wanted, _read_splits(ps, wanted))
 
 
@@ -187,15 +192,14 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     decided by looking up its splits in the map of that one sweep, as
     ``check_partition`` would.  Returns the first witness found, or None.
     """
-    if mode not in _BLOCK_ORDERS:
-        raise ValueError(f"mode must be 'three' or 'two', got {mode!r}")
+    orders = _block_orders(mode)
     if ps.n % 3 or ps.n < 3:
         raise LabelingError(f"3-decomposition needs n divisible by 3, got n = {ps.n}")
     first = _read_splits(ps)
     for split in first:
         for names in (CLASS_NAMES, CLASS_NAMES[::-1]):
             part = tuple(names[t] for t in split)
-            witness = _witness(part, _splits(part, _BLOCK_ORDERS[mode]), first)
+            witness = _witness(part, _splits(part, orders), first)
             if witness is not None:
                 return witness
     return None
@@ -242,39 +246,6 @@ def locate_halfperiod_witness(
     return witness._replace(halfperiod_indices=check_halfperiod(h, witness.partition))
 
 
-def _draw_cluster_offsets(
-    rng: random.Random, count: int, shape: str, center_idx: int
-) -> list[tuple[Fraction, Fraction]]:
-    grid = _GRID
-    offsets: set[tuple[Fraction, Fraction]] = set()
-    if shape == "triangle-clusters":
-        while len(offsets) < count:
-            offsets.add(
-                (
-                    Fraction(rng.randint(-grid, grid), grid),
-                    Fraction(rng.randint(-grid, grid), grid),
-                )
-            )
-        return sorted(offsets)
-    # near-optimal-template: points strung along the spoke toward the
-    # centroid with a small perpendicular jitter, echoing the elongated
-    # clusters of the best known drawings.
-    center = _CLUSTER_CENTERS[center_idx]
-    gx = sum(c.x for c in _CLUSTER_CENTERS) / 3
-    gy = sum(c.y for c in _CLUSTER_CENTERS) / 3
-    dx, dy = gx - center.x, gy - center.y
-    out: list[tuple[Fraction, Fraction]] = []
-    taken: set[tuple[Fraction, Fraction]] = set()
-    while len(out) < count:
-        t = Fraction(len(out) + 1, count + 1)
-        jitter = Fraction(rng.randint(-grid, grid), grid * 8)
-        off = (t * dx - jitter * dy, t * dy + jitter * dx)
-        if off not in taken:
-            taken.add(off)
-            out.append(off)
-    return out
-
-
 def generate_with_witness(
     n: int, seed: int = 0, shape: str = "triangle-clusters"
 ) -> tuple[PointSet, DecompositionWitness]:
@@ -282,37 +253,46 @@ def generate_with_witness(
     with the witness that accepted it.
 
     n/3 points are jittered inside a disk of radius r at each vertex of the
-    template triangle; r is halved and the set re-verified until it passes
+    template triangle, each redrawn until ``GeneralPositionDraw`` keeps it
+    (it repeats no point and is collinear with no two drawn before it);
+    triangle clusters are then sorted by offset.  r is halved and the set
+    drawn again, from the next substream of the seed, until it passes
     ``check_partition`` in three-condition mode, whose witness is returned
-    with the set.  General-position failures (possible at any radius, since
-    within-cluster collinearity is scale invariant) trigger a redraw from
-    the next substream of the seed.  Raises ``LabelingError`` for an n
-    that is not a positive multiple of 3, and ``GeneralPositionError`` when
-    no attempt succeeds or, before any draw, when a triangle cluster of n/3
-    points would not fit on the offset grid.
+    with the set.  Raises ``LabelingError`` for an n that is not a positive
+    multiple of 3, and ``GeneralPositionError`` when a point is not kept
+    within ``DRAWS_PER_POINT`` draws or no attempt succeeds.
     """
     if n < 3 or n % 3 != 0:
         raise LabelingError(f"n must be a positive multiple of 3, got {n}")
     if shape not in GENERATOR_SHAPES:
         raise ValueError(f"shape must be one of {GENERATOR_SHAPES}, got {shape!r}")
-    per_cluster, cells = n // 3, (2 * _GRID + 1) ** 2
-    if shape == "triangle-clusters" and per_cluster > cells:
-        raise GeneralPositionError(
-            f"triangle-clusters draws at most {cells} distinct points per cluster, "
-            f"got n/3 = {per_cluster}"
-        )
+    per_cluster, grid = n // 3, _GRID
+    gx = sum(c.x for c in _CLUSTER_CENTERS) / 3
+    gy = sum(c.y for c in _CLUSTER_CENTERS) / 3
     radius = Fraction(1, 8)
     for attempt in range(_GENERATOR_ATTEMPTS):
         rng = random.Random(1_000_003 * seed + 7919 * attempt + n)
-        points: list[Point] = []
-        labels: list[str] = []
-        for c, center in enumerate(_CLUSTER_CENTERS):
-            for ox, oy in _draw_cluster_offsets(rng, per_cluster, shape, c):
-                points.append(Point(center.x + radius * ox, center.y + radius * oy))
-                labels.append(CLASS_NAMES[c])
-        ps = PointSet(tuple(points), tuple(labels))
-        if not is_general_position(ps):
-            continue
+        draw, points = GeneralPositionDraw(), []
+        for center in _CLUSTER_CENTERS:
+            dx, dy = gx - center.x, gy - center.y
+            for i in range(per_cluster):
+                for _ in range(DRAWS_PER_POINT):
+                    if shape == "triangle-clusters":
+                        ox = Fraction(rng.randint(-grid, grid), grid)
+                        oy = Fraction(rng.randint(-grid, grid), grid)
+                    else:  # along the spoke to the centroid, jittered across it,
+                        # echoing the elongated clusters of the best known drawings
+                        t = Fraction(i + 1, per_cluster + 1)
+                        jitter = Fraction(rng.randint(-grid, grid), grid * 8)
+                        ox, oy = t * dx - jitter * dy, t * dy + jitter * dx
+                    if draw.offer(Point(center.x + radius * ox, center.y + radius * oy)):
+                        break
+                else:
+                    raise GeneralPositionError(f"generator gave up on n={n}, seed={seed}: no point "
+                                               f"in general position in {DRAWS_PER_POINT} draws")
+            cluster = draw.points[len(points) :]
+            points += sorted(cluster) if shape == "triangle-clusters" else cluster
+        ps = PointSet(points, [c for c in CLASS_NAMES for _ in range(per_cluster)])
         witness = check_partition(ps)
         if witness is not None:
             return ps, witness

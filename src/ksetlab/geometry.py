@@ -306,6 +306,48 @@ def is_general_position(ps: PointSet) -> bool:
     return True
 
 
+#: The draws spent on one point before a caller of ``GeneralPositionDraw``
+#: gives up.
+DRAWS_PER_POINT = 1000
+
+
+class GeneralPositionDraw:
+    """Points kept one at a time in general position: ``offer(p)`` keeps p,
+    a pair of rationals (a ``Point``, or integers), and returns True unless
+    p repeats a kept point or is collinear with two; ``points`` lists the
+    kept points in order.  Each kept point q is held as integers (X, Y, D),
+    its coordinates times the lcm D of their denominators, with the
+    primitive directions, signed to point right or straight up, from q to
+    the points kept after it; p is collinear with q and one of them exactly
+    when its direction from q is already there."""
+
+    def __init__(self) -> None:
+        self.points: list = []
+        self._held: list[tuple[int, int, int, set[Direction]]] = []
+
+    def offer(self, p: Sequence[Fraction | int]) -> bool:
+        x, y = p
+        d = math.lcm(x.denominator, y.denominator)
+        px, py = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)
+        found = []
+        for qx, qy, qd, held in self._held:
+            dx, dy = px * qd - qx * d, py * qd - qy * d
+            g = math.gcd(dx, dy)
+            if not g:
+                return False  # p repeats q
+            if dx < 0 or not dx and dy < 0:
+                g = -g
+            u = (dx // g, dy // g)
+            if u in held:
+                return False  # p, q and a point kept after q are collinear
+            found.append(u)
+        for (_, _, _, held), u in zip(self._held, found):
+            held.add(u)
+        self.points.append(p)
+        self._held.append((px, py, d, set()))
+        return True
+
+
 def _in_triangle(a: Point, b: Point, c: Point, p: Point) -> bool:
     # Strict containment; inputs are in general position so no zeros occur.
     return orientation(a, b, p) == orientation(b, c, p) == orientation(c, a, p)

@@ -5,14 +5,14 @@ result the CLI can render as JSON.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import bounds, circular, decompose
 from .errors import OracleSizeError
-from .geometry import DEFAULT_ORACLE_CAP, PointSet, k_set_oracle
+from .geometry import DEFAULT_ORACLE_CAP, DRAWS_PER_POINT, GeneralPositionDraw, PointSet
+from .geometry import k_set_oracle
 
 
 class CheckResult(NamedTuple):
@@ -53,47 +53,21 @@ def _finish(name: str, checks: list[CheckResult]) -> SuiteResult:
 
 def random_general_position_set(n: int, seed: int) -> PointSet:
     """Deterministic random point set with integer coordinates in general
-    position: each draw that lands on a blocked cell is drawn again.  No row
-    of the grid holds three points of such a set, so n above twice its
-    2*RANDOM_SPREAD + 1 rows is refused, and a ``ValueError`` is raised once
-    the points drawn block every cell.
-
-    A cell is blocked when it holds a point or lies on the line through two
-    of them: exactly the candidates that would break general position."""
-    spread = RANDOM_SPREAD
-    side = 2 * spread + 1
-    if n > 2 * side:
-        raise ValueError(f"the {side}x{side} grid holds at most {2 * side} points "
-                         f"in general position, got n = {n}")
+    position: each point is drawn uniformly from [-spread, spread]^2,
+    spread = max(RANDOM_SPREAD, n), until ``GeneralPositionDraw`` keeps it
+    (it repeats no point and is collinear with no two).  Raises
+    ``ValueError`` after ``DRAWS_PER_POINT * n`` draws."""
+    spread = max(RANDOM_SPREAD, n)
     rng = random.Random(seed)
-    points: list[tuple[int, int]] = []
-    blocked: set[tuple[int, int]] = set()
-    while len(points) < n:
-        if len(blocked) == side * side:
-            raise ValueError(f"seed {seed} blocked every cell of the {side}x{side} "
-                             f"grid after {len(points)} points, got n = {n}")
-        cand = (rng.randint(-spread, spread), rng.randint(-spread, spread))
-        if cand in blocked:
-            continue
-        blocked.add(cand)
-        for p in points:
-            blocked.update(_grid_line(p, cand, spread))
-        points.append(cand)
-    return PointSet.from_coords(points)
-
-
-def _grid_line(p: tuple[int, int], q: tuple[int, int], spread: int) -> Iterator[tuple[int, int]]:
-    """The cells of the grid [-spread, spread]^2 on the line through p and q."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    g = math.gcd(dx, dy)
-    dx, dy = dx // g, dy // g
-    x, y = p
-    while abs(x) <= spread and abs(y) <= spread:
-        x, y = x - dx, y - dy
-    x, y = x + dx, y + dy
-    while abs(x) <= spread and abs(y) <= spread:
-        yield x, y
-        x, y = x + dx, y + dy
+    draw = GeneralPositionDraw()
+    for _ in range(DRAWS_PER_POINT * n):
+        if len(draw.points) == n:
+            break
+        draw.offer((rng.randint(-spread, spread), rng.randint(-spread, spread)))
+    if len(draw.points) < n:
+        raise ValueError(f"seed {seed} kept {len(draw.points)} points in general "
+                         f"position after {DRAWS_PER_POINT * n} draws, got n = {n}")
+    return PointSet.from_coords(draw.points)
 
 
 def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:

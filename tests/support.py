@@ -124,11 +124,20 @@ def random_general_position_set_by_rejection(n: int, seed: int) -> PointSet:
 
 
 def general_position_by_triples(ps: PointSet) -> bool:
-    """True iff all points are distinct and no triple is collinear."""
+    """True iff all points are distinct and no triple is collinear: the
+    cross product of every triple, in integers (the points times the lcm of
+    all their denominators), is nonzero."""
     pts = ps.points
     if len(set(pts)) != len(pts):
         return False
-    return all(orientation(p, q, r) != 0 for p, q, r in combinations(pts, 3))
+    m = math.lcm(*(c.denominator for p in pts for c in p))
+    xy = [(int(p.x * m), int(p.y * m)) for p in pts]
+    for i, (ax, ay) in enumerate(xy):
+        for j in range(i + 1, len(xy)):
+            ux, uy = xy[j][0] - ax, xy[j][1] - ay
+            if not all(ux * (y - ay) - uy * (x - ax) for x, y in xy[j + 1 :]):
+                return False
+    return True
 
 
 def dot_point(u: Direction, p: Point) -> Fraction:

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ksetlab.circular as circular_mod
-import ksetlab.decompose as decompose_mod
 from ksetlab import (
     GeneralPositionError,
     LabelingError,
@@ -26,6 +25,7 @@ from ksetlab import (
 )
 from ksetlab.circular import gap_samples
 from ksetlab.decompose import GENERATOR_SHAPES
+from ksetlab.geometry import DRAWS_PER_POINT
 from ksetlab.verify import random_general_position_set
 
 from support import (
@@ -386,15 +386,20 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(9, seed=0, shape="pentagon")
 
-    def test_cluster_past_the_offset_grid_raises_before_drawing(self, monkeypatch):
-        # The 129 x 129 offset grid holds 16641 distinct offsets; a
-        # triangle cluster of 16642 points would redraw forever.
-        def no_draw(*args):
-            raise AssertionError("drew offsets for a cluster that cannot fit")
-
-        monkeypatch.setattr(decompose_mod, "_draw_cluster_offsets", no_draw)
-        with pytest.raises(GeneralPositionError, match="16641"):
+    def test_cluster_past_the_offset_grid_raises_at_the_draw_cap(self):
+        # The 129 x 129 offset grid holds 16641 distinct offsets, and far
+        # fewer in general position: a triangle cluster of 16642 points
+        # stops at the first point no draw within the cap can place.
+        with pytest.raises(GeneralPositionError, match=f"in {DRAWS_PER_POINT} draws"):
             generate(3 * 16642, seed=0)
+
+    @pytest.mark.parametrize("shape", GENERATOR_SHAPES)
+    @pytest.mark.parametrize("n, seeds", [(90, range(3)), (150, range(3)), (300, [0])],
+                             ids=["90", "150", "300"])
+    def test_hundreds_of_points(self, n, seeds, shape):
+        for seed in seeds:
+            ps = generate(n, seed, shape)
+            assert ps.n == n and is_general_position(ps)
 
     def test_n30_counts_meet_bound(self):
         ps = generate(30, seed=0)

@@ -107,6 +107,21 @@ MIXED_POINTS = st.tuples(
 )
 
 
+class TestGeneralPositionDraw:
+    # Small integer points, as the random sampler offers, and non-dyadic
+    # fractions, so that repeats and collinear triples are common.
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)) | MIXED_POINTS,
+                    max_size=12))
+    def test_keeps_a_point_exactly_when_the_triple_scan_accepts_it(self, candidates):
+        draw = geometry.GeneralPositionDraw()
+        for p in candidates:
+            kept = list(draw.points)
+            accepted = general_position_by_triples(PointSet.from_coords(kept + [p]))
+            assert draw.offer(p) == accepted
+            assert draw.points == kept + [p] * accepted
+
+
 def grouping_or_error(group, ps):
     """The classes ``group(ps)`` returns, counterclockwise, as (direction,
     pairs) items, or the error it raises."""

@@ -34,7 +34,7 @@ from ksetlab.io import (
 )
 from ksetlab.verify import random_general_position_set
 
-from support import random_general_position_set_by_rejection
+from support import general_position_by_triples, random_general_position_set_by_rejection
 
 
 def read_csv(path):
@@ -116,15 +116,6 @@ class TestPointSetFiles:
             load_point_set(path)
 
 
-def test_random_sampler_refuses_more_than_the_grid_holds(monkeypatch):
-    # Refused before the first draw: no general-position set on the
-    # 121 x 121 grid has more than two points in a row, so n = 243 would
-    # never be reached.
-    monkeypatch.setattr(verify.random, "Random", None)
-    with pytest.raises(ValueError, match="at most 242 points"):
-        random_general_position_set(243, 0)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_sampler_matches_rejection_loop(seed):
     for n in [*range(31), 45, 60]:
@@ -132,11 +123,12 @@ def test_random_sampler_matches_rejection_loop(seed):
         assert random_general_position_set(n, seed) == expected
 
 
-def test_random_sampler_raises_when_every_cell_is_blocked():
-    # Greedy draws on the 121 x 121 grid block every cell after 170-odd
-    # points, well below the 242-point limit.
-    with pytest.raises(ValueError, match="blocked every cell"):
-        random_general_position_set(200, 0)
+@pytest.mark.parametrize("n", [200, 243, 300])
+def test_random_sampler_reaches_hundreds_of_points(n):
+    # Past the sizes a 121 x 121 grid holds in general position: the
+    # spread grows with n.
+    ps = random_general_position_set(n, 0)
+    assert ps.n == n and general_position_by_triples(ps)
 
 
 class TestGenCommand:
@@ -161,8 +153,8 @@ class TestGenCommand:
         assert not out.exists()
 
     def test_gen_that_gives_up_exits_two(self, tmp_path, capsys, monkeypatch):
-        # Every draw fails general position, so the generator gives up.
-        monkeypatch.setattr(decompose, "is_general_position", lambda ps: False)
+        # Every attempt fails the partition check, so the generator gives up.
+        monkeypatch.setattr(decompose, "check_partition", lambda ps: None)
         out = tmp_path / "x.json"
         assert main(["gen", "--n", "9", "--seed", "4", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -569,6 +561,33 @@ class TestSweepCommand:
         assert main(args + ["--parallel", "2", "--out", str(parallel)]) == 0
         assert serial.read_text() == parallel.read_text()
 
+    def test_sweep_starts_no_more_workers_than_sets(self, tmp_path, monkeypatch):
+        # A process pool starts all max_workers processes at its first
+        # submit; a fake pool records how many were asked for.
+        import concurrent.futures
+
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        out = ["--parallel", "16", "--out", str(tmp_path / "s.csv")]
+        assert main(["sweep", "--ns", "6", "--seeds", "1", *out]) == 0
+        assert asked == []  # one set: run serially
+        assert main(["sweep", "--ns", "6,9", "--seeds", "2", *out]) == 0
+        assert asked == [4]
+
     def test_sweep_rejects_bad_ns(self, capsys):
         assert main(["sweep", "--ns", "6,8"]) == 2
 
@@ -631,45 +650,56 @@ class TestGroupOnce:
         assert main(["analyze", "--input", str(path), "--require-decomp"]) == 0
         assert replays == [circular.default_start_direction(load_point_set(path))]
 
-    # Seeds whose first draws have a collinear triple, so the generator
-    # redraws: each attempt is grouped once, by its general-position test,
-    # and the accepted set's check, witness and halfperiod reuse that.
+    # Every draw is in general position, so only a failed partition check
+    # starts another attempt, and no seed tried fails one on its own:
+    # ``_fail_odd_checks`` fails every other check, so each set is drawn
+    # twice.  Each attempt is grouped once, by its check, and the accepted
+    # set's witness and halfperiod reuse that grouping.
+    @staticmethod
+    def _fail_odd_checks(monkeypatch, calls):
+        real, checks = decompose.check_partition, []
+
+        def failing(ps):
+            witness = real(ps)
+            checks.append(ps)
+            calls.append(("check_partition", ps))
+            return witness if len(checks) % 2 == 0 else None
+
+        monkeypatch.setattr(decompose, "check_partition", failing)
+
     def test_generate_groups_once_per_attempt(self, monkeypatch):
         groupings = self._record(monkeypatch, geometry, "group_pairs")
-        attempts = self._record(monkeypatch, decompose, "is_general_position")
+        attempts = []
+        self._fail_odd_checks(monkeypatch, attempts)
         generate(12, 13)
         generate(12, 16, "near-optimal-template")
-        assert len(attempts) == 5
-        assert groupings == attempts
+        assert len(attempts) == 4
+        assert groupings == [ps for _, ps in attempts]
 
     def test_gen_groups_once_per_attempt(self, tmp_path, capsys, monkeypatch):
         groupings = self._record(monkeypatch, geometry, "group_pairs")
-        attempts = self._record(monkeypatch, decompose, "is_general_position")
+        attempts = []
+        self._fail_odd_checks(monkeypatch, attempts)
         argv = ["gen", "--n", "12", "--seed", "16", "--shape", "near-optimal-template"]
         assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
-        assert len(attempts) == 3
-        assert groupings == attempts
+        assert len(attempts) == 2
+        assert groupings == [ps for _, ps in attempts]
 
     def test_gen_checks_once_per_attempt(self, tmp_path, capsys, monkeypatch):
         # The witness gen prints is the generator's own check: one
-        # check_partition per attempt in general position.  Two replays in
-        # all, the accepted set's check and then the one from l1 for (s, t),
-        # and no Swap tuple is built.
+        # check_partition per attempt.  Two replays for the accepted set,
+        # its check and then the one from l1 for (s, t), one for the failed
+        # attempt's check, and no Swap tuple is built.
         calls = []
+        real_replay = circular.replay
 
-        def counting(module, name):
-            real = getattr(module, name)
+        def replay(*args):
+            result = real_replay(*args)
+            calls.append(("replay", result))
+            return result
 
-            def wrapper(*args, **kwargs):
-                result = real(*args, **kwargs)
-                calls.append((name, result))
-                return result
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(decompose, "is_general_position")
-        counting(decompose, "check_partition")
-        counting(circular, "replay")
+        self._fail_odd_checks(monkeypatch, calls)
+        monkeypatch.setattr(circular, "replay", replay)
         monkeypatch.setattr(circular.Halfperiod, "swaps", property(
             lambda h: calls.append(("swaps", None))
         ))
@@ -678,13 +708,9 @@ class TestGroupOnce:
         out = capsys.readouterr().out
         assert "halfperiod witness" in out
         names = [name for name, _ in calls]
-        passed = [r for name, r in calls if name == "is_general_position" and r]
-        assert names.count("is_general_position") == 3  # this seed redraws twice
-        assert len(passed) == names.count("check_partition") == 1
         assert "swaps" not in names
-        order = [name for name in names if name in ("replay", "check_partition")]
-        assert order == ["replay", "check_partition", "replay"]
-        checked, from_l1 = [r for name, r in calls if name == "replay"]
+        assert names == ["replay", "check_partition"] * 2 + ["replay"]
+        _, checked, from_l1 = [r for name, r in calls if name == "replay"]
         assert checked.direction == circular.gap_sample(checked.classes, 0)
         assert f"l1 = ({from_l1.direction[0]}, {from_l1.direction[1]})" in out
 
