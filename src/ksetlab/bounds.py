@@ -303,13 +303,6 @@ def bound_table(n: int) -> BoundTable:
 # The single-quantity functions: each reads its field of bound_report(k, n).
 
 
-def refinement_depth(k: int, n: int) -> int:
-    """Upper index b of the refinement sum in the (<=k)-set bound: the
-    unique integer with C(b+1,2) < n/(n-2k-1) <= C(b+2,2).  Undefined when
-    the valid window is empty (k = (n-1)/2)."""
-    return _defined(bound_report(k, n).depth, k, n)
-
-
 def kset_lower_bound(k: int, n: int) -> Fraction:
     """Closed-form lower bound Y(k,n) on the number of (<=k)-sets of a
     3-decomposable n-point set (exact rational)."""

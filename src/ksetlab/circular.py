@@ -243,9 +243,10 @@ def critical_counts(h: Halfperiod, k: int) -> CriticalityReport:
     n = h.n
     if not 1 <= k or not 2 * k < n:
         raise ValueError(f"k must satisfy 1 <= k < n/2, got k={k}, n={n}")
+    # The (<=k)-critical swaps are those at sites 1..k and n-k..n-1.
     counts, het_counts = h.site_counts
-    total = sum(counts[1 : k + 1]) + sum(counts[n - k :])
-    het = None if het_counts is None else sum(het_counts[1 : k + 1]) + sum(het_counts[n - k :])
+    total = kset_vector_from_sites(n, counts).prefix[k]
+    het = None if het_counts is None else kset_vector_from_sites(n, het_counts).prefix[k]
     by_position = dict(enumerate(counts[1:], 1))
     het_by_position = None if het_counts is None else dict(enumerate(het_counts[1:], 1))
     return CriticalityReport(

@@ -26,8 +26,8 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import bounds as bounds_mod
 from . import circular, decompose, verify
-from .errors import GeneralPositionError, LabelingError, OracleSizeError
-from .geometry import DEFAULT_ORACLE_CAP, PointSet
+from .errors import GeneralPositionError, LabelingError
+from .geometry import PointSet
 from .io import load_point_set, save_point_set
 
 ANALYZE_COLUMNS = [
@@ -90,17 +90,13 @@ def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> list[list]:
     n = ps.n
     counts, het_counts = circular.site_counts(ps)
     vec = circular.kset_vector_from_sites(n, counts)
-    rows = []
     # The (<=k)-critical swaps are those at sites 1..k and n-k..n-1, e_{<=k}
     # of them; the heterogeneous ones are summed the same way.
-    het = 0
-    for k in range(1, k_hi + 1):
-        if het_counts is not None:
-            het += het_counts[k] + het_counts[n - k]
-        if k < k_lo:
-            continue
+    het = None if het_counts is None else circular.kset_vector_from_sites(n, het_counts)
+    rows = []
+    for k in range(k_lo, k_hi + 1):
         row = [n, k, vec.e[k], vec.prefix[k]]
-        row += [UNDEF] * 2 if het_counts is None else [het, vec.prefix[k] - het]
+        row += [UNDEF] * 2 if het is None else [het.prefix[k], vec.prefix[k] - het.prefix[k]]
         if n % 3 == 0:
             br = bounds_mod.bound_report(k, n)
             row += [
@@ -205,37 +201,21 @@ def _bounds_rows(ns: Iterable[int], only_k: int | None) -> Iterator[list]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # An option left out is None: the suite's own default applies.
+    # An option left out is None: the suite's own default applies.  Every
+    # chosen suite's options are checked before the output is opened.
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    if args.max_n is not None and args.max_n < 1:
-        raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
-    if "oracle" in names and args.max_n is not None and args.max_n > DEFAULT_ORACLE_CAP:
-        raise UsageError(
-            f"oracle capped at n <= {DEFAULT_ORACLE_CAP}, got max_n = {args.max_n}"
-        )
-    if "oracle" in names and args.sets_per_n is not None and args.sets_per_n < 1:
-        raise UsageError(f"--sets-per-n must be at least 1, got {args.sets_per_n}")
-    for suite in ("edges", "slack"):
-        if suite in names and args.max_n is not None and args.max_n < 6:
-            # Both sweeps start at n = 6; below it, they would check nothing.
-            raise UsageError(f"the {suite} suite needs --max-n at least 6, got {args.max_n}")
-    if "slack" in names and args.max_b is not None and args.max_b < 0:
-        raise UsageError(f"--max-b must be at least 0, got {args.max_b}")
-    min_terms = bounds_mod.SERIES_MIN_TERMS
-    if "series" in names and args.terms is not None and args.terms < min_terms:
-        raise UsageError(
-            f"--terms must be at least {min_terms} to meet the series tolerance "
-            f"{bounds_mod.SERIES_TOLERANCE:g}, got {args.terms}"
-        )
-    with _output(args.out) as out:
-        results = []
+    options = {
+        name: {p: getattr(args, p) for p in verify.SUITE_OPTIONS[name]
+               if getattr(args, p) is not None}
+        for name in names
+    }
+    try:
         for name in names:
-            kwargs = {
-                p: getattr(args, p)
-                for p in verify.SUITE_OPTIONS[name]
-                if getattr(args, p) is not None
-            }
-            results.append(verify.run_suite(name, **kwargs))
+            verify.check_options(name, **options[name])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    with _output(args.out) as out:
+        results = [verify.run_suite(name, **options[name]) for name in names]
         ok = all(r.ok for r in results)
         payload = results[0].to_dict() if len(results) == 1 else {
             "ok": ok,
@@ -344,8 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     # OSError is an unreadable --input or an unwritable --out.
     try:
         return handler(args)
-    except (UsageError, OSError, GeneralPositionError, LabelingError,
-            OracleSizeError) as exc:
+    except (UsageError, OSError, GeneralPositionError, LabelingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,12 +73,9 @@ def random_general_position_set(n: int, seed: int) -> PointSet:
 def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:
     """Halfperiod k-set counts must equal the brute-force pair-line oracle,
     on random sets of every size 4..max_n and on generated 3-decomposable
-    sets.  Raises ``OracleSizeError`` up front when ``max_n`` exceeds the
-    oracle's cap."""
-    if max_n > DEFAULT_ORACLE_CAP:
-        raise OracleSizeError(
-            f"oracle capped at n <= {DEFAULT_ORACLE_CAP}, got max_n = {max_n}"
-        )
+    sets.  ``run_suite("oracle", ...)`` refuses a ``max_n`` above the
+    oracle's cap, or a value below its least in ``SUITE_OPTIONS``, before
+    it draws any set."""
     groups = [
         (f"random n={n} ({sets_per_n} sets)",
          [random_general_position_set(n, ORACLE_BASE_SEED + 97 * n + t)
@@ -228,16 +225,33 @@ SUITES = {
     "slack": slack_suite,
     "series": series_suite,
 }
-#: The parameters of each suite, which ``verify`` fills from its options.
+#: The parameters of each suite, which ``verify`` fills from its options,
+#: as (least value, greatest value or None).  Only the oracle has a
+#: greatest, its cap.  The edges and slack sweeps start at n = 6, and the
+#: series needs SERIES_MIN_TERMS to meet its tolerance.
 SUITE_OPTIONS = {
-    "oracle": ("max_n", "sets_per_n"),
-    "edges": ("max_n",),
-    "slack": ("max_b", "max_n"),
-    "series": ("terms",),
+    "oracle": {"max_n": (1, DEFAULT_ORACLE_CAP), "sets_per_n": (1, None)},
+    "edges": {"max_n": (6, None)},
+    "slack": {"max_b": (0, None), "max_n": (6, None)},
+    "series": {"terms": (bounds.SERIES_MIN_TERMS, None)},
 }
 
 
-def run_suite(name: str, **kwargs) -> SuiteResult:
+def check_options(name: str, **options: int) -> None:
+    """Refuse a value ``run_suite(name, **options)`` cannot use, before any
+    work: ``ValueError`` below its least in ``SUITE_OPTIONS``, and
+    ``OracleSizeError`` above the oracle's cap.  An option the suite does
+    not take is left for the suite to refuse (``TypeError``)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    for option, value in options.items():
+        least, most = SUITE_OPTIONS[name].get(option, (value, None))
+        if value < least:
+            raise ValueError(f"the {name} suite needs {option} at least {least}, got {value}")
+        if most is not None and value > most:
+            raise OracleSizeError(f"oracle capped at n <= {most}, got {option} = {value}")
+
+
+def run_suite(name: str, **kwargs: int) -> SuiteResult:
+    check_options(name, **kwargs)
     return SUITES[name](**kwargs)

@@ -20,7 +20,6 @@ from ksetlab import (
     kset_lower_bound,
     kset_lower_bound_sharp,
     min_kset_count,
-    refinement_depth,
     series_and_integral_report,
     slack_quartic,
     triangular_threshold,
@@ -46,9 +45,9 @@ F = Fraction
 
 class TestRefinementDepth:
     def test_examples(self):
-        assert refinement_depth(1, 9) == 1  # 9/6 in (C(2,2), C(3,2)]
-        assert refinement_depth(3, 9) == 2  # 9/2 in (C(3,2), C(4,2)]
-        assert refinement_depth(5, 12) == 4  # 12 in (C(5,2), C(6,2)]
+        assert bound_report(1, 9).depth == 1  # 9/6 in (C(2,2), C(3,2)]
+        assert bound_report(3, 9).depth == 2  # 9/2 in (C(3,2), C(4,2)]
+        assert bound_report(5, 12).depth == 4  # 12 in (C(5,2), C(6,2)]
 
     def test_threshold_brackets_ratio(self):
         for num in range(2, 40):
@@ -76,8 +75,9 @@ class TestRefinementDepth:
         assert triangular_threshold(F(10**9 * t + 1, 10**9)) == b + 1
 
     def test_empty_window(self):
+        assert bound_report(4, 9).depth is None
         with pytest.raises(UndefinedWindowError):
-            refinement_depth(4, 9)
+            kset_lower_bound(4, 9)
 
 
 class TestBqrDecompose:
@@ -451,7 +451,8 @@ class TestBoundReport:
 
     def test_equals_single_quantity_functions(self):
         # bound_report computes Y once per (k, n); every field must be what
-        # the public function for that quantity returns on its own.
+        # the public function for that quantity returns on its own, and the
+        # depth b the one with C(b+1,2) < n/m <= C(b+2,2).
         def or_none(f, *args):
             try:
                 return f(*args)
@@ -468,7 +469,7 @@ class TestBoundReport:
                     k=k,
                     m=m,
                     s=s,
-                    depth=or_none(refinement_depth, k, n),
+                    depth=triangular_threshold(F(n, m)) if m >= 1 else None,
                     y=or_none(kset_lower_bound, k, n),
                     ceil_y=min_kset_count(k, n),
                     het=heterogeneous_critical_count(k, n),

@@ -328,6 +328,39 @@ class TestHalfperiodInvariants:
         assert sum(site_counts(ps)[0]) == math.comb(ps.n, 2)
 
 
+class TestFrozenRecords:
+    # PointSet and Halfperiod are read-only records compared by their fields.
+    def test_fields_are_read_only(self):
+        ps = PointSet.from_coords([(0, 0), (1, 0), (0, 1)])
+        for record, field in ((ps, "points"), (build_halfperiod(ps), "swaps")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, ())
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_equal_records_hash_equal_and_show_their_fields(self):
+        coords = [(0, 0), (1, 0), (0, 1)]
+        ps, again = PointSet.from_coords(coords), PointSet.from_coords(coords, "abc")
+        assert ps is not TRIANGLE and ps == TRIANGLE and hash(ps) == hash(TRIANGLE)
+        assert again != ps
+        h = build_halfperiod(ps)
+        assert h is not build_halfperiod(TRIANGLE)
+        assert h == build_halfperiod(TRIANGLE) and hash(h) == hash(build_halfperiod(TRIANGLE))
+        assert h != build_halfperiod(again)
+        assert repr(ps) == f"PointSet(points={ps.points!r}, labels=None)"
+        assert repr(h) == (
+            f"Halfperiod(n=3, initial_permutation={h.initial_permutation!r}, "
+            f"swaps={h.swaps!r}, direction={h.direction!r}, labels=None)"
+        )
+
+    def test_a_point_set_never_equals_a_halfperiod(self):
+        h = build_halfperiod(TRIANGLE)
+        assert TRIANGLE != h and h != TRIANGLE
+        assert not TRIANGLE == h
+
+
 @st.composite
 def unimodular_maps(draw):
     """An integer matrix ((a, b), (c, d)) with ad - bc = +1: a product of

@@ -26,6 +26,7 @@ from ksetlab import (
     verify,
 )
 from ksetlab.cli import main
+from ksetlab.errors import OracleSizeError
 from ksetlab.io import (
     format_fraction,
     parse_fraction,
@@ -352,7 +353,33 @@ class TestVerifyCommand:
 
         assert verify.SUITE_OPTIONS.keys() == verify.SUITES.keys()
         for name, suite in verify.SUITES.items():
-            assert verify.SUITE_OPTIONS[name] == tuple(inspect.signature(suite).parameters)
+            assert tuple(verify.SUITE_OPTIONS[name]) == tuple(inspect.signature(suite).parameters)
+
+    @pytest.mark.parametrize(
+        "name, options, error",
+        [
+            ("edges", {"max_n": 3}, ValueError),
+            ("oracle", {"max_n": 5, "sets_per_n": 0}, ValueError),
+            ("slack", {"max_b": -1}, ValueError),
+            ("series", {"terms": 10}, ValueError),
+            ("oracle", {"max_n": 16}, OracleSizeError),
+        ],
+    )
+    def test_run_suite_refuses_out_of_range_options(self, monkeypatch, name, options,
+                                                    error):
+        # The library call refuses what the command line refuses, before the
+        # suite runs.
+        def not_run(**kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(verify.SUITES, name, not_run)
+        with pytest.raises(error) as excinfo:
+            verify.run_suite(name, **options)
+        assert excinfo.type is error
+
+    def test_run_suite_refuses_an_option_the_suite_does_not_take(self):
+        with pytest.raises(TypeError):
+            verify.run_suite("edges", terms=50)
 
     def test_options_reach_the_suite(self, monkeypatch, capsys):
         calls = []
@@ -449,6 +476,10 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["verify", "--suite", "edges", "--max-n", "6"], None, 0),
         (["gen", "--n", "49926", "--seed", "0", "--out", "{tmp}/g.json"], None, 2),
         (["bounds", "--n-range", "6:1000000000000", "--k", "0"], None, 2),
+        # Two points, too few to analyze; four labeled points, not in thirds.
+        (["analyze"], {"points": [["0/1", "0/1"], ["1/1", "0/1"]]}, 2),
+        (["analyze"], {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"],
+                                  ["2/1", "3/1"]], "labels": ["a", "b", "c", "a"]}, 2),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
