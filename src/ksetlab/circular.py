@@ -81,17 +81,16 @@ class Halfperiod(Frozen):
     columns: ``initial_permutation`` is the order of the points along
     ``direction``, and swap ``k`` trades points ``firsts[k]`` and
     ``seconds[k]`` at sites ``sites[k]``, ``sites[k] + 1`` (1-based).
-    Class ``first`` flips first, then the classes after it, wrapping
-    around; the last permutation reverses the first.  ``labels`` are the
-    point set's (None without).  It compares, hashes and shows as its
-    ``n``, ``initial_permutation``, ``swaps`` (each ``Swap``, built on
-    first use), ``direction`` and ``labels``."""
+    Class ``first`` of ``PointSet.classes`` flips first, then the classes
+    after it, wrapping around; the last permutation reverses the first.
+    ``labels`` are the point set's (None without).  It compares, hashes and
+    shows as its ``n``, ``initial_permutation``, ``swaps`` (each ``Swap``,
+    built on first use), ``direction`` and ``labels``."""
 
     _fields = ("n", "initial_permutation", "swaps", "direction", "labels")
 
     def __init__(
         self,
-        classes: Classes,
         direction: Direction,
         initial_permutation: tuple[int, ...],
         first: int,
@@ -101,7 +100,7 @@ class Halfperiod(Frozen):
         labels: tuple[str, ...] | None = None,
     ) -> None:
         self.__dict__.update(
-            n=len(initial_permutation), classes=classes, direction=direction,
+            n=len(initial_permutation), direction=direction,
             initial_permutation=initial_permutation, first=first, sites=sites, firsts=firsts,
             seconds=seconds, labels=labels,
         )
@@ -109,8 +108,8 @@ class Halfperiod(Frozen):
     def with_labels(self, labels: tuple[str, ...] | None) -> "Halfperiod":
         """The same halfperiod, sharing its columns, with other labels."""
         return Halfperiod(
-            self.classes, self.direction, self.initial_permutation, self.first,
-            self.sites, self.firsts, self.seconds, labels,
+            self.direction, self.initial_permutation, self.first, self.sites, self.firsts,
+            self.seconds, labels,
         )
 
     @cached_property
@@ -177,7 +176,7 @@ def replay(ps: PointSet, u: Direction) -> Halfperiod:
         block = sorted(zip(sites[lo:hi], firsts[lo:hi], seconds[lo:hi]))
         for column, values in zip((sites, firsts, seconds), zip(*block)):
             column[lo:hi] = array(column.typecode, values)
-    return Halfperiod(classes, u, initial, first, sites, firsts, seconds, ps.labels)
+    return Halfperiod(u, initial, first, sites, firsts, seconds, ps.labels)
 
 
 def block_roles(perm: Sequence[int], labels: Sequence[str]) -> tuple[str, str, str] | None:

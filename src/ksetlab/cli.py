@@ -300,10 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"], default="all")
-    p.add_argument("--max-n", type=int, help="size cap for oracle/edges/slack")
-    p.add_argument("--max-b", type=int, help="quartic scan cap")
-    p.add_argument("--sets-per-n", type=int)
-    p.add_argument("--terms", type=int, help="series partial-sum length")
+    taking = {}  # each suite option, and the suites that take it
+    for name, options in verify.SUITE_OPTIONS.items():
+        for option in options:
+            taking.setdefault(option, []).append(name)
+    for option, names in taking.items():
+        p.add_argument(f"--{option.replace('_', '-')}", type=int, help=f"for {', '.join(names)}")
     p.add_argument("--out", help="JSON path (default stdout)")
 
     p = sub.add_parser("sweep", help="generate + analyze many sets")

@@ -6,23 +6,24 @@ Each block order is a split of the points into thirds (the third, 0, 1 or
 2, of each point), and the split of the projection order is constant on
 each angular gap between consecutive critical directions, so one sweep
 decides 3-decomposability exactly, with no floating point and no
-randomness.  ``_read_splits`` reads the point set's one cached replay of
-the halfperiod from the first gap (``PointSet.replay``, a ``Halfperiod``
-in flat columns of sites and points), follows each point's third through
-the swaps at site s or 2s, s = n/3 (the only ones that move a point
-between thirds), and maps each split read after a class of flips to the
-first gap sample realizing it; the negated sample realizes its reversal
-(third t becomes 2 - t).
+randomness.  ``_splits_along`` is that sweep's one walk: it follows each
+point's third through the swaps of a ``Halfperiod`` at site s or 2s,
+s = n/3 (the only ones that move a point between thirds), yielding the
+split each leaves.  ``_read_splits`` walks the point set's one cached
+replay from the first gap (``PointSet.replay``), groups its swaps by class
+(``PointSet.classes``) and maps the split left after each class of flips
+to the first gap sample realizing it; the negated sample realizes its
+reversal (third t becomes 2 - t).
 ``check_partition`` looks up the splits of the given partition (the
 direction-sampling check it replaces is kept as a test oracle);
 ``find_partition`` decides every split read and its reversal, thirds 0, 1,
 2 named a, b, c: the a,b,c split of any 3-decomposition is one of them.
 
-The halfperiod indices (s, t) of a witness come from the same tracked
-thirds: ``check_halfperiod`` scans the swaps at sites s and 2s of a
-halfperiod whose initial permutation is the class blocks x, y, z for the
-first y,z,x split after the first y,x,z one, and
-``locate_halfperiod_witness`` runs it on the halfperiod replayed from l1.
+The halfperiod indices (s, t) of a witness come from the same walk:
+``check_halfperiod`` walks a halfperiod whose initial permutation is the
+class blocks x, y, z to the first y,z,x split after the first y,x,z one,
+and ``locate_halfperiod_witness`` runs it on the halfperiod replayed from
+l1.
 
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
@@ -38,7 +39,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Collection, Iterable, NamedTuple, Sequence
+from itertools import groupby
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .circular import Direction, Halfperiod, block_roles, build_halfperiod, gap_sample
 from .errors import GeneralPositionError, LabelingError
@@ -97,26 +99,21 @@ def _splits(labels: Sequence[str], orders: Iterable[Sequence[str]]) -> list[Spli
     return [tuple(order.index(c) for c in labels) for order in orders]
 
 
-def _thirds(perm: Sequence[int]) -> list[int]:
-    """The third (0, 1 or 2) of the permutation ``perm`` of n = 3s points
-    that each point sits in."""
-    s = len(perm) // 3
-    third = [0] * len(perm)
-    for site, p in enumerate(perm):
+def _splits_along(h: Halfperiod) -> Iterator[tuple[int, Split]]:
+    """Walk the splits into thirds of ``h``, n = 3s: yield -1 and the split
+    of ``initial_permutation``, then, after each swap k at site s or 2s
+    (the ones that move a point between thirds), k and the split it
+    leaves."""
+    s = h.n // 3
+    third = [0] * h.n
+    for site, p in enumerate(h.initial_permutation):
         third[p] = site // s
-    return third
-
-
-def _boundary_swaps(h: Halfperiod, s: int) -> list[int]:
-    """The swaps of ``h`` at a site that is a multiple of s: for n = 3s, the
-    ones at sites s and 2s, which move a point between thirds."""
-    return [k for k, site in enumerate(h.sites) if not site % s]
-
-
-def _class_of(h: Halfperiod, k: int) -> int:
-    """The class swap ``k`` of ``h`` belongs to."""
-    starts = h.classes.starts
-    return bisect_right(starts, (k + starts[h.first]) % len(h.sites)) - 1
+    yield -1, tuple(third)
+    for k, site in enumerate(h.sites):
+        if not site % s:
+            i, j = h.firsts[k], h.seconds[k]
+            third[i], third[j] = third[j], third[i]
+            yield k, tuple(third)
 
 
 def _read_splits(
@@ -128,18 +125,14 @@ def _read_splits(
     2, ... in turn; class g opens gap g, and the last class met, 0, closes
     the halfperiod.  Stops once every split in ``wanted`` is mapped, and
     with none wanted reads the whole halfperiod."""
-    r = ps.replay
-    third = _thirds(r.initial_permutation)
-    first = {tuple(third): r.direction}
-    moves = [(_class_of(r, k), r.firsts[k], r.seconds[k]) for k in _boundary_swaps(r, ps.n // 3)]
-    final = (r.first or len(r.classes)) - 1
-    for idx, (g, i, j) in enumerate(moves):
-        third[i], third[j] = third[j], third[i]
-        if idx + 1 < len(moves) and moves[idx + 1][0] == g:
-            continue  # class g moves another point
+    r, starts = ps.replay, ps.classes.starts
+    cut, final = starts[r.first], (r.first or len(ps.classes)) - 1
+    steps, pairs = _splits_along(r), len(r.sites)
+    first = {next(steps)[1]: r.direction}
+    for g, moved in groupby(steps, lambda step: bisect_right(starts, (step[0] + cut) % pairs) - 1):
         if g == final:
             break
-        split = tuple(third)
+        *_, (_, split) = moved  # the split left after class g
         if split not in first:
             first[split] = gap_sample(ps.classes, g)
         if wanted and all(w in first for w in wanted):
@@ -213,23 +206,19 @@ def check_halfperiod(
     The initial permutation must consist of three pure class blocks
     (x, y, z); the function then scans for the earliest index s whose
     permutation reads y,x,z in blocks and the earliest t > s reading y,z,x.
-    Returns (s, t) (0-based permutation indices) or None.  Only the swaps
-    at sites n/3 and 2n/3 (``_boundary_swaps``), the ones that move a
-    point between thirds, are read, and none as a ``Swap``.  Given labels
-    are checked as a ``PointSet`` checks its own (``LabelingError``).
+    Returns (s, t) (0-based permutation indices) or None.  Only the splits
+    ``_splits_along`` walks are read, and no swap as a ``Swap``.  Given
+    labels are checked as a ``PointSet`` checks its own (``LabelingError``).
     """
     labels = _normalize_partition(h, labels)
     roles = block_roles(h.initial_permutation, labels)
     if roles is None:
         return None
     x, y, z = roles
-    targets = [list(split) for split in _splits(labels, ((y, x, z), (y, z, x)))]
-    third = _thirds(h.initial_permutation)
+    targets = _splits(labels, ((y, x, z), (y, z, x)))
     found: list[int] = []
-    for k in _boundary_swaps(h, h.n // 3):
-        i, j = h.firsts[k], h.seconds[k]
-        third[i], third[j] = third[j], third[i]
-        if third == targets[len(found)]:
+    for k, split in _splits_along(h):
+        if split == targets[len(found)]:
             found.append(k + 1)
             if len(found) == 2:
                 return found[0], found[1]

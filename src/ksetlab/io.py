@@ -70,6 +70,8 @@ def point_set_from_dict(data: dict) -> PointSet:
     points = data.get("points")
     if not isinstance(points, list):
         raise ValueError("'points' must be a list of [x, y] pairs")
+    if "n" in data and type(data["n"]) is not int:
+        raise ValueError(f"'n' must be an integer, got {data['n']!r}")
     if "n" in data and data["n"] != len(points):
         raise ValueError(f"declared n={data['n']} but {len(points)} points given")
     labels = data.get("labels")

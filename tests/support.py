@@ -10,12 +10,13 @@ The general-position oracle is the plain O(n^3) scan over all triples, kept
 apart from the library's grouping of pairs by critical direction.
 
 The decomposition oracle projects every point along each gap sample
-direction and its negation, instead of reading the halfperiod's block
-counters.
+direction and its negation, instead of looking the block orders up among
+the splits into thirds one sweep reads.
 
 The halfperiod-witness oracle reads the block pattern of every
-permutation of a halfperiod, instead of tracking the thirds through the
-swaps at sites n/3 and 2n/3 as ``check_halfperiod`` does.
+permutation of a halfperiod, instead of walking the splits into thirds
+through the swaps at sites n/3 and 2n/3 (``decompose._splits_along``) as
+``check_halfperiod`` does.
 
 The grouping oracle groups the pairs by critical direction with ``Fraction``
 differences of the original coordinates, instead of the library's integer
@@ -29,8 +30,9 @@ class.  The flat kernel (``PointSet.classes``, ``PointSet.replay``) must
 give the same classes, swaps, site counts and splits.
 
 The random-set oracle is the plain rejection loop: each candidate is kept
-when the whole set with it added is in general position, instead of being
-looked up among the cells the accepted points block.
+when the whole set with it added is in general position, instead of having
+its direction from each kept point looked up among the directions
+``GeneralPositionDraw`` holds there.
 
 The crossing-bound oracle sums (n-2k-1) * min_kset_count(k, n) one k at a
 time, instead of reading the crossing sum off ``bound_table(n)``.

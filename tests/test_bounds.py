@@ -74,6 +74,11 @@ class TestRefinementDepth:
         assert triangular_threshold(t) == triangular_threshold(F(2 * t - 1, 2)) == b
         assert triangular_threshold(F(10**9 * t + 1, 10**9)) == b + 1
 
+    @pytest.mark.parametrize("ratio", [0, F(-1, 2)])
+    def test_threshold_refuses_a_ratio_that_is_not_positive(self, ratio):
+        with pytest.raises(ValueError, match="ratio must be positive"):
+            triangular_threshold(ratio)
+
     def test_empty_window(self):
         assert bound_report(4, 9).depth is None
         with pytest.raises(UndefinedWindowError):
@@ -256,6 +261,12 @@ class TestExtremalDigraph:
             build_extremal_digraph(3, 9)  # k <= n/3
         with pytest.raises(UndefinedWindowError):
             build_extremal_digraph(4, 9)  # empty window
+
+    @pytest.mark.parametrize("i", [0, 5])
+    def test_indegree_refuses_a_vertex_outside_the_digraph(self, i):
+        # k = 5, n = 12: vertices 1..4.
+        with pytest.raises(ValueError, match=r"vertex index must be in 1\.\.4"):
+            extremal_indegree(5, 12, i)
 
 
 class TestHomogeneousLowerBound:

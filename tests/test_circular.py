@@ -424,6 +424,11 @@ class TestValidSwapDigraphs:
         with pytest.raises(LabelingError):
             build_valid_digraphs(h_bad, 4)
 
+    def test_block_roles_need_thirds(self):
+        # Four points do not split into thirds; three do.
+        assert block_roles((0, 1, 2, 3), "abca") is None
+        assert block_roles((2, 0, 1), "abc") == ("c", "a", "b")
+
     def test_k_range(self):
         h = self._block_halfperiod(9, 0)
         with pytest.raises(ValueError):

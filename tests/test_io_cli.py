@@ -116,6 +116,12 @@ class TestPointSetFiles:
         with pytest.raises(ValueError):
             load_point_set(path)
 
+    @pytest.mark.parametrize("n", ["3", 3.0, True])
+    def test_n_must_be_an_integer(self, n):
+        # Refused as the wrong type, not as a count that disagrees.
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            point_set_from_dict({**TRIANGLE_JSON, "n": n})
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_sampler_matches_rejection_loop(seed):
@@ -381,6 +387,23 @@ class TestVerifyCommand:
         with pytest.raises(TypeError):
             verify.run_suite("edges", terms=50)
 
+    def test_verify_flags_follow_the_option_table(self, monkeypatch, capsys):
+        # A suite's row in SUITE_OPTIONS brings its flags and their help.
+        monkeypatch.setitem(verify.SUITE_OPTIONS, "proof", {"max_n": (6, None),
+                                                            "depth": (1, None)})
+        parser = cli._build_parser.__wrapped__()
+        assert parser.parse_args(["verify", "--depth", "3"]).depth == 3
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--max-n MAX_N for oracle, edges, slack, proof" in help_text
+        assert "--depth DEPTH for proof" in help_text
+        assert "--terms TERMS for series" in help_text
+
+    def test_check_options_refuses_an_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown suite 'nope'"):
+            verify.check_options("nope")
+
     def test_options_reach_the_suite(self, monkeypatch, capsys):
         calls = []
         real = verify.run_suite
@@ -401,6 +424,77 @@ class TestVerifyCommand:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
+
+
+def _oracle_off_by_one(real):
+    return lambda ps: geometry.KSetVector.from_counts(
+        ps.n, {k: e + 1 for k, e in real(ps).e.items()}
+    )
+
+
+def _complete_digraph(real):
+    # Every edge l -> j, l < j: at k = 5, n = 12 (m = 1) vertex 4 takes
+    # indegree 3, above its cap min(m + outdegree 0, 3).
+    def complete(k, n):
+        s = n // 3
+        edges = frozenset((l, j) for j in range(2, s + 1) for l in range(1, j))
+        return circular.ValidSwapDigraph("synthetic", s, edges)
+
+    return complete
+
+
+def _first_report_below(real):
+    # The k = 1 report of each table with L one below Y.
+    def table(n):
+        t = real(n)
+        r = t.reports[0]
+        return t._replace(reports=(r._replace(l=r.y - 1),) + t.reports[1:])
+
+    return table
+
+
+#: (verify arguments, module, name, double of the named function, check it breaks)
+_BROKEN_CHECKS = [
+    (["oracle", "--max-n", "5", "--sets-per-n", "1"], verify, "k_set_oracle",
+     _oracle_off_by_one, "random n=4"),
+    (["edges", "--max-n", "12"], bounds, "extremal_edge_count",
+     lambda real: lambda k, n: real(k, n) + 1, "edge counts"),
+    (["edges", "--max-n", "12"], bounds, "build_extremal_digraph",
+     _complete_digraph, "degree caps"),
+    (["edges", "--max-n", "12"], bounds, "_indegree",
+     lambda real: lambda m, i: real(m, i) + 1, "indegree multisets"),
+    (["slack", "--max-b", "2", "--max-n", "12"], bounds, "slack_quartic",
+     lambda real: lambda b, r: Fraction(-1) if (b, r) == (1, 2) else real(b, r),
+     "quartic scan"),
+    (["slack", "--max-b", "2", "--max-n", "12"], bounds, "bound_table",
+     _first_report_below, "sharp >= closed form"),
+    (["series"], bounds, "series_and_integral_report",
+     lambda real: lambda terms: real(terms)._replace(series_error=1.0),
+     "series partial sum"),
+    (["series"], bounds, "crossing_coefficient",
+     lambda real: lambda: 0.38, "coefficient value"),
+]
+
+
+class TestVerifyChecksCanFail:
+    """Each suite's checks compare two computations; breaking one side makes
+    that check fail, and ``verify`` then exits 1 with its JSON report."""
+
+    @pytest.mark.parametrize("argv, module, name, double, check", _BROKEN_CHECKS,
+                             ids=[row[-1] for row in _BROKEN_CHECKS])
+    def test_a_broken_check_fails(self, monkeypatch, capsys, argv, module, name, double,
+                                  check):
+        monkeypatch.setattr(module, name, double(getattr(module, name)))
+        assert main(["verify", "--suite", *argv]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        failed = [c["name"] for c in payload["checks"] if not c["ok"]]
+        assert any(c.startswith(check) for c in failed), failed
+
+    def test_random_sets_refuse_after_their_draws(self, monkeypatch):
+        monkeypatch.setattr(verify, "DRAWS_PER_POINT", 0)
+        with pytest.raises(ValueError, match="after 0 draws"):
+            random_general_position_set(6, 0)
 
 
 TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
@@ -480,6 +574,10 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["analyze"], {"points": [["0/1", "0/1"], ["1/1", "0/1"]]}, 2),
         (["analyze"], {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"],
                                   ["2/1", "3/1"]], "labels": ["a", "b", "c", "a"]}, 2),
+        # A declared n must be a JSON integer: not a string, a float or a bool.
+        (["analyze"], {**TRIANGLE_JSON, "n": "3"}, 2),
+        (["analyze"], {**TRIANGLE_JSON, "n": 3.0}, 2),
+        (["analyze"], {**TRIANGLE_JSON, "n": True}, 2),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
@@ -735,14 +833,15 @@ class TestGroupOnce:
             lambda h: calls.append(("swaps", None))
         ))
         argv = ["gen", "--n", "12", "--seed", "16", "--shape", "near-optimal-template"]
-        assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
+        path = tmp_path / "g.json"
+        assert main(argv + ["--out", str(path)]) == 0
         out = capsys.readouterr().out
         assert "halfperiod witness" in out
         names = [name for name, _ in calls]
         assert "swaps" not in names
         assert names == ["replay", "check_partition"] * 2 + ["replay"]
         _, checked, from_l1 = [r for name, r in calls if name == "replay"]
-        assert checked.direction == circular.gap_sample(checked.classes, 0)
+        assert checked.direction == circular.gap_sample(load_point_set(path).classes, 0)
         assert f"l1 = ({from_l1.direction[0]}, {from_l1.direction[1]})" in out
 
 
