@@ -158,8 +158,8 @@ def replay(ps: PointSet, u: Direction) -> Halfperiod:
     cut, starts = classes.starts[first], classes.starts
     firsts, seconds = classes.a[cut:] + classes.a[:cut], classes.b[cut:] + classes.b[:cut]
     pos = sorted(range(len(initial)), key=initial.__getitem__)  # the site of each point
-    sites = array(firsts.typecode)
-    put = sites.append
+    left: list[int] = []  # the left site of each swap, one array at the end
+    put = left.append
     for i, j in zip(firsts, seconds):
         x = pos[i]
         y = pos[j]
@@ -168,6 +168,8 @@ def replay(ps: PointSet, u: Direction) -> Halfperiod:
         put(x if x > y else y)
         pos[i] = y
         pos[j] = x
+    sites = array(firsts.typecode, left)
+    del left
     if any(pos[p] != len(pos) - 1 - site for site, p in enumerate(initial)):
         raise GeneralPositionError("halfperiod replay did not reverse the order")
     for g in classes.multi:  # list the swaps of one class by left site

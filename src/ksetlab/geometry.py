@@ -35,7 +35,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import accumulate, combinations, count, filterfalse, repeat
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GeneralPositionError, LabelingError, OracleSizeError
@@ -276,7 +276,11 @@ def _classes_in_order(
     """The pairs ``a[k], b[k]`` taken in ``order`` as ``Classes``, or None
     unless each pair's ``b - a`` turns counterclockwise from the one before
     it or parallels it.  One pass, in exact integers."""
-    a, b = (array(c.typecode, map(c.__getitem__, order)) for c in (a, b))
+    if len(order) > 1:
+        take = itemgetter(*order)
+        a, b = array(a.typecode, take(a)), array(b.typecode, take(b))
+    else:
+        a, b = a[:], b[:]
     xs, ys = [x for x, _ in xy], [y for _, y in xy]
     joins: list[int] = []  # the pairs parallel to the one before them
     px = py = 0

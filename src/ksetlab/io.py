@@ -9,7 +9,10 @@ Schema::
     }
 
 Coordinates round-trip bit exactly: they are emitted as normalized "p/q"
-strings and parsed back with ``fractions.Fraction``.
+strings, and a ``[-]digits/digits`` string is read back as two ints.  Any
+other form ``fractions.Fraction`` accepts (an integer, a decimal, a padded
+or "+"-signed string) still parses through it, behind a guard on the
+decimal exponent.
 """
 
 from __future__ import annotations
@@ -37,15 +40,20 @@ def _int_digit_limit() -> int:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, refusing a decimal exponent beyond the int digit
-    limit (``_int_digit_limit()``, when set): ``Fraction`` reads "1e5000" as
-    10**5000, a power that limit does not guard."""
+    """``Fraction(text)``.  A ``[-]digits/digits`` string is read as two
+    ints; any other form goes to ``Fraction`` whole, refusing a decimal
+    exponent beyond the int digit limit (``_int_digit_limit()``, when set):
+    ``Fraction`` reads "1e5000" as 10**5000, a power that limit does not
+    guard."""
     text = str(text)
-    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
-    limit = _int_digit_limit()
-    if exponent and limit and abs(int(exponent[1])) > limit:
-        raise ValueError(f"exponent beyond {limit} in {text!r}")
+    p, slash, q = text.partition("/")
     try:
+        if slash and q.isdecimal() and p.removeprefix("-").isdecimal():
+            return Fraction(int(p), int(q))
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+        limit = _int_digit_limit()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"exponent beyond {limit} in {text!r}")
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

@@ -37,6 +37,10 @@ its direction from each kept point looked up among the directions
 The crossing-bound oracle sums (n-2k-1) * min_kset_count(k, n) one k at a
 time, instead of reading the crossing sum off ``bound_table(n)``.
 
+The fraction-reader oracle is the library's earlier reader: every string
+goes whole to ``fractions.Fraction`` behind the decimal-exponent guard,
+instead of a "p/q" string being read as two ints.
+
 The Y oracle evaluates the paper's formula term by term in ``Fraction``s,
 with the clamped binomial and a linear scan for the depth, instead of the
 library's integer closed form.
@@ -46,6 +50,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, combinations
@@ -71,6 +77,22 @@ DEGENERATE_SETS = [
     PointSet.from_coords([(0, 0), (1, 1), (2, 2), (0, 5), (3, -1), (-2, 3)]),
     PointSet.from_coords([(0, 0), (4, 1), (0, 0), (1, 3), (3, 3), (2, -3)]),
 ]
+
+
+def parse_fraction_whole(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent beyond the int digit
+    limit (4300 where the interpreter has none to report), with a zero
+    denominator refused as ``ValueError``."""
+    text = str(text)
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    get = getattr(sys, "get_int_max_str_digits", None)
+    limit = 4300 if get is None else get()
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise ValueError(f"exponent beyond {limit} in {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def binom2(x: Fraction | int) -> Fraction:

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ksetlab
 from ksetlab import (
@@ -35,7 +37,11 @@ from ksetlab.io import (
 )
 from ksetlab.verify import random_general_position_set
 
-from support import general_position_by_triples, random_general_position_set_by_rejection
+from support import (
+    general_position_by_triples,
+    parse_fraction_whole,
+    random_general_position_set_by_rejection,
+)
 
 
 def read_csv(path):
@@ -43,7 +49,60 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+#: ASCII and other Unicode decimal digits (Arabic-Indic, full-width),
+#: zeros among them; ``_DIGITS`` adds the underscore ``Fraction`` allows
+#: between digits.
+_DECIMAL_CHARS = "0123456789\u0660\u0663\uff10\uff13"
+_DECIMALS = st.text(st.sampled_from(_DECIMAL_CHARS), min_size=1, max_size=5)
+_DIGITS = st.text(st.sampled_from(_DECIMAL_CHARS + "_"), max_size=5)
+_SIGNS = st.sampled_from(["", "-", "+", "--"])
+_SPACE = st.sampled_from(["", " ", "\t", " \n"])
+
+
+@st.composite
+def fraction_texts(draw):
+    """Half of them a sign and ``digits/digits``: with no sign or "-" the
+    strings read as two ints (leading zeros, Unicode digits, zero
+    denominators).  The rest with underscores, an optional "/" with an
+    empty, zero or signed denominator, or a decimal point and a small
+    exponent, and padded."""
+    if draw(st.booleans()):
+        return draw(_SIGNS) + draw(_DECIMALS) + "/" + draw(_DECIMALS)
+    text = draw(_SIGNS) + draw(_DIGITS)
+    tail = draw(st.sampled_from(["", "/", ".", "e"]))
+    if tail == "/":
+        text += "/" + draw(_SIGNS) + draw(_DIGITS)
+    elif tail:
+        if tail == ".":
+            text += "." + draw(_DIGITS)
+        if tail == "e" or draw(st.booleans()):
+            text += draw(st.sampled_from("eE")) + draw(_SIGNS)
+            text += draw(st.text(st.sampled_from("0123456789_"), min_size=1, max_size=3))
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
 class TestPointSetFiles:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(fraction_texts())
+    @example("3/\u0660")
+    @example("1" * 4301 + "/3")
+    @example("-" + "1" * 4301 + "/3")
+    @example("3/" + "1" * 4301)
+    @example("-/3")
+    @example("3/-4")
+    @example("\uff13/\uff14")
+    def test_parse_fraction_agrees_with_fraction(self, text):
+        # The two-int read of "p/q" gives the value, or the ValueError
+        # message, of reading the whole string with Fraction.
+        assert _read(parse_fraction, text) == _read(parse_fraction_whole, text)
+
     def test_round_trip(self, tmp_path):
         for seed in range(3):
             ps = generate(9, seed)
@@ -500,6 +559,12 @@ class TestVerifyChecksCanFail:
 TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
 
 
+def triangle_at(x):
+    """``TRIANGLE_JSON`` with its first point moved to x = ``x`` on the
+    x-axis, written as the string ``x``."""
+    return {"points": [[x, "0/1"], *TRIANGLE_JSON["points"][1:]]}
+
+
 @pytest.mark.parametrize(
     "argv, payload, code",
     [
@@ -578,6 +643,18 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
         (["analyze"], {**TRIANGLE_JSON, "n": "3"}, 2),
         (["analyze"], {**TRIANGLE_JSON, "n": 3.0}, 2),
         (["analyze"], {**TRIANGLE_JSON, "n": True}, 2),
+        # Coordinate strings at the edges of the two-int read of "p/q": a
+        # Unicode zero denominator, a numerator past the int digit limit and
+        # a sign on the wrong side are refused; a plus sign, padding,
+        # full-width digits and an underscore go through Fraction.
+        (["analyze"], triangle_at("3/\u0660"), 2),
+        (["analyze"], triangle_at("1" * 4301 + "/3"), 2),
+        (["analyze"], triangle_at("-/3"), 2),
+        (["analyze"], triangle_at("3/-4"), 2),
+        (["analyze"], triangle_at("+3/4"), 0),
+        (["analyze"], triangle_at(" 3/4 "), 0),
+        (["analyze"], triangle_at("\uff13/\uff14"), 0),
+        (["analyze"], triangle_at("1_0/3"), 0),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
