@@ -1,6 +1,8 @@
 """Verification suites: each one cross-checks a fast computation against an
 independent oracle or sweeps an exact inequality, and returns a structured
-result the CLI can render as JSON.
+result the CLI can render as JSON.  A counted check passes exactly when
+none of its cases failed; when some did, its detail is "N mismatches" (or
+"N violations" for the degree caps).
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ class SuiteResult(NamedTuple):
             "ok": self.ok,
             "passed": sum(1 for c in self.checks if c.ok),
             "failed": sum(1 for c in self.checks if not c.ok),
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 
@@ -49,6 +49,11 @@ ORACLE_GENERATED_SEEDS = (0, 1, 2)
 
 def _finish(name: str, checks: list[CheckResult]) -> SuiteResult:
     return SuiteResult(name, all(c.ok for c in checks), tuple(checks))
+
+
+def _tally(name: str, bad: int, ok_detail: str, bad_noun: str = "mismatches") -> CheckResult:
+    """The check ``name`` over counted cases, ``bad`` of which failed."""
+    return CheckResult(name, bad == 0, f"{bad} {bad_noun}" if bad else ok_detail)
 
 
 def random_general_position_set(n: int, seed: int) -> PointSet:
@@ -86,27 +91,19 @@ def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:
          [decompose.generate(n, seed) for seed in ORACLE_GENERATED_SEEDS])
         for n in ORACLE_GENERATED_NS
     ]
-    checks: list[CheckResult] = []
-    for name, sets in groups:
-        bad = sum(
+    return _finish("oracle", [
+        _tally(name, sum(
             circular.kset_vector_from_sites(ps.n, circular.site_counts(ps)[0])
             != k_set_oracle(ps)
             for ps in sets
-        )
-        checks.append(
-            CheckResult(
-                name,
-                bad == 0,
-                f"{bad} mismatches" if bad else "halfperiod counts = oracle counts",
-            )
-        )
-    return _finish("oracle", checks)
+        ), "halfperiod counts = oracle counts")
+        for name, sets in groups
+    ])
 
 
 def edges_suite(max_n: int = 60) -> SuiteResult:
     """Greedy extremal digraph vs closed-form edge count, degree caps, and
     the closed-form indegree multiset, for all valid (k, n) up to max_n."""
-    checks: list[CheckResult] = []
     pairs = 0
     bad_count = bad_degree = bad_multiset = 0
     for n in range(6, max_n + 1, 3):
@@ -128,34 +125,18 @@ def edges_suite(max_n: int = 60) -> SuiteResult:
             formula = sorted(bounds._indegree(m, i) for i in range(1, s + 1))
             if sorted(ind) != formula:
                 bad_multiset += 1
-    checks.append(
-        CheckResult(
-            f"edge counts ({pairs} pairs)",
-            bad_count == 0,
-            f"{bad_count} mismatches" if bad_count else "greedy = closed form",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "degree caps",
-            bad_degree == 0,
-            "ind <= min(m + outd, j-1) everywhere" if not bad_degree else f"{bad_degree} violations",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "indegree multisets",
-            bad_multiset == 0,
-            "greedy realizes the closed-form indegrees" if not bad_multiset else f"{bad_multiset} mismatches",
-        )
-    )
-    return _finish("edges", checks)
+    return _finish("edges", [
+        _tally(f"edge counts ({pairs} pairs)", bad_count, "greedy = closed form"),
+        _tally("degree caps", bad_degree, "ind <= min(m + outd, j-1) everywhere",
+               "violations"),
+        _tally("indegree multisets", bad_multiset,
+               "greedy realizes the closed-form indegrees"),
+    ])
 
 
 def slack_suite(max_b: int = 1000, max_n: int = 300) -> SuiteResult:
     """Scan the slack quartic over its integer domain and sweep the sharp
     bound against the closed form."""
-    checks: list[CheckResult] = []
     minimum = None
     argmin = None
     below = 0
@@ -166,13 +147,6 @@ def slack_suite(max_b: int = 1000, max_n: int = 300) -> SuiteResult:
                 minimum, argmin = v, (b, r)
             if v < Fraction(-1, 3):
                 below += 1
-    checks.append(
-        CheckResult(
-            f"quartic scan b <= {max_b}",
-            below == 0 and minimum == 0 and argmin == (0, 1),
-            f"min {minimum} at {argmin}, {below} values below -1/3",
-        )
-    )
     worst: Fraction | None = None
     negative = 0
     pairs = 0
@@ -186,37 +160,26 @@ def slack_suite(max_b: int = 1000, max_n: int = 300) -> SuiteResult:
                 worst = gap
             if gap < 0:
                 negative += 1
-    checks.append(
-        CheckResult(
-            f"sharp >= closed form, n<={max_n} ({pairs} pairs)",
-            negative == 0,
-            f"min gap {worst}",
-        )
-    )
-    return _finish("slack", checks)
+    return _finish("slack", [
+        CheckResult(f"quartic scan b <= {max_b}",
+                    below == 0 and minimum == 0 and argmin == (0, 1),
+                    f"min {minimum} at {argmin}, {below} values below -1/3"),
+        CheckResult(f"sharp >= closed form, n<={max_n} ({pairs} pairs)", negative == 0,
+                    f"min gap {worst}"),
+    ])
 
 
 def series_suite(terms: int = 1000) -> SuiteResult:
     """Series and quadrature confirmations of the asymptotic coefficient."""
     report = bounds.series_and_integral_report(terms)
-    checks = [
-        CheckResult(
-            f"series partial sum ({terms} terms)",
-            report.series_ok,
-            f"|sum - (79/8 - pi^2)| = {report.series_error:.3e}",
-        )
-    ]
-    for c in report.integrals:
-        checks.append(CheckResult(c.name, c.ok, f"error {c.error:.3e}"))
     coeff = bounds.crossing_coefficient()
-    checks.append(
-        CheckResult(
-            "coefficient value",
-            round(coeff, 6) == 0.380029,
-            f"coefficient = {coeff:.10f}",
-        )
-    )
-    return _finish("series", checks)
+    return _finish("series", [
+        CheckResult(f"series partial sum ({terms} terms)", report.series_ok,
+                    f"|sum - (79/8 - pi^2)| = {report.series_error:.3e}"),
+        *(CheckResult(c.name, c.ok, f"error {c.error:.3e}") for c in report.integrals),
+        CheckResult("coefficient value", round(coeff, 6) == 0.380029,
+                    f"coefficient = {coeff:.10f}"),
+    ])
 
 
 SUITES = {

@@ -412,6 +412,25 @@ class TestVerifyCommand:
     def test_edges_suite(self, capsys):
         assert main(["verify", "--suite", "edges", "--max-n", "30"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["edges", "--max-n", "30"],
+             "8133a8cd22dfc93748babdea11594ca796366b5f49cb7fe316f1229c46584f0a"),
+            (["slack", "--max-b", "12", "--max-n", "30"],
+             "d92692aec61b69d2678025558a89394ecfc9b0d8a66dc3faca4c7f4e0c2c7fc9"),
+            (["oracle", "--max-n", "6", "--sets-per-n", "2"],
+             "c741e1bed5080a79832558eba2676dcc3c4293b2265af6839a8784855bd547e3"),
+            (["series"], "802a6c228b411878a142ff98abeff2c949d4398aba122ae965382ff8f18a2fcf"),
+        ],
+        ids=["edges", "slack", "oracle", "series"],
+    )
+    def test_suite_json_digest(self, capsys, argv, digest):
+        # Each suite's JSON report, byte for byte: check names, order,
+        # details and the passed/failed counts.
+        assert main(["verify", "--suite", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_suite_options_are_the_suite_parameters(self):
         # verify passes each suite the options named in SUITE_OPTIONS.
         import inspect
@@ -512,26 +531,38 @@ def _first_report_below(real):
     return table
 
 
-#: (verify arguments, module, name, double of the named function, check it breaks)
+#: (verify arguments, module, name, double of the named function, check it
+#: breaks, (name, detail) of every check that then fails, in report order)
 _BROKEN_CHECKS = [
     (["oracle", "--max-n", "5", "--sets-per-n", "1"], verify, "k_set_oracle",
-     _oracle_off_by_one, "random n=4"),
+     _oracle_off_by_one, "random n=4",
+     [("random n=4 (1 sets)", "1 mismatches"), ("random n=5 (1 sets)", "1 mismatches"),
+      ("generated n=6 (3 sets)", "3 mismatches"), ("generated n=9 (3 sets)", "3 mismatches"),
+      ("generated n=12 (3 sets)", "3 mismatches")]),
     (["edges", "--max-n", "12"], bounds, "extremal_edge_count",
-     lambda real: lambda k, n: real(k, n) + 1, "edge counts"),
+     lambda real: lambda k, n: real(k, n) + 1, "edge counts",
+     [("edge counts (1 pairs)", "1 mismatches")]),
     (["edges", "--max-n", "12"], bounds, "build_extremal_digraph",
-     _complete_digraph, "degree caps"),
+     _complete_digraph, "degree caps",
+     [("edge counts (1 pairs)", "1 mismatches"), ("degree caps", "1 violations"),
+      ("indegree multisets", "1 mismatches")]),
     (["edges", "--max-n", "12"], bounds, "_indegree",
-     lambda real: lambda m, i: real(m, i) + 1, "indegree multisets"),
+     lambda real: lambda m, i: real(m, i) + 1, "indegree multisets",
+     [("indegree multisets", "1 mismatches")]),
     (["slack", "--max-b", "2", "--max-n", "12"], bounds, "slack_quartic",
      lambda real: lambda b, r: Fraction(-1) if (b, r) == (1, 2) else real(b, r),
-     "quartic scan"),
+     "quartic scan",
+     [("quartic scan b <= 2", "min -1 at (1, 2), 1 values below -1/3")]),
     (["slack", "--max-b", "2", "--max-n", "12"], bounds, "bound_table",
-     _first_report_below, "sharp >= closed form"),
+     _first_report_below, "sharp >= closed form",
+     [("sharp >= closed form, n<=12 (10 pairs)", "min gap -1")]),
     (["series"], bounds, "series_and_integral_report",
      lambda real: lambda terms: real(terms)._replace(series_error=1.0),
-     "series partial sum"),
+     "series partial sum",
+     [("series partial sum (1000 terms)", "|sum - (79/8 - pi^2)| = 1.000e+00")]),
     (["series"], bounds, "crossing_coefficient",
-     lambda real: lambda: 0.38, "coefficient value"),
+     lambda real: lambda: 0.38, "coefficient value",
+     [("coefficient value", "coefficient = 0.3800000000")]),
 ]
 
 
@@ -539,16 +570,17 @@ class TestVerifyChecksCanFail:
     """Each suite's checks compare two computations; breaking one side makes
     that check fail, and ``verify`` then exits 1 with its JSON report."""
 
-    @pytest.mark.parametrize("argv, module, name, double, check", _BROKEN_CHECKS,
-                             ids=[row[-1] for row in _BROKEN_CHECKS])
+    @pytest.mark.parametrize("argv, module, name, double, check, failures", _BROKEN_CHECKS,
+                             ids=[row[4] for row in _BROKEN_CHECKS])
     def test_a_broken_check_fails(self, monkeypatch, capsys, argv, module, name, double,
-                                  check):
+                                  check, failures):
         monkeypatch.setattr(module, name, double(getattr(module, name)))
         assert main(["verify", "--suite", *argv]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        failed = [c["name"] for c in payload["checks"] if not c["ok"]]
-        assert any(c.startswith(check) for c in failed), failed
+        failed = [(c["name"], c["detail"]) for c in payload["checks"] if not c["ok"]]
+        assert any(c.startswith(check) for c, _ in failed), failed
+        assert failed == failures
 
     def test_random_sets_refuse_after_their_draws(self, monkeypatch):
         monkeypatch.setattr(verify, "DRAWS_PER_POINT", 0)
@@ -561,7 +593,7 @@ TRIANGLE_JSON = {"points": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}
 
 def triangle_at(x):
     """``TRIANGLE_JSON`` with its first point moved to x = ``x`` on the
-    x-axis, written as the string ``x``."""
+    x-axis, written as the JSON value ``x``."""
     return {"points": [[x, "0/1"], *TRIANGLE_JSON["points"][1:]]}
 
 
@@ -655,14 +687,26 @@ def triangle_at(x):
         (["analyze"], triangle_at(" 3/4 "), 0),
         (["analyze"], triangle_at("\uff13/\uff14"), 0),
         (["analyze"], triangle_at("1_0/3"), 0),
+        # A coordinate that is not a JSON string: a number goes through
+        # Fraction, anything else, and a non-finite number, is refused.
+        # json reads the bare text 1e400 as inf.
+        (["analyze"], triangle_at(None), 2),
+        (["analyze"], triangle_at(True), 2),
+        (["analyze"], triangle_at([1]), 2),
+        (["analyze"], triangle_at({}), 2),
+        (["analyze"], triangle_at(float("nan")), 2),
+        (["analyze"], triangle_at(float("-inf")), 2),
+        (["analyze"], json.dumps(triangle_at(0.5)).replace("0.5", "1e400"), 2),
+        (["analyze"], triangle_at(0.5), 0),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, payload, code):
     # 0 success, 2 usage or input error with a one-line message on stderr.
+    # A string payload is the file's text as it stands.
     argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
     if payload is not None:
         src = tmp_path / "in.json"
-        src.write_text(json.dumps(payload))
+        src.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         argv = argv + ["--input", str(src)]
     assert main(argv) == code
     err = capsys.readouterr().err
