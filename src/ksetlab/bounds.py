@@ -67,16 +67,16 @@ Quantities computed here:
 
 ``bound_report(k, n)`` alone derives depth, Y, ceil(Y), het, hom, E and L,
 with Y computed once; each single-quantity function reads one field of it.
-``bound_table(n)`` holds every k < n/2's report, each computed once, and
-the crossing bound summed from them.  The extremal-digraph functions
-validate (k, n) once and never compute Y.
+``bound_table(n, keep)`` is the one loop over k < n/2: it sums the crossing
+bound and holds only the reports of the k in ``keep`` (all without it).
+The extremal-digraph functions validate (k, n) once and never compute Y.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Container, NamedTuple
 
 from .circular import ValidSwapDigraph
 from .errors import UndefinedWindowError
@@ -248,7 +248,7 @@ class BoundReport(NamedTuple):
     hom_lower: Fraction | None
     edges: int | None
     edge_summands: tuple[int, int, int] | None
-    l: Fraction | None
+    l: int | None
 
 
 def bound_report(k: int, n: int) -> BoundReport:
@@ -269,13 +269,13 @@ def bound_report(k: int, n: int) -> BoundReport:
         y = Fraction(num, den)
         ceil_y = -(-num // den)
     if k <= s:
-        hom, sharp = Fraction(0), Fraction(low)
+        hom, sharp = Fraction(0), low
     elif y is not None:
         hom = Fraction(num - het * den, den)
         summands = _edge_summands(m, s)
         edges = sum(summands)
-        sharp = Fraction(het + 3 * (math.comb(s, 2) - edges))
-        if sharp.numerator * den < num:
+        sharp = het + 3 * (math.comb(s, 2) - edges)
+        if sharp * den < num:
             raise AssertionError(
                 f"sharp bound {sharp} fell below the closed form {y} at k={k}, n={n}"
             )
@@ -283,21 +283,26 @@ def bound_report(k: int, n: int) -> BoundReport:
 
 
 class BoundTable(NamedTuple):
-    """The reports of every k < n/2 at one n, and the crossing bound
-    sum_k (n-2k-1) * ceil(Y(k,n)) read off them."""
+    """The reports kept at one n, and the crossing bound
+    sum_k (n-2k-1) * ceil(Y(k,n)) over every k < n/2."""
 
     n: int
     reports: tuple[BoundReport, ...]
     crossing: int
 
 
-def bound_table(n: int) -> BoundTable:
-    """Every ``bound_report(k, n)`` for 1 <= k < n/2, each computed once,
-    and their crossing sum."""
+def bound_table(n: int, keep: Container[int] | None = None) -> BoundTable:
+    """The one pass over 1 <= k < n/2: each ``bound_report(k, n)``, computed
+    once, joins the crossing sum and is kept if k is in ``keep`` (or no keep)."""
     if n % 3 != 0 or n < 3:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
-    reports = tuple(bound_report(k, n) for k in range(1, (n - 1) // 2 + 1))
-    return BoundTable(n, reports, sum(r.m * r.ceil_y for r in reports))
+    reports, crossing = [], 0
+    for k in range(1, (n - 1) // 2 + 1):
+        report = bound_report(k, n)
+        crossing += report.m * report.ceil_y
+        if keep is None or k in keep:
+            reports.append(report)
+    return BoundTable(n, tuple(reports), crossing)
 
 
 # The single-quantity functions: each reads its field of bound_report(k, n).
@@ -323,8 +328,8 @@ def homogeneous_lower_bound(k: int, n: int) -> Fraction:
     return _defined(bound_report(k, n).hom_lower, k, n)
 
 
-def kset_lower_bound_sharp(k: int, n: int) -> Fraction:
-    """The sharper bound L(k,n) from exact extremal edge counts:
+def kset_lower_bound_sharp(k: int, n: int) -> int:
+    """The sharper integer bound L(k,n) from exact extremal edge counts:
     3*C(k+1,2) for k <= n/3, else het(k,n) + 3*(C(n/3,2) - E(k,n)).
     Always >= ``kset_lower_bound`` (verified on every call)."""
     return _defined(bound_report(k, n).l, k, n)
@@ -340,7 +345,7 @@ def min_kset_count(k: int, n: int) -> int:
 def crossing_lower_bound(n: int) -> int:
     """Finite-n lower bound on the crossing number of a 3-decomposable
     drawing: sum over k of (n-2k-1) * min_kset_count(k, n)."""
-    return bound_table(n).crossing
+    return bound_table(n, keep=()).crossing
 
 
 def slack_quartic(b: int | Fraction, r: int | Fraction) -> Fraction:

@@ -25,10 +25,11 @@ order rotated to begin at the first class ahead of the start.  The pairs
 of one class are disjoint and their swaps commute; they are listed by
 increasing left site.  ``replay`` is the one replay of the swaps, into the
 flat columns of a ``Halfperiod``; the one from the default start is kept on
-the point set (``PointSet.replay``), and site counts, k-set counts and the
-decomposition checks all read it.  A swap outside the columns is a
-``Swap``, ``(site, i, j)``: points ``i < j`` at sites ``site``, ``site + 1``
-trade; ``Halfperiod.swaps`` builds them only when asked.
+the point set (``PointSet.replay``), and site counts, k-set counts, the
+crossing count and the decomposition checks all read it.  A swap outside
+the columns is a ``Swap``, ``(site, i, j)``: points ``i < j`` at sites
+``site``, ``site + 1`` trade; ``Halfperiod.swaps`` builds them only when
+asked.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GeneralPositionError, LabelingError
@@ -272,6 +274,18 @@ def kset_vector_from_halfperiod(h: Halfperiod) -> KSetVector:
     """k-set counts read off the halfperiod's site counts
     (``kset_vector_from_sites``)."""
     return kset_vector_from_sites(h.n, h.site_counts[0])
+
+
+def crossing_count(ps: PointSet) -> int:
+    """The crossings of the straight-line drawing of the complete graph on
+    ``ps``, from the site counts c_i of its one replay:
+    3*C(n,4) - sum_i c_i*(i-1)*(n-i-1).  The line of a swap at site i
+    separates (i-1)*(n-i-1) pairs, and a 4-set holds two such separations
+    if convex, three if not.  O(n) after the replay;
+    ``geometry.crossing_number`` is its O(n^4) oracle."""
+    n = ps.n
+    counts = site_counts(ps)[0]
+    return 3 * comb(n, 4) - sum(c * (i - 1) * (n - i - 1) for i, c in enumerate(counts))
 
 
 class ValidSwapDigraph(NamedTuple):

@@ -157,15 +157,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.coefficient:
+        low, high = bounds_mod.GENERAL_LOWER_COEFFICIENT, bounds_mod.BEST_UPPER_COEFFICIENT
         coeff = bounds_mod.crossing_coefficient()
-        closure = (coeff - bounds_mod.GENERAL_LOWER_COEFFICIENT) / (
-            bounds_mod.BEST_UPPER_COEFFICIENT - bounds_mod.GENERAL_LOWER_COEFFICIENT
-        )
         print(f"coefficient = {coeff:.10f}")
-        print(
-            f"gap closure over [{bounds_mod.GENERAL_LOWER_COEFFICIENT}, "
-            f"{bounds_mod.BEST_UPPER_COEFFICIENT}] = {closure:.4f}"
-        )
+        print(f"gap closure over [{low}, {high}] = {(coeff - low) / (high - low):.4f}")
         return 0
     if args.n is not None:
         lo = hi = args.n
@@ -185,14 +180,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def _bounds_rows(ns: Iterable[int], only_k: int | None) -> Iterator[list]:
     """The rows of the ``bounds`` table, one at a time, in
-    ``BOUNDS_COLUMNS`` order: for each n, the given k or every k < n/2,
-    read off one ``bound_table(n)`` with its ``cr_lower``."""
+    ``BOUNDS_COLUMNS`` order: for each n, the reports (``only_k``'s or every
+    k's) that one ``bound_table`` pass keeps, with its ``cr_lower``."""
     for n in ns:
-        table = bounds_mod.bound_table(n)
+        table = bounds_mod.bound_table(n, None if only_k is None else (only_k,))
         ratio = f"{table.crossing / comb(n, 4):.8f}"
         for br in table.reports:
-            if only_k is not None and br.k != only_k:
-                continue
             yield [
                 n, br.k, br.m, _cell(br.depth), _cell(br.y),
                 UNDEF if br.y is None else f"{float(br.y):.6f}", br.ceil_y, br.het,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -440,7 +441,8 @@ class TestBoundReport:
     @example(n=9, k=4)  # the empty window
     def test_integer_fields_equal_fraction_recomputation(self, n, k):
         # Y, ceil(Y), hom and L are derived on integers; each must be what
-        # Fraction arithmetic on the term-by-term Y gives, as a Fraction.
+        # Fraction arithmetic on the term-by-term Y gives: Y and hom as
+        # Fractions, L as an int.
         assume(2 * k < n)
         s, m = n // 3, n - 2 * k - 1
         het = 3 * math.comb(k + 1, 2) if k <= s else 3 * math.comb(s + 1, 2) + (k - s) * n
@@ -457,7 +459,8 @@ class TestBoundReport:
         assert (br.depth, br.y, br.ceil_y, br.hom_lower, br.l) == (
             depth, y, math.ceil(y), hom, sharp
         )
-        assert all(type(v) is Fraction for v in (br.y, br.hom_lower, br.l))
+        assert all(type(v) is Fraction for v in (br.y, br.hom_lower))
+        assert type(br.l) is int
         assert br.l >= br.y
 
     def test_equals_single_quantity_functions(self):
@@ -512,6 +515,29 @@ class TestBoundTable:
                 assert [type(v) for v in got._asdict().values()] == [
                     type(v) for v in expected._asdict().values()
                 ]
+
+    def test_one_pass_keeps_the_reports_asked_for(self):
+        # The table kept for one k holds that k's report alone, and the table
+        # kept for none holds no report; both sum the whole crossing bound.
+        for n in range(3, 301, 3):
+            crossing = bound_table(n).crossing
+            assert bound_table(n, ()) == (n, (), crossing)
+            k_max = (n - 1) // 2
+            for k in {1, n // 3, n // 3 + 1, k_max - 1, k_max} & set(range(1, k_max + 1)):
+                assert bound_table(n, (k,)) == (n, (bound_report(k, n),), crossing)
+            assert bound_table(n, (0, k_max + 1)).reports == ()
+
+    def test_one_kept_report_holds_little_memory(self):
+        # The pass holds the reports it keeps and the running sum, not the
+        # 1499 reports of n = 3000 (about 830 KB).
+        tracemalloc.start()
+        try:
+            table = bound_table(3000, (1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.k for r in table.reports] == [1]
+        assert peak < 64 * 1024
 
     def test_slack_sweep_reads_the_gap(self):
         # The slack suite's pair sweep reads L - Y off the tables.

@@ -13,6 +13,8 @@ from ksetlab import (
     build_halfperiod,
     build_valid_digraphs,
     critical_counts,
+    crossing_count,
+    crossing_number,
     generate,
     is_general_position,
     k_set_oracle,
@@ -288,6 +290,34 @@ class TestCountingSweep:
         k_lo = data.draw(st.integers(1, k_max))
         tail = _analyze_rows(ps, k_lo, k_max)
         assert [dict(zip(ANALYZE_COLUMNS, row)) for row in tail] == rows[k_lo - 1 :]
+
+
+class TestCrossingCount:
+    """``crossing_count`` reads the crossings off the one replay's site
+    counts; ``crossing_number`` counts the convex quadruples one by one."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 12), st.integers(0, 10**6), st.booleans())
+    def test_equals_the_quadruple_oracle(self, n, seed, generated):
+        if generated:
+            ps = generate(3 * -(-n // 3), seed)
+        else:
+            ps = random_general_position_set(n, seed)
+        assert crossing_count(ps) == crossing_number(ps)
+
+    @pytest.mark.parametrize("n, crossings", [(9, 84), (12, 375), (15, 895)])
+    def test_generated_sets(self, n, crossings):
+        ps = generate(n, 0)
+        assert crossing_count(ps) == crossing_number(ps) == crossings
+
+    def test_small_and_convex_sets(self):
+        assert crossing_count(TRIANGLE) == 0
+        assert crossing_count(HEXAGON) == math.comb(6, 4)  # every quadruple is convex
+
+    @pytest.mark.parametrize("ps", DEGENERATE_SETS)
+    def test_degenerate_sets_rejected(self, ps):
+        with pytest.raises(GeneralPositionError):
+            crossing_count(ps)
 
 
 class TestStartDirection:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -385,6 +386,21 @@ class TestBoundsCommand:
             header, row = capsys.readouterr().out.splitlines()
             assert table[0] == header
             assert [line for line in table if line.startswith(f"300,{k},")] == [row]
+
+    def test_one_row_holds_little_memory(self, capsys):
+        # --k keeps one report per n, not every k's (about 960 KB at
+        # n = 3000).  The parser is built before tracing starts.
+        assert main(["bounds", "--n", "3000", "--k", "1"]) == 0
+        expected = capsys.readouterr().out
+        tracemalloc.start()
+        try:
+            assert main(["bounds", "--n", "3000", "--k", "1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == expected
+        assert len(expected.splitlines()) == 2
+        assert peak < 256 * 1024
 
     def test_n_range_6_300_digest(self, capsys):
         # The whole table, byte for byte.  The cr_lower fix planned in
