@@ -14,6 +14,7 @@ padded string).  ``analyze`` must print the same CSV for both files.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from decimal import Decimal
@@ -24,6 +25,8 @@ from ksetlab.io import save_point_set
 
 N = 30
 DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 10)
+#: The drawer takes integer points: every coordinate times this scale.
+SCALE = math.lcm(*DENOMINATORS)
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
@@ -46,8 +49,8 @@ def main(pq_path: str, forms_path: str) -> int:
     rng = random.Random(310)
     draw = GeneralPositionDraw()
     while len(draw.points) < N:
-        draw.offer(tuple(Fraction(rng.randint(-60, 60), rng.choice(DENOMINATORS)) for _ in "xy"))
-    ps = PointSet.from_coords(draw.points)
+        draw.offer(tuple(rng.randint(-60, 60) * (SCALE // rng.choice(DENOMINATORS)) for _ in "xy"))
+    ps = PointSet.from_coords((Fraction(x, SCALE), Fraction(y, SCALE)) for x, y in draw.points)
     save_point_set(ps, pq_path)
     coords = [c for p in ps.points for c in (p.x, p.y)]
     forms = [other_form(c, turn) for turn, c in enumerate(coords)]

@@ -28,8 +28,9 @@ l1.
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
 three-point orders, which realize all six block patterns, so halving the
-radius until the checker passes always terminates; each point is redrawn
-until it is in general position (``geometry.GeneralPositionDraw``).
+radius until the checker passes always terminates; each point, an integer
+point over one denominator per attempt (a ``Fraction`` only once kept), is
+redrawn until it is in general position (``geometry.GeneralPositionDraw``).
 ``generate_with_witness`` hands back the accepted attempt's witness, so a
 caller that needs it does not check the set again.
 """
@@ -54,12 +55,9 @@ _GENERATOR_ATTEMPTS = 256
 #: Triangle-cluster offsets are multiples of 1/_GRID in [-1, 1]^2.
 _GRID = 64
 
-# Fixed, arbitrary non-degenerate template triangle for the generator.
-_CLUSTER_CENTERS = (
-    Point(Fraction(0), Fraction(0)),
-    Point(Fraction(1), Fraction(0)),
-    Point(Fraction(1, 2), Fraction(9, 10)),
-)
+#: Fixed, arbitrary non-degenerate template triangle for the generator, in
+#: tenths: (0, 0), (1, 0) and (1/2, 9/10).
+_CLUSTER_CENTERS = ((0, 0), (10, 0), (5, 9))
 
 #: The block orders each mode requires, in witness order.
 _BLOCK_ORDERS = {"three": ("abc", "bac", "bca"), "two": ("abc", "bac")}
@@ -242,50 +240,55 @@ def generate_with_witness(
     with the witness that accepted it.
 
     n/3 points are jittered inside a disk of radius r at each vertex of the
-    template triangle, each redrawn until ``GeneralPositionDraw`` keeps it
-    (it repeats no point and is collinear with no two drawn before it);
-    triangle clusters are then sorted by offset.  r is halved and the set
-    drawn again, from the next substream of the seed, until it passes
-    ``check_partition`` in three-condition mode, whose witness is returned
-    with the set.  Raises ``LabelingError`` for an n that is not a positive
-    multiple of 3, and ``GeneralPositionError`` when a point is not kept
-    within ``DRAWS_PER_POINT`` draws or no attempt succeeds.
+    template triangle, each an integer point over the attempt's one
+    denominator d > 0, redrawn until ``GeneralPositionDraw`` keeps it (it
+    repeats no point and is collinear with no two drawn before it); triangle
+    clusters are then sorted by offset, as integers.  Only the kept points
+    become ``Fraction``s.  r is halved and the set drawn again, from the
+    next substream of the seed, until it passes ``check_partition`` in
+    three-condition mode, whose witness is returned with the set.  Raises
+    ``LabelingError`` for an n that is not a positive multiple of 3, and
+    ``GeneralPositionError`` when a point is not kept within
+    ``DRAWS_PER_POINT`` draws or no attempt succeeds.
     """
     if n < 3 or n % 3 != 0:
         raise LabelingError(f"n must be a positive multiple of 3, got {n}")
     if shape not in GENERATOR_SHAPES:
         raise ValueError(f"shape must be one of {GENERATOR_SHAPES}, got {shape!r}")
     per_cluster, grid = n // 3, _GRID
-    gx = sum(c.x for c in _CLUSTER_CENTERS) / 3
-    gy = sum(c.y for c in _CLUSTER_CENTERS) / 3
-    radius = Fraction(1, 8)
+    triangle = shape == "triangle-clusters"
+    # Candidates are integers over d = 10 * r * scale: centres in tenths, radius
+    # 1/r, offsets in 1/scale (k/64; template t = (i+1)/(n/3+1), jitter k/512).
+    scale = grid if triangle else grid * 8 * (per_cluster + 1)
+    gx, gy = (sum(axis) // 3 for axis in zip(*_CLUSTER_CENTERS))  # (5, 3), exactly
+    labels = [c for c in CLASS_NAMES for _ in range(per_cluster)]
     for attempt in range(_GENERATOR_ATTEMPTS):
         rng = random.Random(1_000_003 * seed + 7919 * attempt + n)
+        r = 8 << attempt
         draw, points = GeneralPositionDraw(), []
-        for center in _CLUSTER_CENTERS:
-            dx, dy = gx - center.x, gy - center.y
+        for cx, cy in _CLUSTER_CENTERS:
+            bx, by, dx, dy = cx * r * scale, cy * r * scale, gx - cx, gy - cy
             for i in range(per_cluster):
+                sx, sy = bx + grid * 8 * (i + 1) * dx, by + grid * 8 * (i + 1) * dy
                 for _ in range(DRAWS_PER_POINT):
-                    if shape == "triangle-clusters":
-                        ox = Fraction(rng.randint(-grid, grid), grid)
-                        oy = Fraction(rng.randint(-grid, grid), grid)
+                    if triangle:
+                        p = (bx + 10 * rng.randint(-grid, grid), by + 10 * rng.randint(-grid, grid))
                     else:  # along the spoke to the centroid, jittered across it,
                         # echoing the elongated clusters of the best known drawings
-                        t = Fraction(i + 1, per_cluster + 1)
-                        jitter = Fraction(rng.randint(-grid, grid), grid * 8)
-                        ox, oy = t * dx - jitter * dy, t * dy + jitter * dx
-                    if draw.offer(Point(center.x + radius * ox, center.y + radius * oy)):
+                        jitter = rng.randint(-grid, grid) * (per_cluster + 1)
+                        p = (sx - jitter * dy, sy + jitter * dx)
+                    if draw.offer(p):
                         break
                 else:
                     raise GeneralPositionError(f"generator gave up on n={n}, seed={seed}: no point "
                                                f"in general position in {DRAWS_PER_POINT} draws")
             cluster = draw.points[len(points) :]
-            points += sorted(cluster) if shape == "triangle-clusters" else cluster
-        ps = PointSet(points, [c for c in CLASS_NAMES for _ in range(per_cluster)])
+            points += sorted(cluster) if triangle else cluster
+        d = 10 * r * scale
+        ps = PointSet([Point(Fraction(x, d), Fraction(y, d)) for x, y in points], labels)
         witness = check_partition(ps)
         if witness is not None:
             return ps, witness
-        radius /= 2
     raise GeneralPositionError(
         f"generator gave up on n={n}, seed={seed} after {_GENERATOR_ATTEMPTS} attempts"
     )

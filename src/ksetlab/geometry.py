@@ -316,26 +316,23 @@ DRAWS_PER_POINT = 1000
 
 
 class GeneralPositionDraw:
-    """Points kept one at a time in general position: ``offer(p)`` keeps p,
-    a pair of rationals (a ``Point``, or integers), and returns True unless
-    p repeats a kept point or is collinear with two; ``points`` lists the
-    kept points in order.  Each kept point q is held as integers (X, Y, D),
-    its coordinates times the lcm D of their denominators, with the
-    primitive directions, signed to point right or straight up, from q to
-    the points kept after it; p is collinear with q and one of them exactly
-    when its direction from q is already there."""
+    """Integer points kept one at a time in general position: ``offer(p)``
+    keeps p = (x, y), two integers on the scale all offers share, and
+    returns True unless p repeats a kept point or is collinear with two;
+    ``points`` lists the kept points in order.  Each kept point q is held
+    with the primitive directions, signed to point right or straight up,
+    from q to the points kept after it; p is collinear with q and one of
+    them exactly when its direction from q is already there."""
 
     def __init__(self) -> None:
-        self.points: list = []
-        self._held: list[tuple[int, int, int, set[Direction]]] = []
+        self.points: list[tuple[int, int]] = []
+        self._held: list[set[Direction]] = []
 
-    def offer(self, p: Sequence[Fraction | int]) -> bool:
-        x, y = p
-        d = math.lcm(x.denominator, y.denominator)
-        px, py = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)
+    def offer(self, p: tuple[int, int]) -> bool:
+        px, py = p
         found = []
-        for qx, qy, qd, held in self._held:
-            dx, dy = px * qd - qx * d, py * qd - qy * d
+        for (qx, qy), held in zip(self.points, self._held):
+            dx, dy = px - qx, py - qy
             g = math.gcd(dx, dy)
             if not g:
                 return False  # p repeats q
@@ -345,10 +342,10 @@ class GeneralPositionDraw:
             if u in held:
                 return False  # p, q and a point kept after q are collinear
             found.append(u)
-        for (_, _, _, held), u in zip(self._held, found):
+        for held, u in zip(self._held, found):
             held.add(u)
         self.points.append(p)
-        self._held.append((px, py, d, set()))
+        self._held.append(set())
         return True
 
 

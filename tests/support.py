@@ -32,7 +32,12 @@ give the same classes, swaps, site counts and splits.
 The random-set oracle is the plain rejection loop: each candidate is kept
 when the whole set with it added is in general position, instead of having
 its direction from each kept point looked up among the directions
-``GeneralPositionDraw`` holds there.
+``GeneralPositionDraw`` holds there, all points integers on one scale.
+
+The generator oracle is the library's earlier generator: each candidate is
+``center + radius * offset`` in ``Fraction``s, offered to a drawer that
+holds each kept point over the lcm of its own two denominators, instead of
+integer candidates over one denominator per attempt.
 
 The crossing-bound oracle sums (n-2k-1) * min_kset_count(k, n) one k at a
 time, instead of reading the crossing sum off ``bound_table(n)``.
@@ -62,9 +67,17 @@ from ksetlab.circular import (
     Halfperiod,
     interval_sample_directions,
 )
-from ksetlab.decompose import DecompositionWitness
+from ksetlab.decompose import DecompositionWitness, check_partition
 from ksetlab.errors import GeneralPositionError
-from ksetlab.geometry import Point, PointSet, cross, is_general_position, orientation
+from ksetlab.geometry import (
+    CLASS_NAMES,
+    DRAWS_PER_POINT,
+    Point,
+    PointSet,
+    cross,
+    is_general_position,
+    orientation,
+)
 from ksetlab.verify import RANDOM_SPREAD
 
 
@@ -145,6 +158,78 @@ def random_general_position_set_by_rejection(n: int, seed: int) -> PointSet:
         if is_general_position(trial):
             ps = trial
     return ps
+
+
+class RationalDraw:
+    """The earlier ``GeneralPositionDraw``: ``offer`` takes a pair of
+    rationals and holds each kept point as integers (X, Y, D), its
+    coordinates times the lcm D of their denominators, with the primitive
+    directions from it to the points kept after it."""
+
+    def __init__(self) -> None:
+        self.points: list = []
+        self._held: list[tuple[int, int, int, set[Direction]]] = []
+
+    def offer(self, p) -> bool:
+        x, y = p
+        d = math.lcm(x.denominator, y.denominator)
+        px, py = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)
+        found = []
+        for qx, qy, qd, held in self._held:
+            dx, dy = px * qd - qx * d, py * qd - qy * d
+            g = math.gcd(dx, dy)
+            if not g:
+                return False
+            if dx < 0 or not dx and dy < 0:
+                g = -g
+            u = (dx // g, dy // g)
+            if u in held:
+                return False
+            found.append(u)
+        for (_, _, _, held), u in zip(self._held, found):
+            held.add(u)
+        self.points.append(p)
+        self._held.append((px, py, d, set()))
+        return True
+
+
+def generate_with_witness_by_fractions(
+    n: int, seed: int = 0, shape: str = "triangle-clusters"
+) -> tuple[PointSet, DecompositionWitness]:
+    """``decompose.generate_with_witness`` with every candidate computed in
+    ``Fraction``s and offered to ``RationalDraw``: the same RNG calls, in
+    the same order, from the same seeds."""
+    centers = (Point.of(0, 0), Point.of(1, 0), Point.of("1/2", "9/10"))
+    per_cluster, grid = n // 3, 64
+    gx = sum(c.x for c in centers) / 3
+    gy = sum(c.y for c in centers) / 3
+    radius = Fraction(1, 8)
+    for attempt in range(256):
+        rng = random.Random(1_000_003 * seed + 7919 * attempt + n)
+        draw, points = RationalDraw(), []
+        for center in centers:
+            dx, dy = gx - center.x, gy - center.y
+            for i in range(per_cluster):
+                for _ in range(DRAWS_PER_POINT):
+                    if shape == "triangle-clusters":
+                        ox = Fraction(rng.randint(-grid, grid), grid)
+                        oy = Fraction(rng.randint(-grid, grid), grid)
+                    else:
+                        t = Fraction(i + 1, per_cluster + 1)
+                        jitter = Fraction(rng.randint(-grid, grid), grid * 8)
+                        ox, oy = t * dx - jitter * dy, t * dy + jitter * dx
+                    if draw.offer(Point(center.x + radius * ox, center.y + radius * oy)):
+                        break
+                else:
+                    raise GeneralPositionError(f"no point kept in {DRAWS_PER_POINT} draws")
+            cluster = draw.points[len(points) :]
+            points += sorted(cluster) if shape == "triangle-clusters" else cluster
+        ps = PointSet(points, [c for c in CLASS_NAMES for _ in range(per_cluster)])
+        witness = check_partition(ps)
+        if witness is not None:
+            return ps, witness
+        radius /= 2
+    raise GeneralPositionError(f"no attempt passed for n={n}, seed={seed}")
 
 
 def general_position_by_triples(ps: PointSet) -> bool:

@@ -33,6 +33,7 @@ from support import (
     block_pattern_indices_by_permutations,
     check_partition_by_sampling,
     dot_point,
+    generate_with_witness_by_fractions,
 )
 
 # Frozen 6-point set on which no balanced labeling is a decomposition.
@@ -375,6 +376,15 @@ class TestGenerate:
             ps = generate(12, seed=5, shape=shape)
             assert is_general_position(ps)
             assert check_partition(ps) is not None
+
+    @pytest.mark.parametrize("shape", GENERATOR_SHAPES)
+    @pytest.mark.parametrize("n", range(3, 61, 3))
+    def test_matches_fraction_generator(self, n, shape):
+        # The integer grid draws the same sets, and so finds the same
+        # witnesses, as the Fraction generator: any drift fails here.
+        for seed in range(10):
+            assert generate_with_witness(n, seed, shape) == \
+                generate_with_witness_by_fractions(n, seed, shape)
 
     def test_deterministic(self):
         assert generate(9, seed=8) == generate(9, seed=8)

@@ -109,17 +109,36 @@ MIXED_POINTS = st.tuples(
 
 class TestGeneralPositionDraw:
     # Small integer points, as the random sampler offers, and non-dyadic
-    # fractions, so that repeats and collinear triples are common.
+    # fractions, so that repeats and collinear triples are common; each
+    # list is offered scaled by the lcm of its denominators, to integers.
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)) | MIXED_POINTS,
                     max_size=12))
     def test_keeps_a_point_exactly_when_the_triple_scan_accepts_it(self, candidates):
-        draw = geometry.GeneralPositionDraw()
-        for p in candidates:
-            kept = list(draw.points)
+        m = math.lcm(*(Fraction(c).denominator for p in candidates for c in p))
+        self.offer_each(candidates, [(int(x * m), int(y * m)) for x, y in candidates])
+
+    def test_coordinates_beyond_64_bits(self):
+        # With B = 2^64 + 7, (0, 0), (B, 1) and (2B + 1, 2) are not
+        # collinear, though a float cross product of the three reads 0;
+        # (2B, 2) repeats no point but is collinear with the first two, and
+        # (B, 1) repeats one.
+        big = 2**64 + 7
+        candidates = [(0, 0), (big, 1), (2 * big + 1, 2), (2 * big, 2), (big, 1),
+                      (-big, 3 * big), (big * big, -big)]
+        self.offer_each(candidates, candidates)
+
+    @staticmethod
+    def offer_each(candidates, offers):
+        # Offer each integer point; the triple scan decides on the candidate.
+        draw, kept, offered = geometry.GeneralPositionDraw(), [], []
+        for p, q in zip(candidates, offers):
             accepted = general_position_by_triples(PointSet.from_coords(kept + [p]))
-            assert draw.offer(p) == accepted
-            assert draw.points == kept + [p] * accepted
+            assert draw.offer(q) == accepted
+            if accepted:
+                kept.append(p)
+                offered.append(q)
+            assert draw.points == offered
 
 
 def grouping_or_error(group, ps):
