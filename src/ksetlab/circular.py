@@ -23,10 +23,14 @@ inside each gap between consecutive classes (``gap_sample``), the start
 direction (the first gap's sample) and the order of the swaps: the pair
 order rotated to begin at the first class ahead of the start.  The pairs
 of one class are disjoint and their swaps commute; they are listed by
-increasing left site.  ``replay`` is the one replay of the swaps, into the
-flat columns of a ``Halfperiod``; the one from the default start is kept on
-the point set (``PointSet.replay``), and site counts, k-set counts, the
-crossing count and the decomposition checks all read it.  A swap outside
+increasing left site.  The swaps are replayed once per point set
+(``replay_sites``), from the default start, into the flat columns of a
+``Halfperiod`` kept on the point set (``PointSet.replay``); site counts,
+k-set counts, the crossing count and the decomposition checks all read it.
+``replay`` from any other start rotates those columns, since the full turn
+is the halfperiod followed by its mirror: the swaps from the first class
+ahead of the start on, then the ones before it, with the part met in the
+other half turn mirrored, each site s becoming n - s.  A swap outside
 the columns is a ``Swap``, ``(site, i, j)``: points ``i < j`` at sites
 ``site``, ``site + 1`` trade; ``Halfperiod.swaps`` builds them only when
 asked.
@@ -38,7 +42,9 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
+from itertools import repeat
 from math import comb
+from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GeneralPositionError, LabelingError
@@ -142,21 +148,60 @@ class Halfperiod(Frozen):
 
 
 def replay(ps: PointSet, u: Direction) -> Halfperiod:
-    """Replay the halfperiod of ``ps`` that starts at ``u``, which must tie
-    no pair of projections, with the labels of ``ps``.  Each swap must
-    trade two neighbours, and the last permutation must reverse the
-    first."""
+    """The halfperiod of ``ps`` that starts at ``u``, which must tie no pair
+    of projections, with the labels of ``ps``.  The swaps are replayed
+    once per point set, from the first gap (``PointSet.replay``,
+    ``replay_sites``); any other start rotates those columns.  Let j be
+    the number of swaps before the first class ahead of u: the new columns
+    are the swaps from j on, then the ones before j.  A swap that the
+    sweep from u meets in the other half turn than the default sweep does
+    trades the same points in the reversed order, so its site s becomes
+    n - s: in the part before j when u continues the default sweep, in the
+    part from j on when u is opposed to it.  Mirroring reverses a class's
+    sites, so each class of several pairs there has its block reversed."""
     classes = ps.classes  # first: a degenerate set raises GeneralPositionError, not a tie
     height = [u[0] * x + u[1] * y for x, y in ps.coords]
     initial = tuple(sorted(range(len(height)), key=height.__getitem__))
     if any(height[a] == height[b] for a, b in zip(initial, initial[1:])):
         raise ValueError(f"start direction {u} ties a pair of projections")
     # Turning counterclockwise from u, the first class met is the first one
-    # ahead of u taken mod a half turn.
-    upper = u if u[1] > 0 or (u[1] == 0 and u[0] > 0) else (-u[0], -u[1])
+    # ahead of u taken mod a half turn.  The default sweep turns from between
+    # classes 0 and 1, in the upper half plane, to its negation: it meets u
+    # (up to the gap u lies in) when u is upper and past class 0, or when -u
+    # is upper and not past it.  Otherwise u is opposed to it.
+    flipped = not (u[1] > 0 or (u[1] == 0 and u[0] > 0))
+    upper = (-u[0], -u[1]) if flipped else u
     count = len(classes)
-    first = bisect_left(range(count), True, key=lambda g: cross(upper, classes.direction(g)) > 0)
-    first %= max(count, 1)
+    ahead = bisect_left(range(count), True, key=lambda g: cross(upper, classes.direction(g)) > 0)
+    first, opposed = ahead % max(count, 1), count > 0 and (ahead > 0) == flipped
+    if "replay" not in ps.__dict__ and u == gap_sample(classes, 0):
+        # The default start: the one swap loop, kept on the point set.
+        base = Halfperiod(u, initial, first, *replay_sites(classes, initial, first), ps.labels)
+        ps.__dict__["replay"] = base
+        return base
+    base = ps.replay
+    starts, pairs, n = classes.starts, len(base.sites), len(initial)
+    j = (starts[first] - starts[base.first]) % max(pairs, 1)
+    columns = [column[j:] + column[:j] for column in (base.sites, base.firsts, base.seconds)]
+    lo, hi = (0, pairs - j) if opposed else (pairs - j, pairs)  # the mirrored part
+    sites = columns[0]
+    sites[lo:hi] = array(sites.typecode, map(sub, repeat(n, hi - lo), sites[lo:hi]))
+    for g in classes.multi:
+        at = (starts[g] - starts[first]) % pairs
+        if lo <= at < hi:
+            block = slice(at, at + starts[g + 1] - starts[g])
+            for column in columns:
+                column[block] = column[block][::-1]
+    return Halfperiod(u, initial, first, *columns, ps.labels)
+
+
+def replay_sites(
+    classes: Classes, initial: tuple[int, ...], first: int
+) -> tuple[array, array, array]:
+    """The one swap loop: the sites and points of each swap of the
+    halfperiod that starts at ``initial`` and meets class ``first`` first.
+    Each swap must trade two neighbours, and the last permutation must
+    reverse the first.  The swaps of one class are listed by left site."""
     cut, starts = classes.starts[first], classes.starts
     firsts, seconds = classes.a[cut:] + classes.a[:cut], classes.b[cut:] + classes.b[:cut]
     pos = sorted(range(len(initial)), key=initial.__getitem__)  # the site of each point
@@ -180,7 +225,7 @@ def replay(ps: PointSet, u: Direction) -> Halfperiod:
         block = sorted(zip(sites[lo:hi], firsts[lo:hi], seconds[lo:hi]))
         for column, values in zip((sites, firsts, seconds), zip(*block)):
             column[lo:hi] = array(column.typecode, values)
-    return Halfperiod(u, initial, first, sites, firsts, seconds, ps.labels)
+    return sites, firsts, seconds
 
 
 def block_roles(perm: Sequence[int], labels: Sequence[str]) -> tuple[str, str, str] | None:

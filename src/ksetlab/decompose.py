@@ -12,8 +12,9 @@ s = n/3 (the only ones that move a point between thirds), yielding the
 split each leaves.  ``_read_splits`` walks the point set's one cached
 replay from the first gap (``PointSet.replay``), groups its swaps by class
 (``PointSet.classes``) and maps the split left after each class of flips
-to the first gap sample realizing it; the negated sample realizes its
-reversal (third t becomes 2 - t).
+to the first gap realizing it.  That gap's sample realizes the split, and
+the negated sample its reversal (third t becomes 2 - t); a witness
+(``_witness``) builds the samples of its own 2-3 splits only.
 ``check_partition`` looks up the splits of the given partition (the
 direction-sampling check it replaces is kept as a test oracle);
 ``find_partition`` decides every split read and its reversal, thirds 0, 1,
@@ -22,8 +23,8 @@ direction-sampling check it replaces is kept as a test oracle);
 The halfperiod indices (s, t) of a witness come from the same walk:
 ``check_halfperiod`` walks a halfperiod whose initial permutation is the
 class blocks x, y, z to the first y,z,x split after the first y,x,z one,
-and ``locate_halfperiod_witness`` runs it on the halfperiod replayed from
-l1.
+and ``locate_halfperiod_witness`` runs it on the halfperiod from l1, a
+rotation of the set's one replay (``circular.replay``).
 
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
@@ -32,7 +33,8 @@ radius until the checker passes always terminates; each point, an integer
 point over one denominator per attempt (a ``Fraction`` only once kept), is
 redrawn until it is in general position (``geometry.GeneralPositionDraw``).
 ``generate_with_witness`` hands back the accepted attempt's witness, so a
-caller that needs it does not check the set again.
+caller that needs it does not check the set again, and fills the set's
+integer coordinates (``PointSet.coords``) from its grid.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
+from math import gcd
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .circular import Direction, Halfperiod, block_roles, build_halfperiod, gap_sample
@@ -114,46 +117,48 @@ def _splits_along(h: Halfperiod) -> Iterator[tuple[int, Split]]:
             yield k, tuple(third)
 
 
-def _read_splits(
-    ps: PointSet, wanted: Collection[Split] = ()
-) -> dict[Split, Direction]:
-    """Map each split into thirds that one sweep reads to the sample of the
-    first gap realizing it.  The sweep (``PointSet.replay``) starts at the
-    first gap's sample (``default_start_direction``) and meets classes 1,
-    2, ... in turn; class g opens gap g, and the last class met, 0, closes
-    the halfperiod.  Stops once every split in ``wanted`` is mapped, and
-    with none wanted reads the whole halfperiod."""
+def _read_splits(ps: PointSet, wanted: Collection[Split] = ()) -> dict[Split, int]:
+    """Map each split into thirds that one sweep reads to the first gap
+    realizing it.  The sweep (``PointSet.replay``) starts at the first
+    gap's sample (``default_start_direction``) and meets classes 1, 2, ...
+    in turn; class g opens gap g, and the last class met, 0, closes the
+    halfperiod.  Stops once every split in ``wanted`` is mapped, and with
+    none wanted reads the whole halfperiod."""
     r, starts = ps.replay, ps.classes.starts
     cut, final = starts[r.first], (r.first or len(ps.classes)) - 1
     steps, pairs = _splits_along(r), len(r.sites)
-    first = {next(steps)[1]: r.direction}
+    first = {next(steps)[1]: 0}
     for g, moved in groupby(steps, lambda step: bisect_right(starts, (step[0] + cut) % pairs) - 1):
         if g == final:
             break
         *_, (_, split) = moved  # the split left after class g
-        if split not in first:
-            first[split] = gap_sample(ps.classes, g)
+        first.setdefault(split, g)
         if wanted and all(w in first for w in wanted):
             break
     return first
 
 
 def _witness(
-    part: tuple[str, ...], wanted: list[Split], first: dict[Split, Direction]
+    ps: PointSet, part: tuple[str, ...], wanted: list[Split], first: dict[Split, int]
 ) -> DecompositionWitness | None:
-    """The witness of ``part``: each wanted split's direction in the map
-    ``_read_splits`` built, else the negated direction of its reversal
-    (third t becomes 2 - t); None if some split has neither."""
-    found: list[Direction] = []
+    """The witness of ``part``: each wanted split's gap sample
+    (``gap_sample``) from the map ``_read_splits`` built, else the negated
+    sample of its reversal (third t becomes 2 - t); None if some split has
+    neither.  Only the splits a witness returns become directions."""
+    found: list[tuple[int, int]] = []  # (sign, gap) of each wanted split
     for split in wanted:
         if split in first:
-            found.append(first[split])
+            found.append((1, first[split]))
         elif (rev := tuple(2 - t for t in split)) in first:
-            found.append((-first[rev][0], -first[rev][1]))
+            found.append((-1, first[rev]))
         else:
             return None
-    l3 = found[2] if len(found) == 3 else None
-    return DecompositionWitness(part, (found[0], found[1], l3))
+    directions: list[Direction] = []
+    for sign, g in found:
+        x, y = gap_sample(ps.classes, g)
+        directions.append((sign * x, sign * y))
+    l3 = directions[2] if len(directions) == 3 else None
+    return DecompositionWitness(part, (directions[0], directions[1], l3))
 
 
 def check_partition(
@@ -171,7 +176,7 @@ def check_partition(
     orders = _block_orders(mode)
     part = _normalize_partition(ps, labels)
     wanted = _splits(part, orders)
-    return _witness(part, wanted, _read_splits(ps, wanted))
+    return _witness(ps, part, wanted, _read_splits(ps, wanted))
 
 
 def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | None:
@@ -190,7 +195,7 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     for split in first:
         for names in (CLASS_NAMES, CLASS_NAMES[::-1]):
             part = tuple(names[t] for t in split)
-            witness = _witness(part, _splits(part, orders), first)
+            witness = _witness(ps, part, _splits(part, orders), first)
             if witness is not None:
                 return witness
     return None
@@ -227,8 +232,9 @@ def locate_halfperiod_witness(
     ps: PointSet, witness: DecompositionWitness
 ) -> DecompositionWitness:
     """Attach the halfperiod indices (s, t) to a witness: ``check_halfperiod``
-    on the halfperiod replayed from the first witness direction, whose
-    initial permutation is then the three class blocks."""
+    on the halfperiod from the first witness direction (a rotation of the
+    set's one replay), whose initial permutation is then the three class
+    blocks."""
     h = build_halfperiod(ps, witness.directions[0])
     return witness._replace(halfperiod_indices=check_halfperiod(h, witness.partition))
 
@@ -244,7 +250,8 @@ def generate_with_witness(
     denominator d > 0, redrawn until ``GeneralPositionDraw`` keeps it (it
     repeats no point and is collinear with no two drawn before it); triangle
     clusters are then sorted by offset, as integers.  Only the kept points
-    become ``Fraction``s.  r is halved and the set drawn again, from the
+    become ``Fraction``s; their grid coordinates, over the gcd of d and all
+    of them, are the set's ``coords``.  r is halved and the set drawn again, from the
     next substream of the seed, until it passes ``check_partition`` in
     three-condition mode, whose witness is returned with the set.  Raises
     ``LabelingError`` for an n that is not a positive multiple of 3, and
@@ -286,6 +293,10 @@ def generate_with_witness(
             points += sorted(cluster) if triangle else cluster
         d = 10 * r * scale
         ps = PointSet([Point(Fraction(x, d), Fraction(y, d)) for x, y in points], labels)
+        # The lcm of the reduced denominators d / gcd(x, d) is d / c: the
+        # integer coordinates are the grid's over c.
+        c = gcd(d, *chain.from_iterable(points))
+        ps.__dict__["coords"] = tuple((x // c, y // c) for x, y in points)
         witness = check_partition(ps)
         if witness is not None:
             return ps, witness

@@ -10,7 +10,11 @@ critical direction, so nothing read off the integers changes.
 
 The pairs live in flat columns (``Classes``, built once per point set by
 ``group_pairs``): their endpoints in two arrays, counterclockwise by
-critical direction, and the start of each class in a third.
+critical direction, and the start of each class in a third.  They are
+presorted by slope keys (``slope_keys``): ``dy / dx`` as ``int / int``,
+which CPython rounds to the nearest float.  Rounding to nearest is
+monotone, so two pairs whose keys differ are in exact angular order, and
+only runs of equal keys are looked at in exact integers.
 
 The two counting routines here are deliberately brute force; they act as the
 ground truth that the faster circular-sequence machinery is validated
@@ -34,8 +38,8 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import accumulate, combinations, count, filterfalse, repeat
-from operator import itemgetter, sub
+from itertools import accumulate, combinations, compress, count, islice, repeat
+from operator import eq, itemgetter, not_, sub, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GeneralPositionError, LabelingError, OracleSizeError
@@ -227,14 +231,33 @@ class Classes:
         return self.direction(g), tuple(sorted(zip(map(min, a, b), map(max, a, b))))
 
 
+def slope_keys(xs: Sequence[int], ys: Sequence[int]) -> list[float]:
+    """The presort key of each pair ``(r, s)``, ``r < s``, of points ranked
+    left to right and downwards on a vertical (``xs`` ascending), in the
+    order ``(0, 1), (0, 2), ..., (1, 2), ...``: the slope of ``b - a`` as
+    ``dy / dx``, the float nearest the exact quotient (CPython rounds
+    ``int / int`` correctly), and ``-inf`` for a pair straight below.
+    Raises ``OverflowError`` when a slope is beyond the float range."""
+    keys: list[float] = []
+    for r in range(len(xs) - 1):
+        x, y = xs[r], ys[r]
+        s = bisect_right(xs, x, r + 1)  # ranks r + 1 .. s - 1 are straight below
+        keys += repeat(-math.inf, s - r - 1)
+        keys += map(truediv, map(sub, ys[s:], repeat(y)), map(sub, xs[s:], repeat(x)))
+    return keys
+
+
 def group_pairs(ps: PointSet) -> Classes:
     """The pairs of ``ps`` grouped by critical direction (``Classes``), off
-    the integer coordinates: presorted by the float angle of ``b - a``, then
-    checked, and grouped, by one exact pass (``_classes_in_order``), and
-    sorted exactly only if that order is wrong.  Floating point only orders.
-    Also the general-position test: raises ``GeneralPositionError`` on
-    coincident points or a collinear triple (two pairs of one class that
-    share a point).
+    the integer coordinates.  The pairs are presorted by their slope keys
+    (``slope_keys``).  Rounding to nearest is monotone, so two pairs whose
+    keys differ are already in exact angular order; only a run of equal
+    keys is looked at in exact integers: one class if its pairs are all
+    parallel, else sorted by cross product.  A slope beyond the float
+    range makes every key equal, and the whole list one run.  Floating
+    point only orders.  Also the general-position test: raises
+    ``GeneralPositionError`` on coincident points or a collinear triple
+    (two pairs of one class that share a point).
     """
     xy = ps.coords
     n = len(xy)
@@ -245,60 +268,54 @@ def group_pairs(ps: PointSet) -> Classes:
     # b - a points right or straight down, at an angle in [-90, 90).
     rank = sorted(range(n), key=lambda p: (xy[p][0], -xy[p][1]))
     xs, ys = [xy[p][0] for p in rank], [xy[p][1] for p in rank]
+    try:
+        keys = slope_keys(xs, ys)
+    except OverflowError:
+        keys = [0.0] * math.comb(n, 2)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[k] for k in order]
+    ties = list(compress(count(1), map(eq, keys, islice(keys, 1, None))))
+    del keys
+    # Pair k joins points a[k] and b[k], in the order slope_keys lists them.
     code = "H" if n <= 1 << 16 else "I"
-    a, b, angle = array(code), array(code), []
+    a, b = array(code), array(code)
     for r in range(n - 1):
         a += array(code, [rank[r]]) * (n - 1 - r)
         b.fromlist(rank[r + 1 :])
-    try:
-        for r in range(n - 1):
-            dy = map(sub, ys[r + 1 :], repeat(ys[r]))
-            angle += map(math.atan2, dy, map(sub, xs[r + 1 :], repeat(xs[r])))
-    except OverflowError:  # a coordinate beyond the float range
-        angle = [0.0] * len(a)
-    order = sorted(range(len(a)), key=angle.__getitem__)
-    del angle
-    found = _classes_in_order(xy, a, b, order)
-    if found is None:
+    joins: list[int] = []  # the pairs parallel to the one before them
+    if ties:
+        xs, ys = [x for x, _ in xy], [y for _, y in xy]
 
-        def turn(k: int, q: int) -> int:
-            (xa, ya), (xb, yb), (xc, yc), (xd, yd) = xy[a[k]], xy[b[k]], xy[a[q]], xy[b[q]]
-            return (yb - ya) * (xd - xc) - (xb - xa) * (yd - yc)
+        def turn(k: int, m: int) -> int:  # below 0 when pair m turns counterclockwise from k
+            i, j, p, q = a[k], b[k], a[m], b[m]
+            return (ys[j] - ys[i]) * (xs[q] - xs[p]) - (xs[j] - xs[i]) * (ys[q] - ys[p])
 
-        order.sort(key=cmp_to_key(turn))
-        found = _classes_in_order(xy, a, b, order)
-    return found  # type: ignore[return-value]
-
-
-def _classes_in_order(
-    xy: tuple[tuple[int, int], ...], a: array, b: array, order: list[int]
-) -> Classes | None:
-    """The pairs ``a[k], b[k]`` taken in ``order`` as ``Classes``, or None
-    unless each pair's ``b - a`` turns counterclockwise from the one before
-    it or parallels it.  One pass, in exact integers."""
+        turns = list(map(turn, [order[k - 1] for k in ties], [order[k] for k in ties]))
+        if any(turns):  # sort exactly each run of equal keys that is not one class
+            t = 0
+            while t < len(ties):  # the run order[lo:hi], whose ties are ties[s:t]
+                s, lo = t, ties[t] - 1
+                while t < len(ties) and ties[t] == lo + 1 + t - s:
+                    t += 1
+                hi = lo + 1 + t - s
+                if any(turns[s:t]):
+                    order[lo:hi] = run = sorted(order[lo:hi], key=cmp_to_key(turn))
+                    turns[s:t] = map(turn, run, run[1:])
+        joins = list(compress(ties, map(not_, turns)))
     if len(order) > 1:
         take = itemgetter(*order)
-        a, b = array(a.typecode, take(a)), array(b.typecode, take(b))
-    else:
-        a, b = a[:], b[:]
-    xs, ys = [x for x, _ in xy], [y for _, y in xy]
-    joins: list[int] = []  # the pairs parallel to the one before them
-    px = py = 0
-    for k, i, j in zip(count(), a, b):
-        dx, dy = xs[j] - xs[i], ys[j] - ys[i]
-        turn = px * dy - py * dx
-        if turn <= 0 and k:
-            if turn:
-                return None
-            joins.append(k)
-        px, py = dx, dy
-    starts = array("I", filterfalse(set(joins).__contains__, range(len(a) + 1)))
-    multi = sorted({bisect_right(starts, k) - 1 for k in joins})
+        a, b = array(code, take(a)), array(code, take(b))
+    opens = bytearray(b"\x01") * (len(a) + 1)  # the pairs that open a class
+    for k in joins:
+        opens[k] = 0
+    starts = array("I", compress(range(len(a) + 1), opens))
+    # The i-th join (from 1), at k, lies in class k - i: k - i starts precede it.
+    multi = tuple(dict.fromkeys(map(sub, joins, count(1))))
     for g in multi:
         ends = a[starts[g] : starts[g + 1]] + b[starts[g] : starts[g + 1]]
         if len(set(ends)) < len(ends):
             raise GeneralPositionError("point set has a collinear triple")
-    return Classes(xy, a, b, starts, tuple(multi))
+    return Classes(xy, a, b, starts, multi)
 
 
 def is_general_position(ps: PointSet) -> bool:

@@ -32,7 +32,7 @@ from ksetlab.circular import (
 from ksetlab.cli import ANALYZE_COLUMNS, _analyze_rows
 from ksetlab.verify import random_general_position_set
 
-from support import DEGENERATE_SETS, critical_counts_by_recount
+from support import DEGENERATE_SETS, critical_counts_by_recount, sweep_by_classes
 
 TRIANGLE = PointSet.from_coords([(0, 0), (1, 0), (0, 1)])
 HEXAGON = PointSet.from_coords([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
@@ -340,6 +340,55 @@ class TestStartDirection:
         decompose.find_partition(fresh.with_labels(None))
         assert site_counts(fresh.with_labels(None)) == (site_counts(fresh)[0], None)
         assert starts == [gap_samples(ps.classes)[0]]
+
+
+@st.composite
+def small_sets(draw):
+    """0 to 9 distinct points in general position on a small grid."""
+    coords = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                           max_size=9, unique=True))
+    ps = PointSet.from_coords(coords)
+    assume(is_general_position(ps))
+    return ps
+
+
+class TestRotation:
+    """Any start other than the first gap rotates the one replay's columns
+    (``replay``): it must equal the class by class replay from that start."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(small_sets() | generated_sets(), st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+           st.booleans())
+    def test_matches_class_by_class_replay(self, ps, u, replayed_first):
+        fresh = PointSet(ps.points, ps.labels)
+        if replayed_first:
+            fresh.replay
+        try:
+            initial, flips = sweep_by_classes(ps, u)
+        except ValueError:  # u ties a pair of projections
+            with pytest.raises(ValueError, match="ties"):
+                build_halfperiod(fresh, u)
+            return
+        h = build_halfperiod(fresh, u)
+        assert h.initial_permutation == initial
+        assert h.swaps == tuple(swap for swaps in flips for swap in swaps)
+        assert (h.direction, h.labels) == (u, ps.labels)
+
+    def test_one_swap_loop_per_point_set(self, monkeypatch):
+        loops = []
+        real = circular.replay_sites
+
+        def counting(*args):
+            loops.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(circular, "replay_sites", counting)
+        ps = random_general_position_set(12, 3)
+        samples = gap_samples(ps.classes)
+        for u in samples + [(-x, -y) for x, y in samples]:
+            initial, flips = sweep_by_classes(ps, u)
+            assert build_halfperiod(ps, u).swaps == tuple(s for f in flips for s in f)
+        assert len(loops) == 1
 
 
 class TestHalfperiodInvariants:

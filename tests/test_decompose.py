@@ -386,6 +386,16 @@ class TestGenerate:
             assert generate_with_witness(n, seed, shape) == \
                 generate_with_witness_by_fractions(n, seed, shape)
 
+    @pytest.mark.parametrize("shape", GENERATOR_SHAPES)
+    def test_hands_its_grid_to_coords(self, shape):
+        # The integer coordinates come from the generator's grid, divided by
+        # the gcd of its denominator and every grid coordinate: the same as
+        # scaling the points by the lcm of their denominators.
+        for n in range(3, 61, 3):
+            for seed in range(10):
+                ps = generate(n, seed, shape)
+                assert ps.coords == PointSet(ps.points).coords
+
     def test_deterministic(self):
         assert generate(9, seed=8) == generate(9, seed=8)
         assert generate(9, seed=8) != generate(9, seed=9)

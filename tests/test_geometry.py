@@ -19,8 +19,14 @@ from ksetlab import (
     orientation,
 )
 from ksetlab import decompose, geometry
-from ksetlab.circular import build_halfperiod, gap_samples, kset_vector_from_sites, site_counts
-from ksetlab.geometry import KSetVector, group_pairs
+from ksetlab.circular import (
+    build_halfperiod,
+    gap_sample,
+    gap_samples,
+    kset_vector_from_sites,
+    site_counts,
+)
+from ksetlab.geometry import KSetVector, group_pairs, slope_keys
 from ksetlab.verify import random_general_position_set
 
 from support import (
@@ -204,7 +210,35 @@ def by_exact_angle(grouping: dict) -> list:
     )
 
 
+def ranked(ps):
+    """The integer coordinates in the order ``group_pairs`` ranks them, left
+    to right and downwards on a vertical: the input of ``slope_keys``."""
+    xy = ps.coords
+    rank = sorted(range(len(xy)), key=lambda p: (xy[p][0], -xy[p][1]))
+    return [xy[p][0] for p in rank], [xy[p][1] for p in rank]
+
+
+#: Coordinates on scales where float slopes tie, lose digits or overflow:
+#: a small integer times a scale, plus a small offset.
+SCALES = [1, 7, 2**53 + 1, 10**17, 10**400]
+
+
+@st.composite
+def extreme_sets(draw):
+    """Up to 7 points, each axis on one of ``SCALES``: pairs one ulp apart
+    in slope, vertical pairs, coordinates beyond 2^53 and beyond the float
+    range, and slopes whose division overflows."""
+    sx, sy = draw(st.sampled_from(SCALES)), draw(st.sampled_from(SCALES))
+    small = st.integers(-3, 3)
+    coords = draw(st.lists(st.tuples(small, small, small, small), max_size=7))
+    return PointSet.from_coords([(x * sx + dx, y * sy + dy) for x, dx, y, dy in coords])
+
+
 class TestAngularSort:
+    """The pairs are presorted by their slope keys; only a run of equal
+    keys is looked at exactly, and sorted by ``cmp_to_key`` only if its
+    pairs are not all parallel."""
+
     @staticmethod
     def _count_exact_sorts(monkeypatch):
         calls = []
@@ -218,17 +252,15 @@ class TestAngularSort:
         return calls
 
     def test_float_near_tie_takes_exact_sort(self, monkeypatch):
-        # (big, 1) and (big + 1, 1) have one float angle, so the presort
-        # keeps their pairs in the order they are enumerated, (0, 1) before
-        # (0, 2) (point 1 is above point 2), which is the wrong one.
+        # (1, -big) and (1, -big - 1) have one float slope from (0, 0), and
+        # so have they from (-3, 2): two runs of equal keys, neither of one
+        # class, each sorted exactly.
         big = 10**17
         ps = PointSet.from_coords([(0, 0), (1, -big), (1, -big - 1), (-3, 2)])
-        assert math.atan2(1, big) == math.atan2(1, big + 1)
-        order = [pairs for _, pairs in group_pairs(PointSet(ps.points))]
-        assert order.index(((0, 2),)) < order.index(((0, 1),))
+        assert -big / 1 == (-big - 1) / 1 and (-big - 2) / 4 == (-big - 3) / 4
         calls = self._count_exact_sorts(monkeypatch)
-        assert list(ps.classes) == by_fractions(ps)
-        assert len(calls) == 1
+        assert list(ps.classes) == by_fractions(ps) == classes_by_sorting(ps)
+        assert len(calls) == 2
         assert kset_vector_from_sites(ps.n, site_counts(ps)[0]) == k_set_oracle(ps)
 
     def test_float_order_accepted_without_near_ties(self, monkeypatch):
@@ -237,9 +269,61 @@ class TestAngularSort:
             ps = PointSet.from_coords(
                 [(p.x / (3 + i % 5), p.y / (7 + i % 3)) for i, p in enumerate(base.points)]
             )
+            keys = slope_keys(*ranked(ps))
+            assert len(set(keys)) == len(keys) == math.comb(n, 2)
             calls = self._count_exact_sorts(monkeypatch)
             assert list(ps.classes) == by_fractions(ps)
             assert calls == []
+
+    def test_parallel_runs_sort_nothing_exactly(self, monkeypatch):
+        # A square's opposite sides share a key, and so do its two vertical
+        # sides (-inf): each run is one class.
+        square = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2), (7, 3)])
+        calls = self._count_exact_sorts(monkeypatch)
+        assert list(square.classes) == by_fractions(square)
+        assert calls == []
+        assert len(square.classes.multi) == 2
+
+    def test_overflowing_slope_sorts_the_whole_list(self, monkeypatch):
+        big = 10**400
+        ps = PointSet.from_coords([(0, 0), (1, big), (3, 1), (5, -2)])
+        with pytest.raises(OverflowError):
+            slope_keys(*ranked(ps))
+        calls = self._count_exact_sorts(monkeypatch)
+        assert list(ps.classes) == by_fractions(ps) == classes_by_sorting(ps)
+        assert len(calls) == 1
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(extreme_sets())
+    def test_grouping_matches_dict_grouping(self, ps):
+        assert grouping_or_error(group_pairs, ps) == grouping_or_error(classes_by_sorting, ps)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(extreme_sets())
+    def test_each_key_is_the_nearest_float(self, ps):
+        xs, ys = ranked(ps)
+        try:
+            keys = slope_keys(xs, ys)
+        except OverflowError:
+            return
+        pairs = [(r, s) for r in range(len(xs)) for s in range(r + 1, len(xs))]
+        assert len(keys) == len(pairs)
+        for key, (r, s) in zip(keys, pairs):
+            if xs[s] == xs[r]:
+                assert key == -math.inf
+                continue
+            exact = Fraction(ys[s] - ys[r], xs[s] - xs[r])
+            error = abs(Fraction(key) - exact)
+            for side in (-math.inf, math.inf):
+                neighbour = math.nextafter(key, side)
+                if math.isfinite(neighbour):
+                    assert error <= abs(Fraction(neighbour) - exact)
+
+
+def read_splits(ps):
+    """``decompose._read_splits(ps)`` as a list of items, each split with
+    the sample of its gap."""
+    return [(split, gap_sample(ps.classes, g)) for split, g in decompose._read_splits(ps).items()]
 
 
 def flat_kernel(ps):
@@ -260,7 +344,7 @@ def flat_kernel(ps):
         "halfperiods": [(h.initial_permutation, h.swaps) for h in halfperiods],
     }
     if ps.n and ps.n % 3 == 0:
-        out["splits"] = list(decompose._read_splits(ps).items())
+        out["splits"] = read_splits(ps)
     return out
 
 
@@ -316,7 +400,7 @@ class TestFlatKernel:
             assert list(ps.classes) == classes
             assert len(classes) == math.comb(150, 2)
             assert site_counts(ps) == site_counts_by_replay(ps)
-            assert list(decompose._read_splits(ps).items()) == read_splits_by_replay(ps)
+            assert read_splits(ps) == read_splits_by_replay(ps)
             samples = gap_samples_of(classes)
             assert gap_samples(ps.classes) == samples
             for u in (samples[0], samples[4000], samples[-1], (-samples[77][0], -samples[77][1])):

@@ -953,19 +953,24 @@ class TestGroupOnce:
 
     def test_gen_checks_once_per_attempt(self, tmp_path, capsys, monkeypatch):
         # The witness gen prints is the generator's own check: one
-        # check_partition per attempt.  Two replays for the accepted set,
-        # its check and then the one from l1 for (s, t), one for the failed
-        # attempt's check, and no Swap tuple is built.
+        # check_partition per attempt.  One swap loop per attempt, for its
+        # check's replay; the halfperiod from l1 for (s, t) rotates the
+        # accepted set's columns and runs none.  No Swap tuple is built.
         calls = []
-        real_replay = circular.replay
+        real_replay, real_loop = circular.replay, circular.replay_sites
 
         def replay(*args):
             result = real_replay(*args)
             calls.append(("replay", result))
             return result
 
+        def loop(*args):
+            calls.append(("loop", None))
+            return real_loop(*args)
+
         self._fail_odd_checks(monkeypatch, calls)
         monkeypatch.setattr(circular, "replay", replay)
+        monkeypatch.setattr(circular, "replay_sites", loop)
         monkeypatch.setattr(circular.Halfperiod, "swaps", property(
             lambda h: calls.append(("swaps", None))
         ))
@@ -976,7 +981,7 @@ class TestGroupOnce:
         assert "halfperiod witness" in out
         names = [name for name, _ in calls]
         assert "swaps" not in names
-        assert names == ["replay", "check_partition"] * 2 + ["replay"]
+        assert names == ["loop", "replay", "check_partition"] * 2 + ["replay"]
         _, checked, from_l1 = [r for name, r in calls if name == "replay"]
         assert checked.direction == circular.gap_sample(load_point_set(path).classes, 0)
         assert f"l1 = ({from_l1.direction[0]}, {from_l1.direction[1]})" in out
