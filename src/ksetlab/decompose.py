@@ -30,25 +30,23 @@ The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
 three-point orders, which realize all six block patterns, so halving the
 radius until the checker passes always terminates; each point, an integer
-point over one denominator per attempt (a ``Fraction`` only once kept), is
-redrawn until it is in general position (``geometry.GeneralPositionDraw``).
+point over one denominator per attempt, is redrawn until it is in general
+position (``geometry.GeneralPositionDraw``).
 ``generate_with_witness`` hands back the accepted attempt's witness, so a
-caller that needs it does not check the set again, and fills the set's
-integer coordinates (``PointSet.coords``) from its grid.
+caller that needs it does not check the set again, and builds the set on
+its grid (``PointSet.on_grid``).
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from fractions import Fraction
-from itertools import chain, groupby
-from math import gcd
+from itertools import groupby
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .circular import Direction, Halfperiod, block_roles, build_halfperiod, gap_sample
 from .errors import GeneralPositionError, LabelingError
-from .geometry import CLASS_NAMES, DRAWS_PER_POINT, GeneralPositionDraw, Point, PointSet
+from .geometry import CLASS_NAMES, DRAWS_PER_POINT, GeneralPositionDraw, PointSet
 from .geometry import normalize_labels
 
 GENERATOR_SHAPES = ("triangle-clusters", "near-optimal-template")
@@ -128,13 +126,16 @@ def _read_splits(ps: PointSet, wanted: Collection[Split] = ()) -> dict[Split, in
     cut, final = starts[r.first], (r.first or len(ps.classes)) - 1
     steps, pairs = _splits_along(r), len(r.sites)
     first = {next(steps)[1]: 0}
+    missing = set(wanted).difference(first)  # the wanted splits not yet mapped
     for g, moved in groupby(steps, lambda step: bisect_right(starts, (step[0] + cut) % pairs) - 1):
         if g == final:
             break
         *_, (_, split) = moved  # the split left after class g
         first.setdefault(split, g)
-        if wanted and all(w in first for w in wanted):
-            break
+        if wanted:
+            missing.discard(split)
+            if not missing:
+                break
     return first
 
 
@@ -249,14 +250,14 @@ def generate_with_witness(
     template triangle, each an integer point over the attempt's one
     denominator d > 0, redrawn until ``GeneralPositionDraw`` keeps it (it
     repeats no point and is collinear with no two drawn before it); triangle
-    clusters are then sorted by offset, as integers.  Only the kept points
-    become ``Fraction``s; their grid coordinates, over the gcd of d and all
-    of them, are the set's ``coords``.  r is halved and the set drawn again, from the
-    next substream of the seed, until it passes ``check_partition`` in
-    three-condition mode, whose witness is returned with the set.  Raises
-    ``LabelingError`` for an n that is not a positive multiple of 3, and
-    ``GeneralPositionError`` when a point is not kept within
-    ``DRAWS_PER_POINT`` draws or no attempt succeeds.
+    clusters are then sorted by offset, as integers.  The kept points over d
+    are the set's grid (``PointSet.on_grid``), with no ``Fraction``.  r is
+    halved and the set drawn again, from the next substream of the seed,
+    until it passes ``check_partition`` in three-condition mode, whose
+    witness is returned with the set.  Raises ``LabelingError`` for an n
+    that is not a positive multiple of 3, and ``GeneralPositionError`` when
+    a point is not kept within ``DRAWS_PER_POINT`` draws or no attempt
+    succeeds.
     """
     if n < 3 or n % 3 != 0:
         raise LabelingError(f"n must be a positive multiple of 3, got {n}")
@@ -291,12 +292,7 @@ def generate_with_witness(
                                                f"in general position in {DRAWS_PER_POINT} draws")
             cluster = draw.points[len(points) :]
             points += sorted(cluster) if triangle else cluster
-        d = 10 * r * scale
-        ps = PointSet([Point(Fraction(x, d), Fraction(y, d)) for x, y in points], labels)
-        # The lcm of the reduced denominators d / gcd(x, d) is d / c: the
-        # integer coordinates are the grid's over c.
-        c = gcd(d, *chain.from_iterable(points))
-        ps.__dict__["coords"] = tuple((x // c, y // c) for x, y in points)
+        ps = PointSet.on_grid(points, 10 * r * scale, labels)
         witness = check_partition(ps)
         if witness is not None:
             return ps, witness

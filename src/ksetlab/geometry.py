@@ -2,11 +2,13 @@
 
 Everything counted downstream (crossing numbers, k-set counts, transposition
 classes) reduces to sign tests on rational cross products, so no floating
-point enters any counted quantity.  Points hold ``fractions.Fraction``
-coordinates; the kernel reads ``PointSet.coords``, the same points scaled
-once by the least common multiple of all denominators to plain integers.  A
-uniform positive scaling keeps every orientation sign, projection order and
-critical direction, so nothing read off the integers changes.
+point enters any counted quantity.  A ``PointSet`` holds its points on one
+integer grid, ``PointSet.coords``: the points times ``PointSet.scale``, the
+least common multiple of all their denominators.  The kernel reads the
+grid; ``fractions.Fraction`` points (``PointSet.points``) are built from it
+only on demand.  A uniform positive scaling keeps every orientation sign,
+projection order and critical direction, so nothing read off the integers
+changes.
 
 The pairs live in flat columns (``Classes``, built once per point set by
 ``group_pairs``): their endpoints in two arrays, counterclockwise by
@@ -38,7 +40,7 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import accumulate, combinations, compress, count, islice, repeat
+from itertools import accumulate, chain, combinations, compress, count, islice, repeat
 from operator import eq, itemgetter, not_, sub, truediv
 from typing import Iterable, NamedTuple, Sequence
 
@@ -95,32 +97,73 @@ class PointSet(Frozen):
     """An ordered planar configuration, optionally labeled into three
     equal-size classes 'a', 'b', 'c'.
 
+    The set holds its points on one integer grid: ``coords``, the points
+    times ``scale``, the least common multiple of their reduced
+    denominators, so no prime divides ``scale`` and every coordinate.
+    ``PointSet(points, labels)`` scales ``Point``s by that lcm, and
+    ``on_grid(coords, scale, labels)`` takes integer points over a known
+    positive denominator; a file read (``io.load_point_set``) and the
+    generators build the grid directly.  ``points``, the ``Fraction``
+    ``Point``s, are built from the grid only when asked for: by the
+    brute-force oracles, ``crossing_number``, equality, hashing and repr.
+
     Labels, when present, must split the points into thirds; this is checked
     at construction (``normalize_labels``).  General position is *not*
     checked here: it falls out of grouping the pairs by critical direction
     (``group_pairs``), which the operations that need it do.
 
-    ``coords``, ``classes`` and ``replay`` are computed at most once per
-    instance and kept on it; ``with_labels`` hands them to the relabeled
-    set, since labels change none of them (the replay's columns are shared
-    under the new labels).
+    ``points``, ``classes`` and ``replay`` are computed at most once per
+    instance and kept on it; ``with_labels`` hands them and the grid to
+    the relabeled set, since labels change none of them (the replay's
+    columns are shared under the new labels).
     """
 
     _fields = ("points", "labels")
-    points: tuple[Point, ...]
+    coords: tuple[tuple[int, int], ...]
+    scale: int
     labels: tuple[str, ...] | None
 
     def __init__(
         self, points: Iterable[Point], labels: Iterable[str] | None = None
     ) -> None:
         points = tuple(points)
+        m = math.lcm(*(p.x.denominator for p in points), *(p.y.denominator for p in points))
+        coords = tuple(
+            (p.x.numerator * (m // p.x.denominator), p.y.numerator * (m // p.y.denominator))
+            for p in points
+        )
+        self._hold(coords, m, labels)
+
+    def _hold(
+        self, coords: tuple[tuple[int, int], ...], scale: int, labels: Iterable[str] | None
+    ) -> "PointSet":
         if labels is not None:
-            labels = normalize_labels(labels, len(points))
-        self.__dict__.update(points=points, labels=labels)
+            labels = normalize_labels(labels, len(coords))
+        self.__dict__.update(coords=coords, scale=scale, labels=labels)
+        return self
+
+    @classmethod
+    def on_grid(
+        cls,
+        coords: Iterable[tuple[int, int]],
+        scale: int = 1,
+        labels: Iterable[str] | None = None,
+    ) -> "PointSet":
+        """The set of the integer points ``coords``, each ``(x, y)`` a
+        tuple, over the positive denominator ``scale``: the point
+        ``(x / scale, y / scale)``.  Grid and scale are divided by the gcd
+        of ``scale`` and all coordinates."""
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        coords = tuple(coords)
+        c = math.gcd(scale, *chain.from_iterable(coords))
+        if c > 1:
+            coords, scale = tuple((x // c, y // c) for x, y in coords), scale // c
+        return cls.__new__(cls)._hold(coords, scale, labels)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     @classmethod
     def from_coords(
@@ -132,8 +175,8 @@ class PointSet(Frozen):
         return cls(pts, tuple(labels) if labels is not None else None)
 
     def with_labels(self, labels: Iterable[str] | None) -> "PointSet":
-        out = PointSet(self.points, labels)
-        for name in ("coords", "classes"):
+        out = PointSet.__new__(PointSet)._hold(self.coords, self.scale, labels)
+        for name in ("points", "classes"):
             if name in self.__dict__:
                 out.__dict__[name] = self.__dict__[name]
         if "replay" in self.__dict__:
@@ -141,15 +184,10 @@ class PointSet(Frozen):
         return out
 
     @cached_property
-    def coords(self) -> tuple[tuple[int, int], ...]:
-        """The points scaled by one positive integer, the least common
-        multiple of all denominators, to integer coordinates."""
-        pts = self.points
-        m = math.lcm(*(p.x.denominator for p in pts), *(p.y.denominator for p in pts))
-        return tuple(
-            (p.x.numerator * (m // p.x.denominator), p.y.numerator * (m // p.y.denominator))
-            for p in pts
-        )
+    def points(self) -> tuple[Point, ...]:
+        """The points as ``Fraction`` pairs, each coordinate over ``scale``."""
+        m = self.scale
+        return tuple(Point(Fraction(x, m), Fraction(y, m)) for x, y in self.coords)
 
     @cached_property
     def classes(self) -> "Classes":
@@ -231,19 +269,34 @@ class Classes:
         return self.direction(g), tuple(sorted(zip(map(min, a, b), map(max, a, b))))
 
 
+def _slope(dy: int, dx: int) -> float:
+    """``dy / dx`` for dx > 0, or the infinity of dy's sign when the
+    quotient is beyond the float range."""
+    try:
+        return dy / dx
+    except OverflowError:
+        return math.inf if dy > 0 else -math.inf
+
+
 def slope_keys(xs: Sequence[int], ys: Sequence[int]) -> list[float]:
     """The presort key of each pair ``(r, s)``, ``r < s``, of points ranked
     left to right and downwards on a vertical (``xs`` ascending), in the
     order ``(0, 1), (0, 2), ..., (1, 2), ...``: the slope of ``b - a`` as
     ``dy / dx``, the float nearest the exact quotient (CPython rounds
-    ``int / int`` correctly), and ``-inf`` for a pair straight below.
-    Raises ``OverflowError`` when a slope is beyond the float range."""
+    ``int / int`` correctly) or, beyond the float range, the infinity of
+    its sign, and ``-inf`` for a pair straight below.  Both roundings are
+    monotone."""
     keys: list[float] = []
     for r in range(len(xs) - 1):
         x, y = xs[r], ys[r]
         s = bisect_right(xs, x, r + 1)  # ranks r + 1 .. s - 1 are straight below
         keys += repeat(-math.inf, s - r - 1)
-        keys += map(truediv, map(sub, ys[s:], repeat(y)), map(sub, xs[s:], repeat(x)))
+        done = len(keys)
+        try:
+            keys += map(truediv, map(sub, ys[s:], repeat(y)), map(sub, xs[s:], repeat(x)))
+        except OverflowError:  # some slope from rank r is beyond the float range
+            del keys[done:]
+            keys += map(_slope, map(sub, ys[s:], repeat(y)), map(sub, xs[s:], repeat(x)))
     return keys
 
 
@@ -254,10 +307,10 @@ def group_pairs(ps: PointSet) -> Classes:
     keys differ are already in exact angular order; only a run of equal
     keys is looked at in exact integers: one class if its pairs are all
     parallel, else sorted by cross product.  A slope beyond the float
-    range makes every key equal, and the whole list one run.  Floating
-    point only orders.  Also the general-position test: raises
-    ``GeneralPositionError`` on coincident points or a collinear triple
-    (two pairs of one class that share a point).
+    range keys as the infinity of its sign, so only its run is sorted
+    exactly.  Floating point only orders.  Also the general-position test:
+    raises ``GeneralPositionError`` on coincident points or a collinear
+    triple (two pairs of one class that share a point).
     """
     xy = ps.coords
     n = len(xy)
@@ -268,10 +321,7 @@ def group_pairs(ps: PointSet) -> Classes:
     # b - a points right or straight down, at an angle in [-90, 90).
     rank = sorted(range(n), key=lambda p: (xy[p][0], -xy[p][1]))
     xs, ys = [xy[p][0] for p in rank], [xy[p][1] for p in rank]
-    try:
-        keys = slope_keys(xs, ys)
-    except OverflowError:
-        keys = [0.0] * math.comb(n, 2)
+    keys = slope_keys(xs, ys)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     keys = [keys[k] for k in order]
     ties = list(compress(count(1), map(eq, keys, islice(keys, 1, None))))

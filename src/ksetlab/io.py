@@ -8,11 +8,16 @@ Schema::
       "labels": ["a", "b", ...]          # optional, n entries of a|b|c
     }
 
-Coordinates round-trip bit exactly: they are emitted as normalized "p/q"
-strings, and a ``[-]digits/digits`` string is read back as two ints.  Any
-other form ``fractions.Fraction`` accepts (an integer, a decimal, a padded
-or "+"-signed string) still parses through it, behind a guard on the
-decimal exponent.
+A file is read straight to the point set's integer grid
+(``PointSet.coords`` over ``PointSet.scale``, the lcm of the reduced
+denominators): a ``[-]digits/digits`` string is read as two ints and
+reduced by their gcd, with no ``Fraction``.  Any other form
+``fractions.Fraction`` accepts (an integer, a decimal, a padded or
+"+"-signed string) still parses through it, behind a guard on the decimal
+exponent.  A file is written from the grid, each coordinate the reduced
+"p/q" string of ``x / scale``, laid out as ``json.dumps(..., indent=2)``
+lays out ``point_set_to_dict``; coordinates round-trip bit exactly.
+``Fraction`` points (``PointSet.points``) are built by neither.
 """
 
 from __future__ import annotations
@@ -24,11 +29,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .geometry import Point, PointSet
-
-
-def format_fraction(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+from .geometry import PointSet
 
 
 def _int_digit_limit() -> int:
@@ -39,40 +40,57 @@ def _int_digit_limit() -> int:
     return 4300 if get is None else get()
 
 
-def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``.  A ``[-]digits/digits`` string is read as two
-    ints; any other form goes to ``Fraction`` whole, refusing a decimal
-    exponent beyond the int digit limit (``_int_digit_limit()``, when set):
-    ``Fraction`` reads "1e5000" as 10**5000, a power that limit does not
-    guard."""
+def _ratio(text: str) -> tuple[int, int]:
+    """``text`` as a reduced numerator and a positive denominator.  A
+    ``[-]digits/digits`` string is read as two ints; any other form goes to
+    ``Fraction`` whole, refusing a decimal exponent beyond the int digit
+    limit (``_int_digit_limit()``, when set): ``Fraction`` reads "1e5000"
+    as 10**5000, a power that limit does not guard."""
     text = str(text)
     p, slash, q = text.partition("/")
+    if slash and q.isdecimal() and p.removeprefix("-").isdecimal():
+        num, den = int(p), int(q)
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        g = math.gcd(num, den)
+        return num // g, den // g
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    limit = _int_digit_limit()
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise ValueError(f"exponent beyond {limit} in {text!r}")
     try:
-        if slash and q.isdecimal() and p.removeprefix("-").isdecimal():
-            return Fraction(int(p), int(q))
-        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
-        limit = _int_digit_limit()
-        if exponent and limit and abs(int(exponent[1])) > limit:
-            raise ValueError(f"exponent beyond {limit} in {text!r}")
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    return value.numerator, value.denominator
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, read as ``_ratio`` reads it."""
+    return Fraction(*_ratio(text))
+
+
+def _grid_strings(ps: PointSet) -> list[tuple[str, str]]:
+    """Each point's coordinates as reduced "p/q" strings, off the grid."""
+    m, gcd = ps.scale, math.gcd
+    out = []
+    for x, y in ps.coords:
+        g, h = gcd(x, m), gcd(y, m)
+        out.append((f"{x // g}/{m // g}", f"{y // h}/{m // h}"))
+    return out
 
 
 def point_set_to_dict(ps: PointSet) -> dict:
-    out: dict = {
-        "n": ps.n,
-        "points": [[format_fraction(p.x), format_fraction(p.y)] for p in ps.points],
-    }
+    out: dict = {"n": ps.n, "points": [list(p) for p in _grid_strings(ps)]}
     if ps.labels is not None:
         out["labels"] = list(ps.labels)
     return out
 
 
 def point_set_from_dict(data: dict) -> PointSet:
-    """Validate and build a point set; any malformed input raises
-    ``ValueError`` (``LabelingError`` for bad labels) with a one-line
-    message."""
+    """Validate and build a point set on its integer grid; any malformed
+    input raises ``ValueError`` (``LabelingError`` for bad labels) with a
+    one-line message."""
     if not isinstance(data, dict):
         raise ValueError("a point-set file must hold a JSON object")
     points = data.get("points")
@@ -85,29 +103,47 @@ def point_set_from_dict(data: dict) -> PointSet:
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ValueError("'labels' must be a list")
-    # The lcm of the denominators scales every coordinate to an integer
-    # (``PointSet.coords``); past the digit limit each orientation test on
-    # the scaled coordinates multiplies numbers of that many digits.
+    # The lcm of the reduced denominators is the grid's scale, and no prime
+    # divides it and every coordinate.  Past the digit limit each
+    # orientation test on the grid multiplies numbers of that many digits;
+    # 10**limit has more than 3 * limit bits, so a shorter lcm is below it.
     limit = _int_digit_limit()
-    too_large = 10**limit if limit else None
     common = 1
-    pts = []
+    ratios = []
     for idx, p in enumerate(points):
         if not isinstance(p, list) or len(p) != 2:
             raise ValueError(f"point {idx} is not an [x, y] pair")
-        pt = Point(parse_fraction(p[0]), parse_fraction(p[1]))
-        common = math.lcm(common, pt.x.denominator, pt.y.denominator)
-        if too_large is not None and common >= too_large:
+        (x, dx), (y, dy) = _ratio(p[0]), _ratio(p[1])
+        common = math.lcm(common, dx, dy)
+        if limit and common.bit_length() > 3 * limit and common >= 10**limit:
             raise ValueError(
                 f"the denominators' least common multiple exceeds {limit} digits"
                 f" at point {idx}"
             )
-        pts.append(pt)
-    return PointSet(tuple(pts), tuple(labels) if labels is not None else None)
+        ratios.append((x, dx, y, dy))
+    coords = [(x * (common // dx), y * (common // dy)) for x, dx, y, dy in ratios]
+    return PointSet.on_grid(coords, common, labels)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of the encoded ``items``, as ``json.dumps`` with
+    ``indent=2`` lays it out at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
 def save_point_set(ps: PointSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(point_set_to_dict(ps), indent=2) + "\n")
+    """Write ``ps`` to ``path``: the bytes of
+    ``json.dumps(point_set_to_dict(ps), indent=2)`` and a newline, from the
+    grid's strings without ``json``'s encoder."""
+    points = [f'[\n      "{x}",\n      "{y}"\n    ]' for x, y in _grid_strings(ps)]
+    text = f'{{\n  "n": {ps.n},\n  "points": {_json_list(points, "  ")}'
+    if ps.labels is not None:
+        labels = [f'"{c}"' for c in ps.labels]
+        text += f',\n  "labels": {_json_list(labels, "  ")}'
+    Path(path).write_text(text + "\n}\n")
 
 
 def load_point_set(path: str | Path) -> PointSet:

@@ -46,6 +46,10 @@ The fraction-reader oracle is the library's earlier reader: every string
 goes whole to ``fractions.Fraction`` behind the decimal-exponent guard,
 instead of a "p/q" string being read as two ints.
 
+The file-writer oracle is the library's earlier writer: ``json.dumps``
+with ``indent=2`` of the ``Fraction`` points' "p/q" strings, instead of the
+reduced strings of the integer grid laid out without ``json``.
+
 The Y oracle evaluates the paper's formula term by term in ``Fraction``s,
 with the clamped binomial and a linear scan for the depth, instead of the
 library's integer closed form.
@@ -53,6 +57,7 @@ library's integer closed form.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -106,6 +111,18 @@ def parse_fraction_whole(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def point_set_text_by_fractions(points: list[Point], labels: tuple[str, ...] | None) -> str:
+    """The text of a point-set file of ``Fraction`` points and normalized
+    labels: ``json.dumps(..., indent=2)`` and a newline."""
+    out: dict = {
+        "n": len(points),
+        "points": [[f"{c.numerator}/{c.denominator}" for c in p] for p in points],
+    }
+    if labels is not None:
+        out["labels"] = list(labels)
+    return json.dumps(out, indent=2) + "\n"
 
 
 def binom2(x: Fraction | int) -> Fraction:
@@ -382,11 +399,12 @@ def site_counts_by_replay(ps: PointSet) -> tuple:
     return tuple(counts), None if het is None else tuple(het)
 
 
-def read_splits_by_replay(ps: PointSet) -> list:
-    """``decompose._read_splits(ps)`` as a list of items, from
+def read_splits_by_replay(ps: PointSet, wanted: tuple = ()) -> list:
+    """``decompose._read_splits(ps, wanted)`` as a list of items, from
     ``sweep_by_classes``: the split into thirds after each class that
     moves a point across site s or 2s, with the sample of the gap after
-    it, first occurrence kept."""
+    it, first occurrence kept, up to the first such class after which
+    every wanted split is read."""
     samples = gap_samples_of(classes_by_sorting(ps))
     initial, flips = sweep_by_classes(ps, samples[0])
     s = ps.n // 3
@@ -402,6 +420,8 @@ def read_splits_by_replay(ps: PointSet) -> list:
                 moved = True
         if moved:
             first.setdefault(tuple(third), u)
+            if wanted and all(w in first for w in wanted):
+                break
     return list(first.items())
 
 

@@ -86,8 +86,8 @@ class TestBuildHalfperiod:
         assert kset_vector_from_halfperiod(h).e == {1: 2}
 
     def test_coordinates_beyond_float_range(self):
-        # The float presort of the angular sort overflows; the exact sort
-        # alone still orders the classes.
+        # Slopes beyond the float range key as infinities; the exact sort
+        # orders their runs.
         big = 10**400
         ps = PointSet.from_coords([(0, 0), (big, 1), (1, big), (big, big + 3), (-big, 7)])
         assert kset_vector_from_halfperiod(build_halfperiod(ps)) == k_set_oracle(ps)

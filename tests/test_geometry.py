@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -167,11 +168,27 @@ class TestIntegerKernel:
         assert PointSet.from_coords([(1, 2), (-3, 0)]).coords == ((1, 2), (-3, 0))
         assert PointSet(()).coords == ()
 
+    def test_on_grid_divides_by_the_common_gcd(self):
+        # Six times (1/2, 1/3), (2, 5/6), (-3/4, 0) over 72: divided by 6
+        # to the grid PointSet(points) scales to, over the lcm 12.
+        ps = PointSet.on_grid([(36, 24), (144, 60), (-54, 0)], 72, "abc")
+        expected = PointSet.from_coords([("1/2", "1/3"), (2, "5/6"), ("-3/4", 0)], "abc")
+        assert (ps.coords, ps.scale) == (expected.coords, expected.scale) == (
+            ((6, 4), (24, 10), (-9, 0)), 12)
+        assert "points" not in ps.__dict__
+        assert ps == expected and hash(ps) == hash(expected) and repr(ps) == repr(expected)
+        assert PointSet.on_grid([]).scale == 1 and PointSet.on_grid([], 8).scale == 1
+        for scale in (0, -4):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                PointSet.on_grid([(1, 2)], scale)
+
     def test_with_labels_keeps_the_grouping(self):
         ps = generate(9, 0)
         classes = ps.classes
         relabeled = ps.with_labels(None).with_labels(ps.labels)
         assert relabeled.__dict__["classes"] is classes
+        assert relabeled.coords is ps.coords and relabeled.scale == ps.scale
+        assert "points" not in relabeled.__dict__
         assert relabeled == ps
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -284,14 +301,25 @@ class TestAngularSort:
         assert calls == []
         assert len(square.classes.multi) == 2
 
-    def test_overflowing_slope_sorts_the_whole_list(self, monkeypatch):
-        big = 10**400
-        ps = PointSet.from_coords([(0, 0), (1, big), (3, 1), (5, -2)])
-        with pytest.raises(OverflowError):
-            slope_keys(*ranked(ps))
-        calls = self._count_exact_sorts(monkeypatch)
-        assert list(ps.classes) == by_fractions(ps) == classes_by_sorting(ps)
-        assert len(calls) == 1
+    def test_overflowing_slope_sorts_only_its_run(self, monkeypatch):
+        # The slopes from (3, 10^400) to the 299 random points right of it
+        # are beyond the float range: they key as -inf, one run of 299
+        # pairs, and only that run is sorted exactly, not all C(300, 2).
+        rng = random.Random(54)
+        coords = [(rng.randint(4, 10**9), rng.randint(0, 10**9)) for _ in range(299)]
+        ps = PointSet.from_coords([(3, 10**400), *coords])
+        keys = slope_keys(*ranked(ps))
+        assert keys[:299] == [-math.inf] * 299 and all(map(math.isfinite, keys[299:]))
+        calls, compared = [], set()  # the exact sorts, and the pairs they compare
+        real = geometry.cmp_to_key
+
+        def counting(cmp):
+            calls.append(cmp)
+            return real(lambda k, m: compared.update((k, m)) or cmp(k, m))
+
+        monkeypatch.setattr(geometry, "cmp_to_key", counting)
+        assert grouping_or_error(group_pairs, ps) == grouping_or_error(classes_by_sorting, ps)
+        assert len(calls) == 1 and len(compared) == 299
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(extreme_sets())
@@ -302,10 +330,7 @@ class TestAngularSort:
     @given(extreme_sets())
     def test_each_key_is_the_nearest_float(self, ps):
         xs, ys = ranked(ps)
-        try:
-            keys = slope_keys(xs, ys)
-        except OverflowError:
-            return
+        keys = slope_keys(xs, ys)
         pairs = [(r, s) for r in range(len(xs)) for s in range(r + 1, len(xs))]
         assert len(keys) == len(pairs)
         for key, (r, s) in zip(keys, pairs):
@@ -313,6 +338,9 @@ class TestAngularSort:
                 assert key == -math.inf
                 continue
             exact = Fraction(ys[s] - ys[r], xs[s] - xs[r])
+            if math.isinf(key):  # beyond the float range, on the key's side
+                assert (exact > 0) == (key > 0) and abs(exact) > sys.float_info.max
+                continue
             error = abs(Fraction(key) - exact)
             for side in (-math.inf, math.inf):
                 neighbour = math.nextafter(key, side)
@@ -320,10 +348,11 @@ class TestAngularSort:
                     assert error <= abs(Fraction(neighbour) - exact)
 
 
-def read_splits(ps):
-    """``decompose._read_splits(ps)`` as a list of items, each split with
-    the sample of its gap."""
-    return [(split, gap_sample(ps.classes, g)) for split, g in decompose._read_splits(ps).items()]
+def read_splits(ps, wanted=()):
+    """``decompose._read_splits(ps, wanted)`` as a list of items, each
+    split with the sample of its gap."""
+    first = decompose._read_splits(ps, wanted)
+    return [(split, gap_sample(ps.classes, g)) for split, g in first.items()]
 
 
 def flat_kernel(ps):
@@ -389,6 +418,19 @@ class TestFlatKernel:
     @given(kernel_inputs())
     def test_matches_dict_kernel(self, ps):
         assert flat_kernel(ps) == reference_kernel(ps)
+
+    @pytest.mark.parametrize("n, seed", [(9, 0), (12, 1), (30, 2), (42, 3)])
+    def test_read_stops_after_the_class_mapping_every_wanted_split(self, n, seed):
+        # The wanted splits of check_partition, the first split alone, every
+        # third split read with the last one, and a tuple that is no split
+        # (the whole halfperiod is read): the map is read up to the first
+        # class after which every wanted split is mapped.
+        ps = generate(n, seed)
+        full = [split for split, _ in read_splits_by_replay(ps)]
+        wanted = [decompose._splits(ps.labels, ("abc", "bac", "bca")), [full[0]], [(3,) * n]]
+        wanted += [[split, full[-1]] for split in full[::3]]
+        for w in wanted:
+            assert read_splits(ps, w) == read_splits_by_replay(ps, tuple(w))
 
     def test_large_coordinates_at_n_150(self):
         rng = random.Random(150)

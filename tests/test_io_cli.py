@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import types
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import ksetlab
 from ksetlab import (
+    Point,
     PointSet,
     bounds,
     circular,
@@ -31,7 +33,6 @@ from ksetlab import (
 from ksetlab.cli import main
 from ksetlab.errors import OracleSizeError
 from ksetlab.io import (
-    format_fraction,
     parse_fraction,
     point_set_from_dict,
     point_set_to_dict,
@@ -41,6 +42,7 @@ from ksetlab.verify import random_general_position_set
 from support import (
     general_position_by_triples,
     parse_fraction_whole,
+    point_set_text_by_fractions,
     random_general_position_set_by_rejection,
 )
 
@@ -82,6 +84,31 @@ def fraction_texts(draw):
     return draw(_SPACE) + text + draw(_SPACE)
 
 
+#: Numerators beyond 2^53 as well as small ones; denominators sharing
+#: powers of 2 and 5 as a generated file's do, and small ones.
+_NUMERATORS = st.integers(-60, 60) | st.integers(-(10**30), 10**30)
+_DENOMINATORS = st.sampled_from([1, 2, 8, 64, 640, 5120, 7, 9]) | st.integers(1, 30)
+
+
+@st.composite
+def point_set_files(draw):
+    """The data of a point-set file, n = 0..12: "p/q" strings with
+    negative and zero numerators, most of them unreduced (numerator and
+    denominator times up to 9), and labels, in either case, for some sets
+    of n a multiple of 3."""
+    n = draw(st.integers(0, 12))
+
+    def coordinate():
+        k = draw(st.integers(1, 9))
+        return f"{draw(_NUMERATORS) * k}/{draw(_DENOMINATORS) * k}"
+
+    data = {"n": n, "points": [[coordinate(), coordinate()] for _ in range(n)]}
+    if n % 3 == 0 and draw(st.booleans()):
+        case = draw(st.sampled_from([str.lower, str.upper]))
+        data["labels"] = [case(c) for c in draw(st.permutations("abc" * (n // 3)))]
+    return data
+
+
 def _read(parse, text):
     try:
         return parse(text)
@@ -104,6 +131,28 @@ class TestPointSetFiles:
         # message, of reading the whole string with Fraction.
         assert _read(parse_fraction, text) == _read(parse_fraction_whole, text)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(point_set_files())
+    def test_grid_files_match_the_fraction_reader_and_writer(self, data):
+        # A file read to the grid holds what the Fraction reader's points
+        # scale to, and is written byte for byte as json.dumps writes the
+        # Fraction points; neither builds them.
+        points = [Point(parse_fraction_whole(x), parse_fraction_whole(y)) for x, y in data["points"]]
+        expected = PointSet(points, data.get("labels"))
+        text = point_set_text_by_fractions(points, expected.labels).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.json"
+            path.write_text(json.dumps(data))
+            ps = load_point_set(path)
+            assert (ps.coords, ps.scale, ps.labels) == (
+                expected.coords, expected.scale, expected.labels)
+            save_point_set(ps, path)
+            assert "points" not in ps.__dict__
+            assert path.read_bytes() == text
+            assert ps.points == tuple(points)
+            save_point_set(expected, path)
+            assert path.read_bytes() == text
+
     def test_round_trip(self, tmp_path):
         for seed in range(3):
             ps = generate(9, seed)
@@ -118,8 +167,6 @@ class TestPointSetFiles:
         assert load_point_set(path) == ps
 
     def test_fraction_strings(self):
-        assert format_fraction(Fraction(3, 4)) == "3/4"
-        assert format_fraction(Fraction(5)) == "5/1"
         assert parse_fraction("3/4") == Fraction(3, 4)
         assert parse_fraction("-7/2") == Fraction(-7, 2)
         assert parse_fraction("15e-1") == Fraction(3, 2)
@@ -154,6 +201,15 @@ class TestPointSetFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds 4300 digits" in err
         assert err.count("\n") == 1
+
+    def test_guard_reads_the_reduced_denominators(self, tmp_path):
+        # Twelve 901-digit numbers, each over itself: the unreduced
+        # denominators' lcm passes 4300 digits, the reduced ones are all 1.
+        points = [[f"{10**900 + i}/{10**900 + i}", f"{i * i}/1"] for i in range(12)]
+        src = tmp_path / "unreduced.json"
+        src.write_text(json.dumps({"points": points}))
+        ps = load_point_set(src)
+        assert ps.scale == 1 and ps.coords == tuple((1, i * i) for i in range(12))
 
     def test_non_dyadic_sets_load_unchanged(self):
         # 60 points whose 120 coordinates have distinct odd prime
@@ -244,6 +300,19 @@ class TestAnalyzeCommand:
         k4 = rows[3]  # empty window: exact cells undefined, ceilY falls back
         assert k4["Y"] == "undefined" and k4["ceilY"] == "30"
         assert int(k4["e_le_k"]) == 36  # C(9,2): every pair is critical
+
+    def test_require_decomp_builds_no_fraction_points(self, tmp_path, capsys):
+        # A gen file is read straight to the integer grid: the partition
+        # check, the partition search and the rows read only the grid.
+        src = tmp_path / "g.json"
+        assert main(["gen", "--n", "30", "--seed", "3", "--out", str(src)]) == 0
+        ps = load_point_set(src)
+        assert decompose.check_partition(ps) is not None
+        cli._analyze_rows(ps, 1, 14)
+        unlabeled = ps.with_labels(None)
+        relabeled = unlabeled.with_labels(decompose.find_partition(unlabeled).partition)
+        cli._analyze_rows(relabeled, 1, 14)
+        assert all("points" not in s.__dict__ for s in (ps, unlabeled, relabeled))
 
     def test_analyze_triangle_single_row(self, tmp_path):
         src = tmp_path / "tri.json"
