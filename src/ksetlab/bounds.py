@@ -2,9 +2,9 @@
 
 Throughout, n is a multiple of 3, s := n/3, and m := n - 2k - 1 is the width
 of the valid window [k+1, n-k-1] (the sites whose swaps are not
-(<=k)-critical).  All combinatorial quantities are exact rationals; pi
-enters only the asymptotic crossing-number constant and the series
-self-check.
+(<=k)-critical).  The bounds are computed on integers, a ``Fraction`` only
+when a caller reads Y or hom; the slack quartic is exact rational.  pi
+enters only the asymptotic crossing-number constant and the series self-check.
 
 Quantities computed here:
 
@@ -65,18 +65,19 @@ Quantities computed here:
   part is checked exactly; the series and the three window integrals behind
   the coefficient are re-verified in ``series_and_integral_report``.
 
-``bound_report(k, n)`` alone derives depth, Y, ceil(Y), het, hom, E and L,
-with Y computed once; each single-quantity function reads one field of it.
-``bound_table(n, keep)`` is the one loop over k < n/2: it sums the crossing
-bound and holds only the reports of the k in ``keep`` (all without it).
-The extremal-digraph functions validate (k, n) once and never compute Y.
+``bound_table(n, keep)`` is the one pass over k < n/2, on integers: it
+computes the constants of n once, sums the crossing bound and holds only
+the reports of the k in ``keep`` (all without it).  ``bound_report(k, n)``
+is the same derivation for one k; each single-quantity function reads a
+field or accessor of it.  The extremal-digraph functions validate (k, n)
+once and never compute Y.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Container, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from .circular import ValidSwapDigraph
 from .errors import UndefinedWindowError
@@ -159,7 +160,7 @@ def bqr_decompose(i: int, j: int) -> BqrDecomposition:
 def _closed_form(k: int, n: int, m: int) -> tuple[int, int, int]:
     """The refinement depth b and Y(k,n) = num/den as ``(b, num, den)``,
     den > 0 and the fraction not reduced, for a nonempty window m: the one
-    place Y is computed, called by ``bound_report`` alone."""
+    place Y is computed, called by ``_reports`` alone."""
     base = 9 * math.comb(k + 1, 2) + 9 * math.comb(max(k - n // 3 + 1, 0), 2) - 1
     # J, the last open j (1 when none is): 4j(j+1) <= 8n // (3(m+3)).
     J = max(1, (math.isqrt(8 * n // (3 * m + 9) + 1) - 1) // 2)
@@ -234,52 +235,67 @@ def _indegree(m: int, i: int) -> int:
 
 
 class BoundReport(NamedTuple):
-    """All bound quantities at one (k, n); fields are None where the empty
-    valid window (m = 0) leaves them undefined."""
+    """All bound quantities at one (k, n): Y = y_num/y_den in lowest terms,
+    hom = hom_num/y_den (Y - het, 0 for k <= s), None where the empty window
+    (m = 0) leaves one undefined.  ``y`` and ``hom_lower`` build Fractions."""
 
     n: int
     k: int
     m: int
     s: int
     depth: int | None
-    y: Fraction | None
+    y_num: int | None
+    y_den: int | None
     ceil_y: int
     het: int
-    hom_lower: Fraction | None
+    hom_num: int | None
     edges: int | None
     edge_summands: tuple[int, int, int] | None
     l: int | None
 
+    @property
+    def y(self) -> Fraction | None:
+        return None if self.y_num is None else Fraction(self.y_num, self.y_den)
+
+    @property
+    def hom_lower(self) -> Fraction | None:
+        return None if self.hom_num is None else Fraction(self.hom_num, self.y_den or 1)
+
+
+def _reports(n: int, ks: Iterable[int]) -> Iterator[BoundReport]:
+    """The report at each k of ``ks`` for a valid (k, n), the one derivation:
+    Y = num/den from ``_closed_form``, reduced, and ceil(Y), hom and L from it."""
+    s = n // 3
+    het_s, pairs_s = 3 * math.comb(s + 1, 2), math.comb(s, 2)
+    for k in ks:
+        m = n - 2 * k - 1
+        # 3*C(k+1,2): het and L for k <= s, ceil(Y)'s fallback for m = 0.
+        low = 3 * math.comb(k + 1, 2)
+        het = low if k <= s else het_s + (k - s) * n
+        depth = num = den = hom = edges = summands = sharp = None
+        ceil_y = low
+        if m:
+            depth, num, den = _closed_form(k, n, m)
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            ceil_y = -(-num // den)
+        if k <= s:
+            hom, sharp = 0, low
+        elif m:
+            hom = num - het * den
+            summands = _edge_summands(m, s)
+            edges = sum(summands)
+            sharp = het + 3 * (pairs_s - edges)
+            if sharp * den < num:
+                raise AssertionError(f"sharp bound {sharp} fell below the closed form "
+                                     f"{num}/{den} at k={k}, n={n}")
+        yield BoundReport(n, k, m, s, depth, num, den, ceil_y, het, hom, edges, summands, sharp)
+
 
 def bound_report(k: int, n: int) -> BoundReport:
-    """Assemble every bound quantity at (k, n), tolerating the m = 0 case.
-    The one place they are derived: Y = num/den is computed once, on
-    integers, and ceil(Y), hom and L come from num and den; the
-    single-quantity functions read their field."""
+    """Every bound quantity at (k, n), m = 0 included: one k of the integer pass."""
     _require_k_n(k, n)
-    s = n // 3
-    m = n - 2 * k - 1
-    # 3*C(k+1,2): het and L for k <= s, ceil(Y)'s fallback for m = 0.
-    low = 3 * math.comb(k + 1, 2)
-    het = low if k <= s else 3 * math.comb(s + 1, 2) + (k - s) * n
-    depth = y = hom = edges = summands = sharp = None
-    ceil_y = low
-    if m >= 1:
-        depth, num, den = _closed_form(k, n, m)
-        y = Fraction(num, den)
-        ceil_y = -(-num // den)
-    if k <= s:
-        hom, sharp = Fraction(0), low
-    elif y is not None:
-        hom = Fraction(num - het * den, den)
-        summands = _edge_summands(m, s)
-        edges = sum(summands)
-        sharp = het + 3 * (math.comb(s, 2) - edges)
-        if sharp * den < num:
-            raise AssertionError(
-                f"sharp bound {sharp} fell below the closed form {y} at k={k}, n={n}"
-            )
-    return BoundReport(n, k, m, s, depth, y, ceil_y, het, hom, edges, summands, sharp)
+    return next(_reports(n, (k,)))
 
 
 class BoundTable(NamedTuple):
@@ -292,15 +308,14 @@ class BoundTable(NamedTuple):
 
 
 def bound_table(n: int, keep: Container[int] | None = None) -> BoundTable:
-    """The one pass over 1 <= k < n/2: each ``bound_report(k, n)``, computed
-    once, joins the crossing sum and is kept if k is in ``keep`` (or no keep)."""
+    """The one integer pass over 1 <= k < n/2: each k's report, which checks
+    L >= Y, joins the crossing sum and is kept if k is in ``keep`` (or no keep)."""
     if n % 3 != 0 or n < 3:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
     reports, crossing = [], 0
-    for k in range(1, (n - 1) // 2 + 1):
-        report = bound_report(k, n)
+    for report in _reports(n, range(1, (n - 1) // 2 + 1)):
         crossing += report.m * report.ceil_y
-        if keep is None or k in keep:
+        if keep is None or report.k in keep:
             reports.append(report)
     return BoundTable(n, tuple(reports), crossing)
 

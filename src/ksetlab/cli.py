@@ -20,7 +20,6 @@ import csv
 import functools
 import json
 import sys
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -46,9 +45,12 @@ class UsageError(Exception):
     """A command-line value or input file a command cannot use."""
 
 
-def _cell(value: Fraction | int | None) -> Fraction | int | str:
-    """A CSV cell: the value, written as ``str`` writes it, or UNDEF for None."""
-    return UNDEF if value is None else value
+def _cell(value: int | None, den: int | None = 1) -> int | str:
+    """A CSV cell: value/den, in lowest terms or value = 0, as ``str`` writes
+    ``Fraction(value, den)`` ("p/q", or p when den = 1), or UNDEF for None."""
+    if value is None:
+        return UNDEF
+    return value if den == 1 or not value else f"{value}/{den}"
 
 
 @contextlib.contextmanager
@@ -93,14 +95,16 @@ def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> list[list]:
     # The (<=k)-critical swaps are those at sites 1..k and n-k..n-1, e_{<=k}
     # of them; the heterogeneous ones are summed the same way.
     het = None if het_counts is None else circular.kset_vector_from_sites(n, het_counts)
+    ks = range(k_lo, k_hi + 1)
+    reports = bounds_mod.bound_table(n, ks).reports if n % 3 == 0 else ()
     rows = []
-    for k in range(k_lo, k_hi + 1):
+    for k in ks:
         row = [n, k, vec.e[k], vec.prefix[k]]
         row += [UNDEF] * 2 if het is None else [het.prefix[k], vec.prefix[k] - het.prefix[k]]
-        if n % 3 == 0:
-            br = bounds_mod.bound_report(k, n)
+        if reports:
+            br = reports[k - k_lo]
             row += [
-                _cell(br.y), br.ceil_y, _cell(br.l), _cell(br.edges),
+                _cell(br.y_num, br.y_den), br.ceil_y, _cell(br.l), _cell(br.edges),
                 "true" if vec.prefix[k] >= br.ceil_y else "false",
             ]
         else:
@@ -185,11 +189,11 @@ def _bounds_rows(ns: Iterable[int], only_k: int | None) -> Iterator[list]:
     for n in ns:
         table = bounds_mod.bound_table(n, None if only_k is None else (only_k,))
         ratio = f"{table.crossing / comb(n, 4):.8f}"
-        for br in table.reports:
+        for _, k, m, _, depth, num, den, ceil_y, het, hom, edges, _, l in table.reports:
             yield [
-                n, br.k, br.m, _cell(br.depth), _cell(br.y),
-                UNDEF if br.y is None else f"{float(br.y):.6f}", br.ceil_y, br.het,
-                _cell(br.hom_lower), _cell(br.l), _cell(br.edges), table.crossing, ratio,
+                n, k, m, _cell(depth), _cell(num, den),
+                UNDEF if num is None else f"{num / den:.6f}", ceil_y, het,
+                _cell(hom, den), _cell(l), _cell(edges), table.crossing, ratio,
             ]
 
 

@@ -147,17 +147,18 @@ def slack_suite(max_b: int = 1000, max_n: int = 300) -> SuiteResult:
                 minimum, argmin = v, (b, r)
             if v < Fraction(-1, 3):
                 below += 1
-    worst: Fraction | None = None
+    # The least gap L - Y as (L*den - num, den), compared by cross-multiplying.
+    worst: tuple[int, int] | None = None
     negative = 0
     pairs = 0
     for n in range(6, max_n + 1, 3):
         for report in bounds.bound_table(n).reports:
-            if report.y is None:
+            if report.y_num is None:
                 continue
             pairs += 1
-            gap = report.l - report.y
-            if worst is None or gap < worst:
-                worst = gap
+            gap, den = report.l * report.y_den - report.y_num, report.y_den
+            if worst is None or gap * worst[1] < worst[0] * den:
+                worst = (gap, den)
             if gap < 0:
                 negative += 1
     return _finish("slack", [
@@ -165,7 +166,7 @@ def slack_suite(max_b: int = 1000, max_n: int = 300) -> SuiteResult:
                     below == 0 and minimum == 0 and argmin == (0, 1),
                     f"min {minimum} at {argmin}, {below} values below -1/3"),
         CheckResult(f"sharp >= closed form, n<={max_n} ({pairs} pairs)", negative == 0,
-                    f"min gap {worst}"),
+                    f"min gap {worst and Fraction(*worst)}"),
     ])
 
 

@@ -53,6 +53,12 @@ reduced strings of the integer grid laid out without ``json``.
 The Y oracle evaluates the paper's formula term by term in ``Fraction``s,
 with the clamped binomial and a linear scan for the depth, instead of the
 library's integer closed form.
+
+The bound-report oracle is the library's earlier report and row: Y and hom
+are ``Fraction``s built from ``_closed_form``'s (b, num, den) one (k, n) at
+a time, and the ``bounds`` cells are their ``str`` and ``float``, instead of
+the one integer pass of ``bound_table`` and cells written from the reduced
+numerator and denominator.
 """
 
 from __future__ import annotations
@@ -65,8 +71,9 @@ import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, combinations
+from typing import NamedTuple
 
-from ksetlab.bounds import min_kset_count
+from ksetlab.bounds import _closed_form, _edge_summands, min_kset_count
 from ksetlab.circular import (
     Direction,
     Halfperiod,
@@ -150,6 +157,59 @@ def kset_lower_bound_by_fractions(k: int, n: int) -> tuple[int, Fraction]:
             break
         total += 3 * j * (j + 1) * binom2(arg)
     return depth, total
+
+
+class FractionBoundReport(NamedTuple):
+    """The library's earlier ``BoundReport``: Y and hom as ``Fraction``s."""
+
+    n: int
+    k: int
+    m: int
+    s: int
+    depth: int | None
+    y: Fraction | None
+    ceil_y: int
+    het: int
+    hom_lower: Fraction | None
+    edges: int | None
+    edge_summands: tuple[int, int, int] | None
+    l: int | None
+
+
+def bound_report_by_fractions(k: int, n: int) -> FractionBoundReport:
+    """Every bound quantity at a valid (k, n), m = 0 included: Y the
+    ``Fraction`` of ``_closed_form``'s num/den, ceil(Y), hom = Y - het and L
+    derived from it."""
+    s, m = n // 3, n - 2 * k - 1
+    low = 3 * math.comb(k + 1, 2)
+    het = low if k <= s else 3 * math.comb(s + 1, 2) + (k - s) * n
+    depth = y = hom = edges = summands = sharp = None
+    ceil_y = low
+    if m >= 1:
+        depth, num, den = _closed_form(k, n, m)
+        y = Fraction(num, den)
+        ceil_y = math.ceil(y)
+    if k <= s:
+        hom, sharp = Fraction(0), low
+    elif y is not None:
+        hom = y - het
+        summands = _edge_summands(m, s)
+        edges = sum(summands)
+        sharp = het + 3 * (math.comb(s, 2) - edges)
+    return FractionBoundReport(n, k, m, s, depth, y, ceil_y, het, hom, edges, summands, sharp)
+
+
+def bounds_cells_by_fractions(report: FractionBoundReport, crossing: int) -> list[str]:
+    """The ``bounds`` row of ``report`` as the CSV writes it, each cell the
+    ``str`` of its value ("undefined" for None), Y_dec from ``float(Y)``."""
+    def cell(value):
+        return "undefined" if value is None else str(value)
+
+    r = report
+    y_dec = None if r.y is None else f"{float(r.y):.6f}"
+    ratio = f"{crossing / math.comb(r.n, 4):.8f}"
+    return [cell(v) for v in (r.n, r.k, r.m, r.depth, r.y, y_dec, r.ceil_y, r.het,
+                              r.hom_lower, r.l, r.edges, crossing, ratio)]
 
 
 def crossing_lower_bound_by_min_counts(n: int) -> int:

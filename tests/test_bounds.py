@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ksetlab.bounds as bounds_mod
+import ksetlab.cli as cli_mod
 from ksetlab import (
     UndefinedWindowError,
     bqr_decompose,
@@ -37,6 +38,8 @@ from ksetlab.verify import slack_suite
 
 from support import (
     binom2,
+    bound_report_by_fractions,
+    bounds_cells_by_fractions,
     crossing_lower_bound_by_min_counts,
     kset_lower_bound_by_fractions,
 )
@@ -478,16 +481,21 @@ class TestBoundReport:
             for k in range(1, (n - 1) // 2 + 1):
                 m = n - 2 * k - 1
                 extremal = k > s and m >= 1
+                y = or_none(kset_lower_bound, k, n)
+                hom = or_none(homogeneous_lower_bound, k, n)
+                # The report holds Y in lowest terms and hom over Y's denominator.
+                den = 1 if y is None else y.denominator
                 expected = BoundReport(
                     n=n,
                     k=k,
                     m=m,
                     s=s,
                     depth=triangular_threshold(F(n, m)) if m >= 1 else None,
-                    y=or_none(kset_lower_bound, k, n),
+                    y_num=None if y is None else y.numerator,
+                    y_den=None if y is None else den,
                     ceil_y=min_kset_count(k, n),
                     het=heterogeneous_critical_count(k, n),
-                    hom_lower=or_none(homogeneous_lower_bound, k, n),
+                    hom_num=None if hom is None else int(hom * den),
                     edges=extremal_edge_count(k, n) if extremal else None,
                     edge_summands=extremal_edge_summands(k, n) if extremal else None,
                     l=or_none(kset_lower_bound_sharp, k, n),
@@ -497,6 +505,40 @@ class TestBoundReport:
                 assert [type(v) for v in got._asdict().values()] == [
                     type(v) for v in expected._asdict().values()
                 ]
+                assert (got.y, got.hom_lower) == (y, hom)
+                assert [type(v) for v in (got.y, got.hom_lower)] == [type(y), type(hom)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=1000).map(lambda t: 3 * t),
+        k=st.integers(min_value=1, max_value=1499),
+    )
+    @example(n=9, k=4)  # m = 0 with k > s
+    @example(n=300, k=100)  # k = s
+    @example(n=300, k=101)  # k = s + 1
+    @example(n=438, k=218)  # Y = 90398, an integer
+    @example(n=3, k=1)  # m = 0 with k <= s, and no bounds row (C(3,4) = 0)
+    def test_fields_accessors_and_cells_equal_the_fraction_oracle(self, n, k):
+        # The integer pass against the earlier Fraction derivation: every
+        # field and accessor, and every cell of the bounds row.
+        assume(2 * k < n)
+        expected = bound_report_by_fractions(k, n)
+        table = bound_table(n, (k,))
+        (got,) = table.reports
+        assert got == bound_report(k, n)
+        for name, value in expected._asdict().items():
+            assert getattr(got, name) == value, name
+            assert type(getattr(got, name)) is type(value), name
+        if expected.y is None:
+            assert (got.y_num, got.y_den) == (None, None)
+        else:
+            assert math.gcd(got.y_num, got.y_den) == 1 and got.y_den > 0
+        assert str(cli_mod._cell(got.y_num, got.y_den)) == (
+            "undefined" if expected.y is None else str(expected.y)
+        )
+        if n >= 6:
+            (row,) = cli_mod._bounds_rows([n], k)
+            assert [str(c) for c in row] == bounds_cells_by_fractions(expected, table.crossing)
 
 
 class TestBoundTable:
@@ -551,6 +593,22 @@ class TestBoundTable:
         assert check.ok
         assert check.name == f"sharp >= closed form, n<=60 ({len(gaps)} pairs)"
         assert check.detail == f"min gap {min(gaps)}"
+
+    def test_builds_no_fraction(self, monkeypatch):
+        # The pass derives every quantity on integers; only reading an
+        # accessor builds a Fraction.
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(bounds_mod, "Fraction", Counted)
+        table = bound_table(300)
+        assert len(table.reports) == 149 and built == []
+        assert table.reports[-1].y == F(877943, 21)
+        assert len(built) == 1
 
     def test_rejects_bad_n(self):
         for n in (0, -3, 1, 10):

@@ -380,12 +380,13 @@ class TestAnalyzeCommand:
         # force an unsatisfiable ceiling to exercise the failure exit path
         import ksetlab.cli as cli_mod
 
-        real = cli_mod.bounds_mod.bound_report
+        real = cli_mod.bounds_mod.bound_table
 
-        def inflated(k, n):
-            return real(k, n)._replace(ceil_y=10**6)
+        def inflated(n, keep):
+            table = real(n, keep)
+            return table._replace(reports=tuple(r._replace(ceil_y=10**6) for r in table.reports))
 
-        monkeypatch.setattr(cli_mod.bounds_mod, "bound_report", inflated)
+        monkeypatch.setattr(cli_mod.bounds_mod, "bound_table", inflated)
         src = tmp_path / "p6.json"
         save_point_set(generate(6, 0), src)
         out = tmp_path / "p6.csv"
@@ -455,6 +456,19 @@ class TestBoundsCommand:
             header, row = capsys.readouterr().out.splitlines()
             assert table[0] == header
             assert [line for line in table if line.startswith(f"300,{k},")] == [row]
+
+    @pytest.mark.parametrize("k", [1, 2, 50, 99, 149])
+    def test_k_rows_equal_the_full_table_rows(self, capsys, k):
+        # The --k path keeps k's report of the same pass: its rows are the
+        # full table's rows with that k, byte for byte, line ends included.
+        assert main(["bounds", "--n-range", "6:300"]) == 0
+        header, *table = capsys.readouterr().out.splitlines(keepends=True)
+        assert main(["bounds", "--n-range", "6:300", "--k", str(k)]) == 0
+        got_header, *rows = capsys.readouterr().out.splitlines(keepends=True)
+        assert got_header == header
+        expected = [line for line in table if line.split(",")[1] == str(k)]
+        assert rows == expected
+        assert len(rows) == sum(1 for n in range(6, 301, 3) if 2 * k < n)
 
     def test_one_row_holds_little_memory(self, capsys):
         # --k keeps one report per n, not every k's (about 960 KB at
