@@ -66,7 +66,7 @@ Quantities computed here:
   the coefficient are re-verified in ``series_and_integral_report``.
 
 ``bound_table(n, keep)`` is the one pass over k < n/2, on integers: it
-computes the constants of n once, sums the crossing bound and holds only
+computes the constants of n once, sums the crossing bound and builds only
 the reports of the k in ``keep`` (all without it).  ``bound_report(k, n)``
 is the same derivation for one k; each single-quantity function reads a
 field or accessor of it.  The extremal-digraph functions validate (k, n)
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from .circular import ValidSwapDigraph
 from .errors import UndefinedWindowError
@@ -262,11 +262,14 @@ class BoundReport(NamedTuple):
         return None if self.hom_num is None else Fraction(self.hom_num, self.y_den or 1)
 
 
-def _reports(n: int, ks: Iterable[int]) -> Iterator[BoundReport]:
-    """The report at each k of ``ks`` for a valid (k, n), the one derivation:
-    Y = num/den from ``_closed_form``, reduced, and ceil(Y), hom and L from it."""
+def _reports(n: int, ks: Iterable[int], keep: Container[int] | None = None
+             ) -> tuple[list[BoundReport], int]:
+    """The one derivation, at each k of ``ks`` for a valid n: Y = num/den from
+    ``_closed_form``, reduced, and ceil(Y), hom, E and L (checked >= Y) from it.
+    Returns the reports built for the k in ``keep`` (all without) and sum m*ceil(Y)."""
     s = n // 3
     het_s, pairs_s = 3 * math.comb(s + 1, 2), math.comb(s, 2)
+    reports, crossing = [], 0
     for k in ks:
         m = n - 2 * k - 1
         # 3*C(k+1,2): het and L for k <= s, ceil(Y)'s fallback for m = 0.
@@ -289,13 +292,17 @@ def _reports(n: int, ks: Iterable[int]) -> Iterator[BoundReport]:
             if sharp * den < num:
                 raise AssertionError(f"sharp bound {sharp} fell below the closed form "
                                      f"{num}/{den} at k={k}, n={n}")
-        yield BoundReport(n, k, m, s, depth, num, den, ceil_y, het, hom, edges, summands, sharp)
+        crossing += m * ceil_y
+        if keep is None or k in keep:
+            reports.append(BoundReport(n, k, m, s, depth, num, den, ceil_y, het, hom,
+                                       edges, summands, sharp))
+    return reports, crossing
 
 
 def bound_report(k: int, n: int) -> BoundReport:
     """Every bound quantity at (k, n), m = 0 included: one k of the integer pass."""
     _require_k_n(k, n)
-    return next(_reports(n, (k,)))
+    return _reports(n, (k,))[0][0]
 
 
 class BoundTable(NamedTuple):
@@ -308,15 +315,11 @@ class BoundTable(NamedTuple):
 
 
 def bound_table(n: int, keep: Container[int] | None = None) -> BoundTable:
-    """The one integer pass over 1 <= k < n/2: each k's report, which checks
-    L >= Y, joins the crossing sum and is kept if k is in ``keep`` (or no keep)."""
+    """The one integer pass over 1 <= k < n/2: every k checks L >= Y and joins
+    the crossing sum; only the k in ``keep`` (every k without it) get a report."""
     if n % 3 != 0 or n < 3:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
-    reports, crossing = [], 0
-    for report in _reports(n, range(1, (n - 1) // 2 + 1)):
-        crossing += report.m * report.ceil_y
-        if keep is None or report.k in keep:
-            reports.append(report)
+    reports, crossing = _reports(n, range(1, (n - 1) // 2 + 1), keep)
     return BoundTable(n, tuple(reports), crossing)
 
 

@@ -7,6 +7,11 @@ input errors.  A handler raises ``UsageError`` where it finds a value it
 cannot use; ``main`` alone reports it, an ``OSError`` or the library's input
 errors as one ``error:`` line and returns 2, in process as from a shell.
 
+A CSV is comma-separated, with ``\\r\\n`` line ends, and never quoted: each
+cell is an int, a p/q, a fixed-point decimal, ``undefined``, ``true`` or
+``false``, or a shape name, so none holds ``,``, ``"`` or a line break, and
+the bytes are those the csv module's excel dialect would write.
+
 ``main`` may be called many times in one process: the argument parser is
 built once and kept, and each call looks its command's handler up among
 this module's ``cmd_*`` functions when it runs.
@@ -16,12 +21,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import sys
 from math import comb
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import bounds as bounds_mod
 from . import circular, decompose, verify
@@ -65,11 +69,10 @@ def _output(path: str | None) -> Iterator[TextIO]:
         yield out
 
 
-def _write_csv(out: TextIO, columns: list[str], rows: Iterable[Sequence]) -> None:
-    """The header, then each row, its cells in column order."""
-    writer = csv.writer(out)
-    writer.writerow(columns)
-    writer.writerows(rows)
+def _write_csv(out: TextIO, columns: list[str], lines: Iterable[str]) -> None:
+    """The header, then each line as it comes, each ended by ``\\r\\n``."""
+    out.write(",".join(columns) + "\r\n")
+    out.writelines(f"{line}\r\n" for line in lines)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -155,7 +158,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise UsageError(f"--k-range {args.k_range} holds no k in 1..{k_max}")
     rows = _analyze_rows(ps, k_lo, k_hi)
     with _output(args.out) as out:
-        _write_csv(out, ANALYZE_COLUMNS, rows)
+        _write_csv(out, ANALYZE_COLUMNS, (",".join(map(str, row)) for row in rows))
     return _exit_code(rows)
 
 
@@ -182,19 +185,23 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bounds_rows(ns: Iterable[int], only_k: int | None) -> Iterator[list]:
-    """The rows of the ``bounds`` table, one at a time, in
-    ``BOUNDS_COLUMNS`` order: for each n, the reports (``only_k``'s or every
-    k's) that one ``bound_table`` pass keeps, with its ``cr_lower``."""
+def _bounds_rows(ns: Iterable[int], only_k: int | None) -> Iterator[str]:
+    """The lines of the ``bounds`` table, one at a time, in ``BOUNDS_COLUMNS``
+    order: for each n, one per report (``only_k``'s or every k's) that one
+    ``bound_table`` pass keeps, with its ``cr_lower``.  Y and hom are written
+    as ``str`` writes a ``Fraction``: p/q in lowest terms, p when q = 1."""
     for n in ns:
         table = bounds_mod.bound_table(n, None if only_k is None else (only_k,))
-        ratio = f"{table.crossing / comb(n, 4):.8f}"
+        tail = f"{table.crossing},{table.crossing / comb(n, 4):.8f}"
         for _, k, m, _, depth, num, den, ceil_y, het, hom, edges, _, l in table.reports:
-            yield [
-                n, k, m, _cell(depth), _cell(num, den),
-                UNDEF if num is None else f"{num / den:.6f}", ceil_y, het,
-                _cell(hom, den), _cell(l), _cell(edges), table.crossing, ratio,
-            ]
+            if num is None:  # m = 0, for n >= 6 at a k > n/3: hom, L and E undefined too
+                yield (f"{n},{k},{m},{UNDEF},{UNDEF},{UNDEF},{ceil_y},{het},"
+                       f"{UNDEF},{UNDEF},{UNDEF},{tail}")
+            else:
+                q = "" if den == 1 else f"/{den}"
+                yield (f"{n},{k},{m},{depth},{num}{q},{num / den:.6f},{ceil_y},{het},"
+                       f"{f'{hom}{q}' if hom else 0},{l},"
+                       f"{UNDEF if edges is None else edges},{tail}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -257,7 +264,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             results = [_sweep_work(item) for item in items]
         rows = [row for item_rows in results for row in item_rows]
-        _write_csv(out, SWEEP_COLUMNS, rows)
+        _write_csv(out, SWEEP_COLUMNS, (",".join(map(str, row)) for row in rows))
     return _exit_code(rows)
 
 

@@ -59,10 +59,16 @@ are ``Fraction``s built from ``_closed_form``'s (b, num, den) one (k, n) at
 a time, and the ``bounds`` cells are their ``str`` and ``float``, instead of
 the one integer pass of ``bound_table`` and cells written from the reduced
 numerator and denominator.
+
+The CSV oracle is the library's earlier writer: ``csv.writer`` (the excel
+dialect, quoting where a cell needs it, ``\\r\\n`` line ends) over each
+row's cells, instead of one joined line per row written as it comes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
@@ -210,6 +216,28 @@ def bounds_cells_by_fractions(report: FractionBoundReport, crossing: int) -> lis
     ratio = f"{crossing / math.comb(r.n, 4):.8f}"
     return [cell(v) for v in (r.n, r.k, r.m, r.depth, r.y, y_dec, r.ceil_y, r.het,
                               r.hom_lower, r.l, r.edges, crossing, ratio)]
+
+
+def csv_text_by_writer(columns: list[str], rows) -> str:
+    """The header and ``rows`` as ``csv.writer`` writes them."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def bounds_rows_by_fractions(ns, only_k: int | None) -> list[list[str]]:
+    """The cells of the ``bounds`` rows over the multiples of 3 in ``ns``
+    (n >= 6), every k < n/2 or ``only_k`` alone, one (k, n) at a time in
+    ``Fraction``s; ``cr_lower`` sums (n-2k-1) * ceil(Y) over their reports."""
+    rows = []
+    for n in ns:
+        reports = [bound_report_by_fractions(k, n) for k in range(1, (n - 1) // 2 + 1)]
+        crossing = sum(r.m * r.ceil_y for r in reports)
+        rows += [bounds_cells_by_fractions(r, crossing) for r in reports
+                 if only_k is None or r.k == only_k]
+    return rows
 
 
 def crossing_lower_bound_by_min_counts(n: int) -> int:

@@ -537,8 +537,8 @@ class TestBoundReport:
             "undefined" if expected.y is None else str(expected.y)
         )
         if n >= 6:
-            (row,) = cli_mod._bounds_rows([n], k)
-            assert [str(c) for c in row] == bounds_cells_by_fractions(expected, table.crossing)
+            (line,) = cli_mod._bounds_rows([n], k)
+            assert line == ",".join(bounds_cells_by_fractions(expected, table.crossing))
 
 
 class TestBoundTable:
@@ -580,6 +580,15 @@ class TestBoundTable:
             tracemalloc.stop()
         assert [r.k for r in table.reports] == [1]
         assert peak < 64 * 1024
+
+    def test_a_dropped_k_still_checks_l_against_y(self, monkeypatch):
+        # Every k derives E and L and checks L >= Y, kept or not: an edge
+        # count too large for any digraph on s vertices puts L below Y at
+        # every k > n/3, which neither keep below holds.
+        monkeypatch.setattr(bounds_mod, "_edge_summands", lambda m, s: (s * s, 0, 0))
+        for keep in ((1,), ()):
+            with pytest.raises(AssertionError, match="fell below the closed form"):
+                bound_table(30, keep)
 
     def test_slack_sweep_reads_the_gap(self):
         # The slack suite's pair sweep reads L - Y off the tables.

@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ksetlab
@@ -40,6 +42,8 @@ from ksetlab.io import (
 from ksetlab.verify import random_general_position_set
 
 from support import (
+    bounds_rows_by_fractions,
+    csv_text_by_writer,
     general_position_by_triples,
     parse_fraction_whole,
     point_set_text_by_fractions,
@@ -50,6 +54,11 @@ from support import (
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_plain_cells(rows):
+    """No cell holds a character that the excel dialect would quote."""
+    assert not [c for row in rows for c in map(str, row) if set(c) & set(',"\r\n')]
 
 
 #: ASCII and other Unicode decimal digits (Arabic-Indic, full-width),
@@ -393,6 +402,28 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(src), "--out", str(out)]) == 1
         assert all(r["satisfied"] == "false" for r in read_csv(out))
 
+    @pytest.mark.parametrize(
+        "make, k_range",
+        [
+            (lambda: generate(12, 0), None),
+            (lambda: generate(12, 0), "2:4"),
+            (lambda: generate(9, 1).with_labels(None), None),
+            (lambda: random_general_position_set(10, 55), "2:9"),
+        ],
+        ids=["labeled", "labeled-k-range", "unlabeled", "unlabeled-n10-k-range"],
+    )
+    def test_stdout_equals_the_csv_writer_rendering(self, tmp_path, capsys, make, k_range):
+        # One joined line per row, byte for byte as csv.writer writes the rows.
+        ps = make()
+        src = tmp_path / "p.json"
+        save_point_set(ps, src)
+        argv = ["analyze", "--input", str(src)] + (["--k-range", k_range] if k_range else [])
+        assert main(argv) == 0
+        lo, hi = map(int, k_range.split(":")) if k_range else (1, (ps.n - 1) // 2)
+        rows = cli._analyze_rows(load_point_set(src), lo, min(hi, (ps.n - 1) // 2))
+        assert_plain_cells(rows)
+        assert capsys.readouterr().out == csv_text_by_writer(cli.ANALYZE_COLUMNS, rows)
+
 
 class TestBoundsCommand:
     def test_n12_table(self, tmp_path):
@@ -484,6 +515,29 @@ class TestBoundsCommand:
         assert capsys.readouterr().out == expected
         assert len(expected.splitlines()) == 2
         assert peak < 256 * 1024
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        lo=st.integers(min_value=6, max_value=900),
+        width=st.integers(min_value=0, max_value=30),
+        k=st.none() | st.integers(min_value=1, max_value=449),
+    )
+    @example(lo=6, width=6, k=None)  # n = 9 ends in m = 0 at k = 4
+    @example(lo=6, width=30, k=4)  # m = 0 at n = 9, m >= 1 beyond
+    @example(lo=438, width=0, k=None)  # Y = 90398 at k = 218, an integer
+    @example(lo=436, width=4, k=218)
+    def test_stdout_equals_the_csv_writer_rendering(self, lo, width, k):
+        # The integer pass's lines against csv.writer over the Fraction
+        # oracle's cells, byte for byte, header and line ends included.
+        ns = [n for n in range(max(6, lo), min(900, lo + width) + 1) if n % 3 == 0]
+        assume(ns and (k is None or 2 * k < ns[-1]))
+        argv = ["bounds", "--n-range", f"{lo}:{lo + width}"] + ([] if k is None else ["--k", str(k)])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        rows = bounds_rows_by_fractions(ns, k)
+        assert_plain_cells(rows)
+        assert out.getvalue() == csv_text_by_writer(cli.BOUNDS_COLUMNS, rows)
 
     def test_n_range_6_300_digest(self, capsys):
         # The whole table, byte for byte.  The cr_lower fix planned in
@@ -936,6 +990,22 @@ class TestSweepCommand:
         assert asked == []  # one set: run serially
         assert main(["sweep", "--ns", "6,9", "--seeds", "2", *out]) == 0
         assert asked == [4]
+
+    def test_stdout_equals_the_csv_writer_rendering(self, capsys):
+        # One joined line per row, byte for byte as csv.writer writes them.
+        assert main(["sweep", "--ns", "6,9", "--seeds", "2"]) == 0
+        rows = [row for n in (6, 9) for seed in (0, 1)
+                for row in cli._sweep_work((n, seed, "triangle-clusters"))]
+        assert_plain_cells(rows)
+        assert capsys.readouterr().out == csv_text_by_writer(cli.SWEEP_COLUMNS, rows)
+
+    def test_ns_9_12_digest(self, capsys):
+        # The sweep table, byte for byte: every count, bound and cell.
+        assert main(["sweep", "--ns", "9,12", "--seeds", "2"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 19
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "6d1570d493f9870fe65da9ff009c84563a9e50774d9748c8233445de7425d26a"
 
     def test_sweep_rejects_bad_ns(self, capsys):
         assert main(["sweep", "--ns", "6,8"]) == 2
