@@ -3,7 +3,7 @@
     python .github/scripts/two_forms.py pq.json forms.json
 
 The first file is the one ``save_point_set`` writes: every coordinate a
-normalized "p/q" string, which ``parse_fraction`` reads as two ints.  The
+normalized "p/q" string, which the reader reads as two ints.  The
 second holds the same points with each coordinate in another form
 ``fractions.Fraction`` reads, in turn: a JSON integer, a decimal string,
 a padded string, a "+"-signed string, or Arabic-Indic digits (a form that
@@ -50,7 +50,7 @@ def main(pq_path: str, forms_path: str) -> int:
     draw = GeneralPositionDraw()
     while len(draw.points) < N:
         draw.offer(tuple(rng.randint(-60, 60) * (SCALE // rng.choice(DENOMINATORS)) for _ in "xy"))
-    ps = PointSet.from_coords((Fraction(x, SCALE), Fraction(y, SCALE)) for x, y in draw.points)
+    ps = PointSet(draw.points, SCALE)
     save_point_set(ps, pq_path)
     coords = [c for p in ps.points for c in (p.x, p.y)]
     forms = [other_form(c, turn) for turn, c in enumerate(coords)]

@@ -31,7 +31,8 @@ Quantities computed here:
   least b >= 0 with (b+1)(b+2)*den >= 2*num for a ratio num/den > 0, the
   largest b with b(b+1) < t = ceil(2*num/den): b = (isqrt(4t-3) - 1) // 2.
 
-* ``bqr_decompose``: for 1 <= i and positive j, the unique (b, q, r) with
+* The (b, q, r) decomposition (``_bqr``): for positive i and j, the unique
+  (b, q, r) with
 
       j = i*C(b+1,2) + q*(b+1) + r,   0 <= q < i,  1 <= r <= b+1,
       C(b+1,2) < j/i <= C(b+2,2).
@@ -45,7 +46,7 @@ Quantities computed here:
   each receiver taking the nearest lower-indexed senders its budget and
   supply allow.  E caps how many same-class swaps can avoid criticality.
 
-* ``kset_lower_bound_sharp`` (L): the exact-edge-count refinement
+* L (``BoundReport.l``): the exact-edge-count refinement
   L(k,n) = 3*C(s+1,2) + (k-s)*n + 3*(C(s,2) - E(k,n)) for s < k < n/2, and
   3*C(k+1,2) for k <= s.  L >= Y on the whole domain (checked at runtime).
 
@@ -68,9 +69,9 @@ Quantities computed here:
 ``bound_table(n, keep)`` is the one pass over k < n/2, on integers: it
 computes the constants of n once, sums the crossing bound and builds only
 the reports of the k in ``keep`` (all without it).  ``bound_report(k, n)``
-is the same derivation for one k; each single-quantity function reads a
-field or accessor of it.  The extremal-digraph functions validate (k, n)
-once and never compute Y.
+is the same derivation for one k: ceil(Y), het, hom, E and L are its
+fields, and ``kset_lower_bound`` reads its Y.  The extremal-digraph
+functions validate (k, n) once and never compute Y.
 """
 
 from __future__ import annotations
@@ -114,47 +115,22 @@ def _defined(value, k: int, n: int):
 
 
 def _threshold(num: int, den: int) -> int:
-    """``triangular_threshold(num/den)`` for num, den > 0, on integers."""
+    """The unique integer b >= 0 with C(b+1,2) < num/den <= C(b+2,2), for
+    num, den > 0, on integers."""
     t = -(-2 * num // den)
     return (math.isqrt(4 * t - 3) - 1) // 2
 
 
-def triangular_threshold(ratio: Fraction | int) -> int:
-    """The unique integer b >= 0 with C(b+1,2) < ratio <= C(b+2,2)."""
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    return _threshold(*ratio.as_integer_ratio())
-
-
-class BqrDecomposition(NamedTuple):
-    """The unique decomposition j = i*C(b+1,2) + q*(b+1) + r with
-    0 <= q < i and 1 <= r <= b+1."""
-
-    b: int
-    q: int
-    r: int
-    i: int
-    j: int
-
-
-def _bqr(i: int, j: int) -> BqrDecomposition:
-    """The one constructor of ``BqrDecomposition``, which asserts its
-    invariants."""
+def _bqr(i: int, j: int) -> tuple[int, int, int]:
+    """The unique (b, q, r) with j = i*C(b+1,2) + q*(b+1) + r, 0 <= q < i
+    and 1 <= r <= b+1, for positive i and j; asserts its invariants."""
     b = _threshold(j, i)
     rem = j - i * math.comb(b + 1, 2)
     q, r = divmod(rem - 1, b + 1)
     r += 1
     assert j == i * math.comb(b + 1, 2) + q * (b + 1) + r
     assert 0 <= q < i and 1 <= r <= b + 1
-    return BqrDecomposition(b, q, r, i, j)
-
-
-def bqr_decompose(i: int, j: int) -> BqrDecomposition:
-    """Decompose j over base i: the unique (b, q, r) as documented on
-    ``BqrDecomposition``.  Requires 1 <= i <= j."""
-    if not (1 <= i <= j):
-        raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
-    return _bqr(i, j)
+    return b, q, r
 
 
 def _closed_form(k: int, n: int, m: int) -> tuple[int, int, int]:
@@ -204,8 +180,7 @@ def extremal_edge_summands(k: int, n: int) -> tuple[int, int, int]:
 
 
 def _edge_summands(m: int, s: int) -> tuple[int, int, int]:
-    d = _bqr(m, s)
-    b, q, r = d.b, d.q, d.r
+    b, q, r = _bqr(m, s)
     part_a = 2 * m * m * math.comb(b + 1, 3) + math.comb(b + 1, 2) * math.comb(m, 2)
     part_b = 2 * m * q * math.comb(b + 1, 2) + math.comb(q, 2) * (b + 1)
     part_c = r * (m * b + q)
@@ -230,14 +205,14 @@ def extremal_indegree(k: int, n: int, i: int) -> int:
 
 def _indegree(m: int, i: int) -> int:
     """``extremal_indegree`` at window m, for a valid (k, n) and vertex i."""
-    d = _bqr(m, i)
-    return m * d.b + d.q
+    b, q, _ = _bqr(m, i)
+    return m * b + q
 
 
 class BoundReport(NamedTuple):
     """All bound quantities at one (k, n): Y = y_num/y_den in lowest terms,
     hom = hom_num/y_den (Y - het, 0 for k <= s), None where the empty window
-    (m = 0) leaves one undefined.  ``y`` and ``hom_lower`` build Fractions."""
+    (m = 0) leaves one undefined.  ``y`` builds Y's Fraction."""
 
     n: int
     k: int
@@ -256,10 +231,6 @@ class BoundReport(NamedTuple):
     @property
     def y(self) -> Fraction | None:
         return None if self.y_num is None else Fraction(self.y_num, self.y_den)
-
-    @property
-    def hom_lower(self) -> Fraction | None:
-        return None if self.hom_num is None else Fraction(self.hom_num, self.y_den or 1)
 
 
 def _reports(n: int, ks: Iterable[int], keep: Container[int] | None = None
@@ -323,46 +294,16 @@ def bound_table(n: int, keep: Container[int] | None = None) -> BoundTable:
     return BoundTable(n, tuple(reports), crossing)
 
 
-# The single-quantity functions: each reads its field of bound_report(k, n).
-
-
 def kset_lower_bound(k: int, n: int) -> Fraction:
     """Closed-form lower bound Y(k,n) on the number of (<=k)-sets of a
     3-decomposable n-point set (exact rational)."""
     return _defined(bound_report(k, n).y, k, n)
 
 
-def heterogeneous_critical_count(k: int, n: int) -> int:
-    """Exact number of heterogeneous (<=k)-critical transpositions in any
-    halfperiod whose initial permutation is three class blocks:
-    3*C(k+1,2) for k <= n/3, else 3*C(n/3+1,2) + (k-n/3)*n."""
-    return bound_report(k, n).het
-
-
-def homogeneous_lower_bound(k: int, n: int) -> Fraction:
-    """Lower bound on homogeneous (<=k)-critical transpositions:
-    Y(k,n) minus the exact heterogeneous count.  Zero for k <= n/3 (there
-    are halfperiods with no critical homogeneous swaps at all)."""
-    return _defined(bound_report(k, n).hom_lower, k, n)
-
-
-def kset_lower_bound_sharp(k: int, n: int) -> int:
-    """The sharper integer bound L(k,n) from exact extremal edge counts:
-    3*C(k+1,2) for k <= n/3, else het(k,n) + 3*(C(n/3,2) - E(k,n)).
-    Always >= ``kset_lower_bound`` (verified on every call)."""
-    return _defined(bound_report(k, n).l, k, n)
-
-
-def min_kset_count(k: int, n: int) -> int:
-    """The integer bound an actual (<=k)-set count must meet:
-    ceil(Y(k,n)), falling back to 3*C(k+1,2) when the valid window is empty
-    (every transposition is then critical, so the fallback is safe)."""
-    return bound_report(k, n).ceil_y
-
-
 def crossing_lower_bound(n: int) -> int:
     """Finite-n lower bound on the crossing number of a 3-decomposable
-    drawing: sum over k of (n-2k-1) * min_kset_count(k, n)."""
+    drawing: sum over k of (n-2k-1) * ceil(Y(k,n)), ceil(Y) falling back to
+    3*C(k+1,2) at the empty window, whose weight is 0."""
     return bound_table(n, keep=()).crossing
 
 

@@ -74,6 +74,7 @@ def gap_samples(classes: Classes) -> list[Direction]:
     return [gap_sample(classes, g) for g in range(max(len(classes), 1))]
 
 
+# Kept only as a benchmark trace point (perfbench/spans.py); no caller in the package.
 def interval_sample_directions(ps: PointSet) -> list[Direction]:
     """``gap_samples(ps.classes)``; negated, they sample the other half turn."""
     return gap_samples(ps.classes)

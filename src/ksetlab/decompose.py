@@ -34,7 +34,7 @@ point over one denominator per attempt, is redrawn until it is in general
 position (``geometry.GeneralPositionDraw``).
 ``generate_with_witness`` hands back the accepted attempt's witness, so a
 caller that needs it does not check the set again, and builds the set on
-its grid (``PointSet.on_grid``).
+its grid (``PointSet(coords, scale, labels)``).
 """
 
 from __future__ import annotations
@@ -251,13 +251,13 @@ def generate_with_witness(
     denominator d > 0, redrawn until ``GeneralPositionDraw`` keeps it (it
     repeats no point and is collinear with no two drawn before it); triangle
     clusters are then sorted by offset, as integers.  The kept points over d
-    are the set's grid (``PointSet.on_grid``), with no ``Fraction``.  r is
-    halved and the set drawn again, from the next substream of the seed,
-    until it passes ``check_partition`` in three-condition mode, whose
-    witness is returned with the set.  Raises ``LabelingError`` for an n
-    that is not a positive multiple of 3, and ``GeneralPositionError`` when
-    a point is not kept within ``DRAWS_PER_POINT`` draws or no attempt
-    succeeds.
+    are the set's grid (``PointSet(points, d, labels)``), with no
+    ``Fraction``.  r is halved and the set drawn again, from the next
+    substream of the seed, until it passes ``check_partition`` in
+    three-condition mode, whose witness is returned with the set.  Raises
+    ``LabelingError`` for an n that is not a positive multiple of 3, and
+    ``GeneralPositionError`` when a point is not kept within
+    ``DRAWS_PER_POINT`` draws or no attempt succeeds.
     """
     if n < 3 or n % 3 != 0:
         raise LabelingError(f"n must be a positive multiple of 3, got {n}")
@@ -292,7 +292,7 @@ def generate_with_witness(
                                                f"in general position in {DRAWS_PER_POINT} draws")
             cluster = draw.points[len(points) :]
             points += sorted(cluster) if triangle else cluster
-        ps = PointSet.on_grid(points, 10 * r * scale, labels)
+        ps = PointSet(points, 10 * r * scale, labels)
         witness = check_partition(ps)
         if witness is not None:
             return ps, witness

@@ -58,10 +58,6 @@ class Point(NamedTuple):
     x: Fraction
     y: Fraction
 
-    @classmethod
-    def of(cls, x: Fraction | int | str, y: Fraction | int | str) -> "Point":
-        return cls(Fraction(x), Fraction(y))
-
 
 class Frozen:
     """A record with read-only fields, named in ``_fields``, that keeps its
@@ -100,10 +96,11 @@ class PointSet(Frozen):
     The set holds its points on one integer grid: ``coords``, the points
     times ``scale``, the least common multiple of their reduced
     denominators, so no prime divides ``scale`` and every coordinate.
-    ``PointSet(points, labels)`` scales ``Point``s by that lcm, and
-    ``on_grid(coords, scale, labels)`` takes integer points over a known
-    positive denominator; a file read (``io.load_point_set``) and the
-    generators build the grid directly.  ``points``, the ``Fraction``
+    ``PointSet(coords, scale, labels)`` takes integer points over a
+    positive denominator and divides both by their gcd; a file read
+    (``io.load_point_set``) and the generators build the grid directly.
+    ``from_coords(coords, labels)`` takes rational points and scales them
+    by the lcm of their denominators.  ``points``, the ``Fraction``
     ``Point``s, are built from the grid only when asked for: by the
     brute-force oracles, ``crossing_number``, equality, hashing and repr.
 
@@ -124,31 +121,11 @@ class PointSet(Frozen):
     labels: tuple[str, ...] | None
 
     def __init__(
-        self, points: Iterable[Point], labels: Iterable[str] | None = None
-    ) -> None:
-        points = tuple(points)
-        m = math.lcm(*(p.x.denominator for p in points), *(p.y.denominator for p in points))
-        coords = tuple(
-            (p.x.numerator * (m // p.x.denominator), p.y.numerator * (m // p.y.denominator))
-            for p in points
-        )
-        self._hold(coords, m, labels)
-
-    def _hold(
-        self, coords: tuple[tuple[int, int], ...], scale: int, labels: Iterable[str] | None
-    ) -> "PointSet":
-        if labels is not None:
-            labels = normalize_labels(labels, len(coords))
-        self.__dict__.update(coords=coords, scale=scale, labels=labels)
-        return self
-
-    @classmethod
-    def on_grid(
-        cls,
+        self,
         coords: Iterable[tuple[int, int]],
         scale: int = 1,
         labels: Iterable[str] | None = None,
-    ) -> "PointSet":
+    ) -> None:
         """The set of the integer points ``coords``, each ``(x, y)`` a
         tuple, over the positive denominator ``scale``: the point
         ``(x / scale, y / scale)``.  Grid and scale are divided by the gcd
@@ -159,7 +136,9 @@ class PointSet(Frozen):
         c = math.gcd(scale, *chain.from_iterable(coords))
         if c > 1:
             coords, scale = tuple((x // c, y // c) for x, y in coords), scale // c
-        return cls.__new__(cls)._hold(coords, scale, labels)
+        if labels is not None:
+            labels = normalize_labels(labels, len(coords))
+        self.__dict__.update(coords=coords, scale=scale, labels=labels)
 
     @property
     def n(self) -> int:
@@ -171,11 +150,20 @@ class PointSet(Frozen):
         coords: Iterable[Sequence[Fraction | int | str]],
         labels: Iterable[str] | None = None,
     ) -> "PointSet":
-        pts = tuple(Point.of(x, y) for x, y in coords)
-        return cls(pts, tuple(labels) if labels is not None else None)
+        """The set of the rational points ``coords``, each ``(x, y)`` of
+        values ``Fraction`` takes, on the grid of the lcm of their
+        denominators."""
+        pts = [(Fraction(x), Fraction(y)) for x, y in coords]
+        m = math.lcm(*(c.denominator for p in pts for c in p))
+        return cls(
+            ((x.numerator * (m // x.denominator), y.numerator * (m // y.denominator))
+             for x, y in pts),
+            m,
+            labels,
+        )
 
     def with_labels(self, labels: Iterable[str] | None) -> "PointSet":
-        out = PointSet.__new__(PointSet)._hold(self.coords, self.scale, labels)
+        out = PointSet(self.coords, self.scale, labels)
         for name in ("points", "classes"):
             if name in self.__dict__:
                 out.__dict__[name] = self.__dict__[name]
@@ -368,6 +356,7 @@ def group_pairs(ps: PointSet) -> Classes:
     return Classes(xy, a, b, starts, multi)
 
 
+# Kept only as a benchmark trace point (perfbench/spans.py); no caller in the package.
 def is_general_position(ps: PointSet) -> bool:
     """True iff all points are distinct and no triple is collinear."""
     try:

@@ -65,11 +65,6 @@ def _ratio(text: str) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, read as ``_ratio`` reads it."""
-    return Fraction(*_ratio(text))
-
-
 def _grid_strings(ps: PointSet) -> list[tuple[str, str]]:
     """Each point's coordinates as reduced "p/q" strings, off the grid."""
     m, gcd = ps.scale, math.gcd
@@ -122,7 +117,7 @@ def point_set_from_dict(data: dict) -> PointSet:
             )
         ratios.append((x, dx, y, dy))
     coords = [(x * (common // dx), y * (common // dy)) for x, dx, y, dy in ratios]
-    return PointSet.on_grid(coords, common, labels)
+    return PointSet(coords, common, labels)
 
 
 def _json_list(items: list[str], indent: str) -> str:

@@ -72,7 +72,7 @@ def random_general_position_set(n: int, seed: int) -> PointSet:
     if len(draw.points) < n:
         raise ValueError(f"seed {seed} kept {len(draw.points)} points in general "
                          f"position after {DRAWS_PER_POINT * n} draws, got n = {n}")
-    return PointSet.on_grid(draw.points)
+    return PointSet(draw.points)
 
 
 def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:

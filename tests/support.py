@@ -39,8 +39,10 @@ The generator oracle is the library's earlier generator: each candidate is
 holds each kept point over the lcm of its own two denominators, instead of
 integer candidates over one denominator per attempt.
 
-The crossing-bound oracle sums (n-2k-1) * min_kset_count(k, n) one k at a
-time, instead of reading the crossing sum off ``bound_table(n)``.
+The crossing-bound oracle sums (n-2k-1) * ceil(Y(k,n)) one k at a time,
+Y from the term-by-term ``Fraction`` oracle below, instead of reading the
+crossing sum off ``bound_table(n)``: it shares no code with the integer
+pass.
 
 The fraction-reader oracle is the library's earlier reader: every string
 goes whole to ``fractions.Fraction`` behind the decimal-exponent guard,
@@ -79,7 +81,7 @@ from functools import cmp_to_key
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from ksetlab.bounds import _closed_form, _edge_summands, min_kset_count
+from ksetlab.bounds import _closed_form, _edge_summands
 from ksetlab.circular import (
     Direction,
     Halfperiod,
@@ -240,14 +242,17 @@ def bounds_rows_by_fractions(ns, only_k: int | None) -> list[list[str]]:
     return rows
 
 
-def crossing_lower_bound_by_min_counts(n: int) -> int:
-    """Finite-n crossing bound sum over k of (n-2k-1) * min_kset_count(k, n),
-    one k at a time."""
+def crossing_lower_bound_by_terms(n: int) -> int:
+    """Finite-n crossing bound sum over k of (n-2k-1) * ceil(Y(k,n)), one k
+    at a time, Y from ``kset_lower_bound_by_fractions``; the empty window
+    (m = 0) has weight 0."""
     if n % 3 != 0 or n < 3:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
     total = 0
-    for k in range(1, (n - 2) // 2 + 1):
-        total += (n - 2 * k - 1) * min_kset_count(k, n)
+    for k in range(1, (n - 1) // 2 + 1):
+        m = n - 2 * k - 1
+        if m:
+            total += m * math.ceil(kset_lower_bound_by_fractions(k, n)[1])
     return total
 
 
@@ -258,8 +263,8 @@ def random_general_position_set_by_rejection(n: int, seed: int) -> PointSet:
     rng = random.Random(seed)
     ps = PointSet(())
     while ps.n < n:
-        cand = Point(Fraction(rng.randint(-spread, spread)), Fraction(rng.randint(-spread, spread)))
-        trial = PointSet(ps.points + (cand,))
+        cand = (rng.randint(-spread, spread), rng.randint(-spread, spread))
+        trial = PointSet(ps.coords + (cand,))
         if is_general_position(trial):
             ps = trial
     return ps
@@ -304,7 +309,8 @@ def generate_with_witness_by_fractions(
     """``decompose.generate_with_witness`` with every candidate computed in
     ``Fraction``s and offered to ``RationalDraw``: the same RNG calls, in
     the same order, from the same seeds."""
-    centers = (Point.of(0, 0), Point.of(1, 0), Point.of("1/2", "9/10"))
+    centers = (Point(Fraction(0), Fraction(0)), Point(Fraction(1), Fraction(0)),
+               Point(Fraction(1, 2), Fraction(9, 10)))
     per_cluster, grid = n // 3, 64
     gx = sum(c.x for c in centers) / 3
     gy = sum(c.y for c in centers) / 3
@@ -329,7 +335,7 @@ def generate_with_witness_by_fractions(
                     raise GeneralPositionError(f"no point kept in {DRAWS_PER_POINT} draws")
             cluster = draw.points[len(points) :]
             points += sorted(cluster) if shape == "triangle-clusters" else cluster
-        ps = PointSet(points, [c for c in CLASS_NAMES for _ in range(per_cluster)])
+        ps = PointSet.from_coords(points, [c for c in CLASS_NAMES for _ in range(per_cluster)])
         witness = check_partition(ps)
         if witness is not None:
             return ps, witness

@@ -13,6 +13,7 @@ import mpmath
 import pytest
 
 from ksetlab import (
+    bound_report,
     build_extremal_digraph,
     build_halfperiod,
     check_partition,
@@ -22,12 +23,9 @@ from ksetlab import (
     extremal_edge_count,
     find_partition,
     generate,
-    heterogeneous_critical_count,
     k_set_oracle,
     kset_lower_bound,
-    kset_lower_bound_sharp,
     kset_vector_from_halfperiod,
-    min_kset_count,
     series_and_integral_report,
     slack_quartic,
 )
@@ -144,7 +142,7 @@ def test_criterion_3_heterogeneous_exactness(generated_sets):
                 if per_site[i] != 2 * n - 3 * i:
                     middle_site_ok = False
             for k in range(1, (n - 1) // 2 + 1):
-                if critical_counts(h, k).het != heterogeneous_critical_count(k, n):
+                if critical_counts(h, k).het != bound_report(k, n).het:
                     prefix_ok = False
     middle_ok = middle_mirrored_ok or middle_site_ok
     report(
@@ -165,7 +163,7 @@ def test_criterion_4_kset_bound_at_desk_scale(generated_sets):
             vec = kset_vector_from_halfperiod(build_halfperiod(ps))
             for k in range(1, (n - 1) // 2 + 1):
                 checked += 1
-                if vec.prefix[k] < min_kset_count(k, n):
+                if vec.prefix[k] < bound_report(k, n).ceil_y:
                     violations += 1
     report(
         "C4 k-set bound on generated sets",
@@ -211,7 +209,7 @@ def test_criterion_6_quartic_scan_and_bound_gap():
         for k in range(1, (n - 1) // 2 + 1):
             if n - 2 * k - 1 < 1:
                 continue
-            if kset_lower_bound_sharp(k, n) < kset_lower_bound(k, n):
+            if bound_report(k, n).l < kset_lower_bound(k, n):
                 ok = False
     report(
         "C6 quartic scan and bound gap",

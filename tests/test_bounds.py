@@ -10,27 +10,23 @@ import ksetlab.bounds as bounds_mod
 import ksetlab.cli as cli_mod
 from ksetlab import (
     UndefinedWindowError,
-    bqr_decompose,
     build_extremal_digraph,
     crossing_coefficient,
     crossing_lower_bound,
     extremal_edge_count,
     extremal_edge_summands,
     extremal_indegree,
-    heterogeneous_critical_count,
-    homogeneous_lower_bound,
     kset_lower_bound,
-    kset_lower_bound_sharp,
-    min_kset_count,
     series_and_integral_report,
     slack_quartic,
-    triangular_threshold,
 )
 from ksetlab.bounds import (
     BEST_UPPER_COEFFICIENT,
     GENERAL_LOWER_COEFFICIENT,
     BoundReport,
+    _bqr,
     _closed_form,
+    _threshold,
     bound_report,
     bound_table,
 )
@@ -40,7 +36,7 @@ from support import (
     binom2,
     bound_report_by_fractions,
     bounds_cells_by_fractions,
-    crossing_lower_bound_by_min_counts,
+    crossing_lower_bound_by_terms,
     kset_lower_bound_by_fractions,
 )
 
@@ -57,7 +53,7 @@ class TestRefinementDepth:
         for num in range(2, 40):
             for den in range(1, num):
                 ratio = F(num, den)
-                b = triangular_threshold(ratio)
+                b = _threshold(num, den)
                 assert math.comb(b + 1, 2) < ratio <= math.comb(b + 2, 2)
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -68,20 +64,15 @@ class TestRefinementDepth:
     def test_threshold_brackets_huge_ratios(self, num, den):
         # b reaches about 1.4e15 at 10**30: far beyond any linear scan.
         ratio = F(num, den)
-        b = triangular_threshold(ratio)
+        b = _threshold(num, den)
         assert math.comb(b + 1, 2) < ratio <= math.comb(b + 2, 2)
 
     @pytest.mark.parametrize("b", [0, 1, 2, 10**15])
     def test_threshold_at_triangular_numbers(self, b):
         # C(b+2,2) itself is still b; one part above it is b+1.
         t = math.comb(b + 2, 2)
-        assert triangular_threshold(t) == triangular_threshold(F(2 * t - 1, 2)) == b
-        assert triangular_threshold(F(10**9 * t + 1, 10**9)) == b + 1
-
-    @pytest.mark.parametrize("ratio", [0, F(-1, 2)])
-    def test_threshold_refuses_a_ratio_that_is_not_positive(self, ratio):
-        with pytest.raises(ValueError, match="ratio must be positive"):
-            triangular_threshold(ratio)
+        assert _threshold(t, 1) == _threshold(2 * t - 1, 2) == b
+        assert _threshold(10**9 * t + 1, 10**9) == b + 1
 
     def test_empty_window(self):
         assert bound_report(4, 9).depth is None
@@ -91,12 +82,9 @@ class TestRefinementDepth:
 
 class TestBqrDecompose:
     def test_examples(self):
-        d = bqr_decompose(3, 10)
-        assert (d.b, d.q, d.r) == (2, 0, 1)
-        d = bqr_decompose(1, 4)
-        assert (d.b, d.q, d.r) == (2, 0, 1)
-        d = bqr_decompose(2, 5)
-        assert (d.b, d.q, d.r) == (1, 1, 1)
+        assert _bqr(3, 10) == (2, 0, 1)
+        assert _bqr(1, 4) == (2, 0, 1)
+        assert _bqr(2, 5) == (1, 1, 1)
 
     def test_unique_by_enumeration(self):
         # independent oracle: search all (b, q, r) in range for the identity
@@ -110,14 +98,7 @@ class TestBqrDecompose:
                     if j == i * math.comb(b + 1, 2) + q * (b + 1) + r
                     and math.comb(b + 1, 2) < F(j, i) <= math.comb(b + 2, 2)
                 ]
-                d = bqr_decompose(i, j)
-                assert matches == [(d.b, d.q, d.r)]
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            bqr_decompose(3, 2)
-        with pytest.raises(ValueError):
-            bqr_decompose(0, 2)
+                assert matches == [_bqr(i, j)]
 
 
 class TestKsetLowerBound:
@@ -182,17 +163,17 @@ class TestGeneralizedBinomial:
 
 class TestHeterogeneousCount:
     def test_examples(self):
-        assert heterogeneous_critical_count(2, 9) == 9
-        assert heterogeneous_critical_count(4, 12) == 30  # boundary k = n/3
-        assert heterogeneous_critical_count(5, 12) == 42
+        assert bound_report(2, 9).het == 9
+        assert bound_report(4, 12).het == 30  # boundary k = n/3
+        assert bound_report(5, 12).het == 42
 
     def test_boundary_continuity(self):
         for n in (9, 12, 15, 18):
             s = n // 3
             low = 3 * math.comb(s + 1, 2)
-            assert heterogeneous_critical_count(s, n) == low
+            assert bound_report(s, n).het == low
             if 2 * (s + 1) < n:
-                assert heterogeneous_critical_count(s + 1, n) == low + n
+                assert bound_report(s + 1, n).het == low + n
 
 
 class TestExtremalDigraph:
@@ -275,33 +256,35 @@ class TestExtremalDigraph:
 
 class TestHomogeneousLowerBound:
     def test_empty_window_error(self):
-        with pytest.raises(UndefinedWindowError):
-            homogeneous_lower_bound(4, 9)
+        # The empty window leaves hom undefined.
+        assert bound_report(4, 9).hom_num is None
 
     def test_zero_below_one_third(self):
-        assert homogeneous_lower_bound(3, 9) == 0
-        assert homogeneous_lower_bound(2, 12) == 0
+        assert bound_report(3, 9).hom_num == 0
+        assert bound_report(2, 12).hom_num == 0
 
     def test_value_and_sharp_companion(self):
         # closed form: Y - het; sharp companion: 3 * (C(s,2) - E)
-        assert homogeneous_lower_bound(5, 12) == F(143, 3) - 42
-        sharp_hom = kset_lower_bound_sharp(5, 12) - heterogeneous_critical_count(5, 12)
+        r = bound_report(5, 12)
+        hom = F(r.hom_num, r.y_den)
+        assert hom == F(143, 3) - 42
+        sharp_hom = r.l - r.het
         assert sharp_hom == 48 - 42 == 3 * (math.comb(4, 2) - extremal_edge_count(5, 12))
-        assert sharp_hom >= homogeneous_lower_bound(5, 12)
+        assert sharp_hom >= hom
 
 
 class TestSharpBound:
     def test_examples(self):
-        assert kset_lower_bound_sharp(5, 12) == 48
-        assert kset_lower_bound_sharp(2, 9) == 9  # k <= n/3 branch
-        assert kset_lower_bound_sharp(6, 15) == 66
+        assert bound_report(5, 12).l == 48
+        assert bound_report(2, 9).l == 9  # k <= n/3 branch
+        assert bound_report(6, 15).l == 66
 
     def test_sharp_minus_closed_form_example(self):
-        assert kset_lower_bound_sharp(5, 12) - kset_lower_bound(5, 12) == F(1, 3)
+        assert bound_report(5, 12).l - kset_lower_bound(5, 12) == F(1, 3)
 
     def test_window_error(self):
-        with pytest.raises(UndefinedWindowError):
-            kset_lower_bound_sharp(4, 9)
+        # The empty window leaves L undefined.
+        assert bound_report(4, 9).l is None
 
     def test_checked_against_closed_form(self, monkeypatch):
         # Too many extremal edges would put L below Y: every report checks.
@@ -336,14 +319,14 @@ class TestSlackQuartic:
 
 class TestMinKsetCount:
     def test_examples(self):
-        assert min_kset_count(3, 9) == 18
-        assert min_kset_count(1, 9) == 3
-        assert min_kset_count(5, 12) == 48
+        assert bound_report(3, 9).ceil_y == 18
+        assert bound_report(1, 9).ceil_y == 3
+        assert bound_report(5, 12).ceil_y == 48
 
     def test_empty_window_fallback(self):
-        assert min_kset_count(4, 9) == 3 * math.comb(5, 2)
-        assert min_kset_count(1, 3) == 3
-        assert min_kset_count(7, 15) == 3 * math.comb(8, 2)
+        assert bound_report(4, 9).ceil_y == 3 * math.comb(5, 2)
+        assert bound_report(1, 3).ceil_y == 3
+        assert bound_report(7, 15).ceil_y == 3 * math.comb(8, 2)
 
 
 class TestCrossingBound:
@@ -381,7 +364,7 @@ class TestCrossingBound:
 
     def test_small_value(self):
         # n = 6: weights (n-2k-1) = 3, 1 for k = 1, 2
-        assert min_kset_count(1, 6) == 3 and min_kset_count(2, 6) == 9
+        assert bound_report(1, 6).ceil_y == 3 and bound_report(2, 6).ceil_y == 9
         assert crossing_lower_bound(6) == 3 * 3 + 1 * 9 == 18
 
 
@@ -433,7 +416,7 @@ class TestBoundReport:
 
     def test_low_k_case(self):
         br = bound_report(2, 9)
-        assert br.l == 9 and br.edges is None and br.hom_lower == 0
+        assert br.l == 9 and br.edges is None and br.hom_num == 0
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -459,30 +442,33 @@ class TestBoundReport:
             hom, sharp = F(0), F(3 * math.comb(k + 1, 2))
         else:
             hom, sharp = y - het, F(het + 3 * (math.comb(s, 2) - extremal_edge_count(k, n)))
-        assert (br.depth, br.y, br.ceil_y, br.hom_lower, br.l) == (
+        assert (br.depth, br.y, br.ceil_y, F(br.hom_num, br.y_den), br.l) == (
             depth, y, math.ceil(y), hom, sharp
         )
-        assert all(type(v) is Fraction for v in (br.y, br.hom_lower))
-        assert type(br.l) is int
+        assert type(br.y) is Fraction
+        assert type(br.hom_num) is type(br.l) is int
         assert br.l >= br.y
 
     def test_equals_single_quantity_functions(self):
         # bound_report computes Y once per (k, n); every field must be what
-        # the public function for that quantity returns on its own, and the
-        # depth b the one with C(b+1,2) < n/m <= C(b+2,2).
-        def or_none(f, *args):
-            try:
-                return f(*args)
-            except UndefinedWindowError:
-                return None
-
+        # the public functions for Y and E return on their own, or the
+        # definition on them of ceil(Y), het, hom and L, and the depth b the
+        # one with C(b+1,2) < n/m <= C(b+2,2).
         for n in range(3, 151, 3):
             s = n // 3
             for k in range(1, (n - 1) // 2 + 1):
                 m = n - 2 * k - 1
                 extremal = k > s and m >= 1
-                y = or_none(kset_lower_bound, k, n)
-                hom = or_none(homogeneous_lower_bound, k, n)
+                y = kset_lower_bound(k, n) if m >= 1 else None
+                low = 3 * math.comb(k + 1, 2)
+                het = low if k <= s else 3 * math.comb(s + 1, 2) + (k - s) * n
+                if k <= s:
+                    hom, sharp = F(0), low
+                elif extremal:
+                    hom = y - het
+                    sharp = het + 3 * (math.comb(s, 2) - extremal_edge_count(k, n))
+                else:
+                    hom = sharp = None
                 # The report holds Y in lowest terms and hom over Y's denominator.
                 den = 1 if y is None else y.denominator
                 expected = BoundReport(
@@ -490,23 +476,22 @@ class TestBoundReport:
                     k=k,
                     m=m,
                     s=s,
-                    depth=triangular_threshold(F(n, m)) if m >= 1 else None,
+                    depth=_threshold(n, m) if m >= 1 else None,
                     y_num=None if y is None else y.numerator,
                     y_den=None if y is None else den,
-                    ceil_y=min_kset_count(k, n),
-                    het=heterogeneous_critical_count(k, n),
+                    ceil_y=low if y is None else math.ceil(y),
+                    het=het,
                     hom_num=None if hom is None else int(hom * den),
                     edges=extremal_edge_count(k, n) if extremal else None,
                     edge_summands=extremal_edge_summands(k, n) if extremal else None,
-                    l=or_none(kset_lower_bound_sharp, k, n),
+                    l=sharp,
                 )
                 got = bound_report(k, n)
                 assert got == expected
                 assert [type(v) for v in got._asdict().values()] == [
                     type(v) for v in expected._asdict().values()
                 ]
-                assert (got.y, got.hom_lower) == (y, hom)
-                assert [type(v) for v in (got.y, got.hom_lower)] == [type(y), type(hom)]
+                assert type(got.y) is type(y) and got.y == y
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -526,9 +511,12 @@ class TestBoundReport:
         table = bound_table(n, (k,))
         (got,) = table.reports
         assert got == bound_report(k, n)
+        # The oracle's hom_lower is the report's hom_num over y_den.
+        fields = {**got._asdict(), "y": got.y, "hom_lower": None if got.hom_num is None
+                  else F(got.hom_num, got.y_den or 1)}
         for name, value in expected._asdict().items():
-            assert getattr(got, name) == value, name
-            assert type(getattr(got, name)) is type(value), name
+            assert fields[name] == value, name
+            assert type(fields[name]) is type(value), name
         if expected.y is None:
             assert (got.y_num, got.y_den) == (None, None)
         else:
@@ -544,7 +532,7 @@ class TestBoundReport:
 class TestBoundTable:
     def test_crossing_equals_per_k_sum(self):
         for n in range(3, 301, 3):
-            assert crossing_lower_bound(n) == crossing_lower_bound_by_min_counts(n)
+            assert crossing_lower_bound(n) == crossing_lower_bound_by_terms(n)
 
     def test_reports_equal_bound_report(self):
         for n in range(3, 301, 3):
@@ -593,7 +581,7 @@ class TestBoundTable:
     def test_slack_sweep_reads_the_gap(self):
         # The slack suite's pair sweep reads L - Y off the tables.
         gaps = [
-            kset_lower_bound_sharp(k, n) - kset_lower_bound(k, n)
+            bound_report(k, n).l - kset_lower_bound(k, n)
             for n in range(6, 61, 3)
             for k in range(1, (n - 1) // 2 + 1)
             if n - 2 * k - 1 >= 1

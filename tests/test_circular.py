@@ -188,7 +188,7 @@ class TestCriticalCounts:
         # i-critical heterogeneous counts are exactly 3i for i <= n/3, n for
         # n/3 < i < n/2 and n/2 at the middle class of even n; prefix sums
         # therefore match the closed form.
-        from ksetlab import heterogeneous_critical_count
+        from ksetlab import bound_report
         import ksetlab
 
         for n in (6, 9, 12, 15):
@@ -205,7 +205,7 @@ class TestCriticalCounts:
                 if n % 2 == 0 and n // 2 > s:
                     assert rep.i_critical_het[n // 2] == n // 2
                 for k in range(1, (n - 1) // 2 + 1):
-                    assert critical_counts(h, k).het == heterogeneous_critical_count(k, n)
+                    assert critical_counts(h, k).het == bound_report(k, n).het
 
     def test_hom_het_totals_conserved(self):
         ps = generate(12, seed=0)
@@ -326,7 +326,7 @@ class TestStartDirection:
         # read one replay, from gap_samples(ps.classes)[0], cached on the
         # point set and handed on to its relabeled copies.
         ps = generate(9, seed=5)
-        fresh = PointSet(ps.points, ps.labels)
+        fresh = PointSet(ps.coords, ps.scale, ps.labels)
         starts = []
 
         def recording(ps, u):
@@ -360,7 +360,7 @@ class TestRotation:
     @given(small_sets() | generated_sets(), st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
            st.booleans())
     def test_matches_class_by_class_replay(self, ps, u, replayed_first):
-        fresh = PointSet(ps.points, ps.labels)
+        fresh = PointSet(ps.coords, ps.scale, ps.labels)
         if replayed_first:
             fresh.replay
         try:

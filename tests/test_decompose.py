@@ -10,8 +10,8 @@ import ksetlab.circular as circular_mod
 from ksetlab import (
     GeneralPositionError,
     LabelingError,
-    Point,
     PointSet,
+    bound_report,
     build_halfperiod,
     check_halfperiod,
     check_partition,
@@ -21,7 +21,6 @@ from ksetlab import (
     is_general_position,
     kset_vector_from_halfperiod,
     locate_halfperiod_witness,
-    min_kset_count,
 )
 from ksetlab.circular import gap_samples
 from ksetlab.decompose import GENERATOR_SHAPES
@@ -142,7 +141,7 @@ class TestFindPartition:
         monkeypatch.setattr(circular_mod, "replay", recording)
         for mode in ("three", "two"):
             # A fresh copy each time: the replay is cached on the point set.
-            assert find_partition(PointSet(NON_DECOMPOSABLE_6.points), mode) is None
+            assert find_partition(PointSet.from_coords(NON_DECOMPOSABLE_6.points), mode) is None
         # One sweep per search decides every candidate, and none was missed:
         # no balanced labeling passes even the two-condition projection oracle.
         assert len(sweeps) == 2
@@ -153,7 +152,7 @@ class TestFindPartition:
         def no_sweep(ps, u):
             raise AssertionError("swept before checking the mode")
 
-        ps = PointSet(generate(9, seed=0).points)
+        ps = PointSet.from_coords(generate(9, seed=0).points)
         monkeypatch.setattr(circular_mod, "replay", no_sweep)
         with pytest.raises(ValueError, match="mode"):
             find_partition(ps, mode="one")
@@ -257,8 +256,8 @@ class TestScalingInvariance:
         st.sampled_from(["three", "two"]),
     )
     def test_same_halfperiod_and_witness(self, ps, factor, mode):
-        scaled = PointSet(
-            tuple(Point(p.x * factor, p.y * factor) for p in ps.points), ps.labels
+        scaled = PointSet.from_coords(
+            ((p.x * factor, p.y * factor) for p in ps.points), ps.labels
         )
         assert build_halfperiod(scaled) == build_halfperiod(ps)
         assert check_partition(scaled, mode=mode) == check_partition(ps, mode=mode)
@@ -394,7 +393,7 @@ class TestGenerate:
         for n in range(3, 61, 3):
             for seed in range(10):
                 ps = generate(n, seed, shape)
-                assert ps.coords == PointSet(ps.points).coords
+                assert ps.coords == PointSet.from_coords(ps.points).coords
 
     def test_deterministic(self):
         assert generate(9, seed=8) == generate(9, seed=8)
@@ -425,7 +424,7 @@ class TestGenerate:
         ps = generate(30, seed=0)
         vec = kset_vector_from_halfperiod(build_halfperiod(ps))
         for k in range(1, 15):
-            assert vec.prefix[k] >= min_kset_count(k, 30)
+            assert vec.prefix[k] >= bound_report(k, 30).ceil_y
 
     def test_halfperiod_consistency_small_n(self):
         # If the labeled partition checks out, the halfperiod started at l1

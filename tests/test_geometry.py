@@ -46,7 +46,7 @@ HEXAGON = PointSet.from_coords([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, 
 
 
 def pt(x, y):
-    return Point.of(x, y)
+    return Point(Fraction(x), Fraction(y))
 
 
 class TestOrientation:
@@ -170,17 +170,17 @@ class TestIntegerKernel:
 
     def test_on_grid_divides_by_the_common_gcd(self):
         # Six times (1/2, 1/3), (2, 5/6), (-3/4, 0) over 72: divided by 6
-        # to the grid PointSet(points) scales to, over the lcm 12.
-        ps = PointSet.on_grid([(36, 24), (144, 60), (-54, 0)], 72, "abc")
+        # to the grid from_coords scales to, over the lcm 12.
+        ps = PointSet([(36, 24), (144, 60), (-54, 0)], 72, "abc")
         expected = PointSet.from_coords([("1/2", "1/3"), (2, "5/6"), ("-3/4", 0)], "abc")
         assert (ps.coords, ps.scale) == (expected.coords, expected.scale) == (
             ((6, 4), (24, 10), (-9, 0)), 12)
         assert "points" not in ps.__dict__
         assert ps == expected and hash(ps) == hash(expected) and repr(ps) == repr(expected)
-        assert PointSet.on_grid([]).scale == 1 and PointSet.on_grid([], 8).scale == 1
+        assert PointSet([]).scale == 1 and PointSet([], 8).scale == 1
         for scale in (0, -4):
             with pytest.raises(ValueError, match="scale must be positive"):
-                PointSet.on_grid([(1, 2)], scale)
+                PointSet([(1, 2)], scale)
 
     def test_with_labels_keeps_the_grouping(self):
         ps = generate(9, 0)
@@ -476,11 +476,8 @@ class TestCrossingNumber:
     def test_similarity_invariance(self):
         for seed in range(5):
             ps = random_general_position_set(7, 500 + seed)
-            moved = PointSet(
-                tuple(
-                    Point(Fraction(3, 7) * p.x + 11, Fraction(3, 7) * p.y - 5)
-                    for p in ps.points
-                )
+            moved = PointSet.from_coords(
+                (Fraction(3, 7) * p.x + 11, Fraction(3, 7) * p.y - 5) for p in ps.points
             )
             assert crossing_number(moved) == crossing_number(ps)
             assert k_set_oracle(moved) == k_set_oracle(ps)
@@ -525,6 +522,6 @@ class TestKSetOracle:
         with pytest.raises(ValueError):
             KSetVector.from_counts(4, {1: -1})
         assert k_set_oracle(PointSet(())).e == {}
-        assert k_set_oracle(PointSet((Point.of(0, 0),))).e == {}
+        assert k_set_oracle(PointSet(((0, 0),))).e == {}
         two = k_set_oracle(PointSet.from_coords([(0, 0), (1, 0)]))
         assert two.e == {1: 2}

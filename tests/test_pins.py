@@ -1,5 +1,6 @@
-"""Pins on what reads the library from outside it: the README's examples and
-the names the benchmark traces.
+"""Pins on what reads the library from outside it: the README's examples,
+the names the benchmark traces, and the public names ``ksetlab.__all__``
+exports.
 
 The README examples that show their output are run as written, in order,
 in a temporary directory, and their stdout is compared line for line with
@@ -19,6 +20,7 @@ import re
 import shlex
 from pathlib import Path
 
+import ksetlab
 from ksetlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +33,22 @@ PINNED = [
     "analyze --input points9.json",
     "bounds --n 12 --k 5",
     "bounds --coefficient",
+]
+
+#: ``ksetlab.__all__``, in its order: the 44 public names.
+PUBLIC = [
+    "BoundReport", "BoundTable", "CriticalityReport", "DecompositionWitness",
+    "DEFAULT_ORACLE_CAP", "GeneralPositionError", "Halfperiod", "KSetVector",
+    "LabelingError", "OracleSizeError", "Point", "PointSet", "UndefinedWindowError",
+    "ValidSwapDigraph", "bound_report", "bound_table", "build_extremal_digraph",
+    "build_halfperiod", "build_valid_digraphs", "check_halfperiod", "check_partition",
+    "critical_counts", "crossing_coefficient", "crossing_count",
+    "crossing_lower_bound", "crossing_number", "extremal_edge_count",
+    "extremal_edge_summands", "extremal_indegree", "find_partition", "generate",
+    "generate_with_witness", "is_general_position", "k_set_oracle", "kset_lower_bound",
+    "kset_vector_from_halfperiod", "kset_vector_from_sites", "load_point_set",
+    "locate_halfperiod_witness", "orientation", "save_point_set",
+    "series_and_integral_report", "site_counts", "slack_quartic",
 ]
 
 
@@ -95,3 +113,13 @@ def test_benchmark_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"ksetlab.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+def test_public_surface():
+    # A name added to or dropped from the package's exports changes this list.
+    assert len(PUBLIC) == 44 and len(set(PUBLIC)) == len(PUBLIC)
+    assert ksetlab.__all__ == PUBLIC
+    assert all(hasattr(ksetlab, name) for name in PUBLIC)
+    namespace: dict = {}
+    exec("from ksetlab import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
