@@ -88,6 +88,18 @@ MUTANTS = [
      "            if dx < 0 or not dx and dy < 0:\n                g = -g\n",
      "",
      ["tests/test_geometry.py::TestGeneralPositionDraw"]),
+    ("PointSet identity without the scale", G,
+     '_fields = ("coords", "scale", "labels")',
+     '_fields = ("coords", "labels")',
+     ["tests/test_geometry.py::TestIntegerKernel"]),
+    ("crossing_count weighting a swap at site i by i instead of i - 1", C,
+     "sum(c * (i - 1) * (n - i - 1) for i, c in enumerate(counts))",
+     "sum(c * i * (n - i - 1) for i, c in enumerate(counts))",
+     ["tests/test_circular.py::TestCrossingCount"]),
+    ("build_halfperiod not relabeling the kept halfperiod", C,
+     "        kept = kept.with_labels(ps.labels)\n",
+     "        pass\n",
+     ["tests/test_circular.py::TestKeptHalfperiod"]),
 ]
 
 

@@ -23,10 +23,11 @@ inside each gap between consecutive classes (``gap_sample``), the start
 direction (the first gap's sample) and the order of the swaps: the pair
 order rotated to begin at the first class ahead of the start.  The pairs
 of one class are disjoint and their swaps commute; they are listed by
-increasing left site.  The swaps are replayed once per point set
+increasing left site.  The swaps are replayed once per grid
 (``replay_sites``), from the default start, into the flat columns of a
-``Halfperiod`` kept on the point set (``PointSet.replay``); site counts,
-k-set counts, the crossing count and the decomposition checks all read it.
+``Halfperiod`` that ``build_halfperiod`` alone builds and keeps on the
+point set (a relabeled copy shares the columns); site counts, k-set
+counts, the crossing count and the decomposition checks all read it.
 ``replay`` from any other start rotates those columns, since the full turn
 is the halfperiod followed by its mirror: the swaps from the first class
 ahead of the start on, then the ones before it, with the part met in the
@@ -148,18 +149,13 @@ class Halfperiod(Frozen):
         return tuple(counts[i] for i in width), tuple(het[i] for i in width)
 
 
-def replay(ps: PointSet, u: Direction) -> Halfperiod:
-    """The halfperiod of ``ps`` that starts at ``u``, which must tie no pair
-    of projections, with the labels of ``ps``.  The swaps are replayed
-    once per point set, from the first gap (``PointSet.replay``,
-    ``replay_sites``); any other start rotates those columns.  Let j be
-    the number of swaps before the first class ahead of u: the new columns
-    are the swaps from j on, then the ones before j.  A swap that the
-    sweep from u meets in the other half turn than the default sweep does
-    trades the same points in the reversed order, so its site s becomes
-    n - s: in the part before j when u continues the default sweep, in the
-    part from j on when u is opposed to it.  Mirroring reverses a class's
-    sites, so each class of several pairs there has its block reversed."""
+_KEPT = "_halfperiod"  # where build_halfperiod keeps its halfperiod on a point set
+
+
+def _start(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], int, bool]:
+    """The sweep of ``ps`` from ``u``, which must tie no pair of
+    projections: the order of the points along u, the first class ahead of
+    u, and whether u is opposed to the sweep from the default start."""
     classes = ps.classes  # first: a degenerate set raises GeneralPositionError, not a tie
     height = [u[0] * x + u[1] * y for x, y in ps.coords]
     initial = tuple(sorted(range(len(height)), key=height.__getitem__))
@@ -174,13 +170,25 @@ def replay(ps: PointSet, u: Direction) -> Halfperiod:
     upper = (-u[0], -u[1]) if flipped else u
     count = len(classes)
     ahead = bisect_left(range(count), True, key=lambda g: cross(upper, classes.direction(g)) > 0)
-    first, opposed = ahead % max(count, 1), count > 0 and (ahead > 0) == flipped
-    if "replay" not in ps.__dict__ and u == gap_sample(classes, 0):
-        # The default start: the one swap loop, kept on the point set.
-        base = Halfperiod(u, initial, first, *replay_sites(classes, initial, first), ps.labels)
-        ps.__dict__["replay"] = base
-        return base
-    base = ps.replay
+    return initial, ahead % max(count, 1), count > 0 and (ahead > 0) == flipped
+
+
+def replay(ps: PointSet, u: Direction) -> Halfperiod:
+    """The halfperiod of ``ps`` that starts at ``u``, which must tie no pair
+    of projections, with the labels of ``ps``: a rotation of the columns
+    ``build_halfperiod(ps)`` keeps.  Let j be the number of swaps before
+    the first class ahead of u: the new columns are the swaps from j on,
+    then the ones before j.  A swap that the sweep from u meets in the
+    other half turn than the default sweep does trades the same points in
+    the reversed order, so its site s becomes n - s: in the part before j
+    when u continues the default sweep, in the part from j on when u is
+    opposed to it.  Mirroring reverses a class's sites, so each class of
+    several pairs there has its block reversed."""
+    initial, first, opposed = _start(ps, u)
+    # Only the kept columns are read, so no relabeled copy is made, and a
+    # traced build_halfperiod(ps, u) holds no second halfperiod span.
+    base = ps.__dict__.get(_KEPT) or build_halfperiod(ps)
+    classes = ps.classes
     starts, pairs, n = classes.starts, len(base.sites), len(initial)
     j = (starts[first] - starts[base.first]) % max(pairs, 1)
     columns = [column[j:] + column[:j] for column in (base.sites, base.firsts, base.seconds)]
@@ -250,11 +258,23 @@ def site_counts(ps: PointSet) -> SiteCounts:
 
 def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfperiod:
     """The halfperiod of ``ps`` starting at ``direction``, with the labels
-    of ``ps`` (default: ``default_start_direction``, the replay kept on the
-    point set, ``PointSet.replay``).  The supplied direction must not be
-    perpendicular to any pair line, i.e. the initial projection order must
-    be strict.  Raises ``GeneralPositionError`` on a degenerate set."""
-    return ps.replay if direction is None else replay(ps, direction)
+    of ``ps``.  Without one it starts at ``default_start_direction``: the
+    one swap loop (``replay_sites``) runs once per grid and the halfperiod
+    is kept on the point set, relabeled, sharing its columns, for a copy
+    under other labels (``PointSet.with_labels`` hands it on).  A given
+    direction must tie no pair of projections; ``replay`` rotates the kept
+    columns to it.  Raises ``GeneralPositionError`` on a degenerate set."""
+    if direction is not None:
+        return replay(ps, direction)
+    kept = ps.__dict__.get(_KEPT)
+    if kept is None:
+        u = default_start_direction(ps)
+        initial, first, _ = _start(ps, u)
+        kept = Halfperiod(u, initial, first, *replay_sites(ps.classes, initial, first), ps.labels)
+    elif kept.labels != ps.labels:
+        kept = kept.with_labels(ps.labels)
+    ps.__dict__[_KEPT] = kept
+    return kept
 
 
 class CriticalityReport(NamedTuple):

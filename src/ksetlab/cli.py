@@ -59,9 +59,11 @@ def _cell(value: int | None, den: int | None = 1) -> int | str:
 
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
-    """The file at ``path`` opened for writing, or stdout without one.  A
-    command that computes before it writes enters this first, so that an
-    unwritable ``--out`` fails before any work."""
+    """The file at ``path`` opened for writing, or stdout without one.
+    ``bounds``, ``verify`` and ``sweep`` enter this before they compute, so
+    that an unwritable ``--out`` fails before any work; ``analyze`` and
+    ``gen`` open their output only once their input has proved usable, so
+    that an input fault leaves no file."""
     if not path:
         yield sys.stdout
         return

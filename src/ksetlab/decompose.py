@@ -9,22 +9,24 @@ decides 3-decomposability exactly, with no floating point and no
 randomness.  ``_splits_along`` is that sweep's one walk: it follows each
 point's third through the swaps of a ``Halfperiod`` at site s or 2s,
 s = n/3 (the only ones that move a point between thirds), yielding the
-split each leaves.  ``_read_splits`` walks the point set's one cached
-replay from the first gap (``PointSet.replay``), groups its swaps by class
-(``PointSet.classes``) and maps the split left after each class of flips
-to the first gap realizing it.  That gap's sample realizes the split, and
-the negated sample its reversal (third t becomes 2 - t); a witness
-(``_witness``) builds the samples of its own 2-3 splits only.
-``check_partition`` looks up the splits of the given partition (the
+split each leaves.  ``_read_splits`` walks the halfperiod from the first
+gap that ``build_halfperiod(ps)`` keeps on the point set, groups its swaps
+by class (``PointSet.classes``) and maps the split left after each class
+of flips to the first gap realizing it.  That gap's sample realizes the
+split, and the negated sample its reversal (third t becomes 2 - t); a
+witness (``_witness``) builds the samples of its own 2-3 splits only.
+``check_partition`` looks up the splits of the set's own labels (the
 direction-sampling check it replaces is kept as a test oracle);
 ``find_partition`` decides every split read and its reversal, thirds 0, 1,
 2 named a, b, c: the a,b,c split of any 3-decomposition is one of them.
 
 The halfperiod indices (s, t) of a witness come from the same walk:
-``check_halfperiod`` walks a halfperiod whose initial permutation is the
-class blocks x, y, z to the first y,z,x split after the first y,x,z one,
-and ``locate_halfperiod_witness`` runs it on the halfperiod from l1, a
-rotation of the set's one replay (``circular.replay``).
+``check_halfperiod`` walks a labeled halfperiod whose initial permutation
+is the class blocks x, y, z to the first y,z,x split after the first y,x,z
+one, and ``locate_halfperiod_witness`` runs it on the halfperiod from l1
+of the set under the witness's partition, a rotation of the set's one
+replay (``circular.replay``).  Both read the labels of what they are
+given; the labels were checked when the point set was built.
 
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
@@ -47,7 +49,6 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 from .circular import Direction, Halfperiod, block_roles, build_halfperiod, gap_sample
 from .errors import GeneralPositionError, LabelingError
 from .geometry import CLASS_NAMES, DRAWS_PER_POINT, GeneralPositionDraw, PointSet
-from .geometry import normalize_labels
 
 GENERATOR_SHAPES = ("triangle-clusters", "near-optimal-template")
 
@@ -75,16 +76,6 @@ class DecompositionWitness(NamedTuple):
     partition: tuple[str, ...]
     directions: tuple[Direction, Direction, Direction | None]
     halfperiod_indices: tuple[int, int] | None = None
-
-
-def _normalize_partition(
-    of: PointSet | Halfperiod, labels: Iterable[str] | None
-) -> tuple[str, ...]:
-    if labels is not None:
-        return normalize_labels(labels, of.n)
-    if of.labels is None:
-        raise LabelingError("no partition given and the point set is unlabeled")
-    return of.labels
 
 
 def _block_orders(mode: str) -> tuple[str, ...]:
@@ -117,12 +108,12 @@ def _splits_along(h: Halfperiod) -> Iterator[tuple[int, Split]]:
 
 def _read_splits(ps: PointSet, wanted: Collection[Split] = ()) -> dict[Split, int]:
     """Map each split into thirds that one sweep reads to the first gap
-    realizing it.  The sweep (``PointSet.replay``) starts at the first
+    realizing it.  The sweep (``build_halfperiod(ps)``) starts at the first
     gap's sample (``default_start_direction``) and meets classes 1, 2, ...
     in turn; class g opens gap g, and the last class met, 0, closes the
     halfperiod.  Stops once every split in ``wanted`` is mapped, and with
     none wanted reads the whole halfperiod."""
-    r, starts = ps.replay, ps.classes.starts
+    r, starts = build_halfperiod(ps), ps.classes.starts
     cut, final = starts[r.first], (r.first or len(ps.classes)) - 1
     steps, pairs = _splits_along(r), len(r.sites)
     first = {next(steps)[1]: 0}
@@ -162,12 +153,11 @@ def _witness(
     return DecompositionWitness(part, (directions[0], directions[1], l3))
 
 
-def check_partition(
-    ps: PointSet, labels: Iterable[str] | None = None, mode: str = "three"
-) -> DecompositionWitness | None:
-    """Search for witness directions making the given partition a
-    3-decomposition.  ``mode='three'`` (default) requires the block orders
-    a,b,c / b,a,c / b,c,a; ``mode='two'`` requires only the first two.
+def check_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | None:
+    """Search for witness directions making the labels of ``ps`` a
+    3-decomposition; raises ``LabelingError`` on an unlabeled set.
+    ``mode='three'`` (default) requires the block orders a,b,c / b,a,c /
+    b,c,a; ``mode='two'`` requires only the first two.
 
     Each block order is a split into thirds, looked up in the splits one
     sweep reads (``_read_splits``, stopped once all are read): its witness
@@ -175,7 +165,9 @@ def check_partition(
     (``gap_samples``), else the first among their negations.
     """
     orders = _block_orders(mode)
-    part = _normalize_partition(ps, labels)
+    part = ps.labels
+    if part is None:
+        raise LabelingError("check_partition needs a labeled point set")
     wanted = _splits(part, orders)
     return _witness(ps, part, wanted, _read_splits(ps, wanted))
 
@@ -187,7 +179,8 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     sweep, so the splits read and their reversals, thirds 0, 1, 2 named
     a, b, c, are every candidate partition.  Each, in the order read, is
     decided by looking up its splits in the map of that one sweep, as
-    ``check_partition`` would.  Returns the first witness found, or None.
+    ``check_partition`` would on the set under that partition.  Returns the
+    first witness found, or None.
     """
     orders = _block_orders(mode)
     if ps.n % 3 or ps.n < 3:
@@ -202,19 +195,19 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     return None
 
 
-def check_halfperiod(
-    h: Halfperiod, labels: Iterable[str] | None = None
-) -> tuple[int, int] | None:
-    """Locate the decomposition witnesses inside a halfperiod.
+def check_halfperiod(h: Halfperiod) -> tuple[int, int] | None:
+    """Locate the decomposition witnesses inside a halfperiod, under its
+    labels; raises ``LabelingError`` on an unlabeled one.
 
     The initial permutation must consist of three pure class blocks
     (x, y, z); the function then scans for the earliest index s whose
     permutation reads y,x,z in blocks and the earliest t > s reading y,z,x.
     Returns (s, t) (0-based permutation indices) or None.  Only the splits
-    ``_splits_along`` walks are read, and no swap as a ``Swap``.  Given
-    labels are checked as a ``PointSet`` checks its own (``LabelingError``).
+    ``_splits_along`` walks are read, and no swap as a ``Swap``.
     """
-    labels = _normalize_partition(h, labels)
+    labels = h.labels
+    if labels is None:
+        raise LabelingError("check_halfperiod needs a labeled halfperiod")
     roles = block_roles(h.initial_permutation, labels)
     if roles is None:
         return None
@@ -233,11 +226,12 @@ def locate_halfperiod_witness(
     ps: PointSet, witness: DecompositionWitness
 ) -> DecompositionWitness:
     """Attach the halfperiod indices (s, t) to a witness: ``check_halfperiod``
-    on the halfperiod from the first witness direction (a rotation of the
-    set's one replay), whose initial permutation is then the three class
-    blocks."""
-    h = build_halfperiod(ps, witness.directions[0])
-    return witness._replace(halfperiod_indices=check_halfperiod(h, witness.partition))
+    on the halfperiod from the first witness direction of ``ps`` under the
+    witness's partition (a rotation of the set's one replay), whose initial
+    permutation is then the three class blocks.  ``ps`` may be unlabeled,
+    as ``find_partition`` searched it."""
+    h = build_halfperiod(ps.with_labels(witness.partition), witness.directions[0])
+    return witness._replace(halfperiod_indices=check_halfperiod(h))
 
 
 def generate_with_witness(

@@ -4,11 +4,12 @@ Everything counted downstream (crossing numbers, k-set counts, transposition
 classes) reduces to sign tests on rational cross products, so no floating
 point enters any counted quantity.  A ``PointSet`` holds its points on one
 integer grid, ``PointSet.coords``: the points times ``PointSet.scale``, the
-least common multiple of all their denominators.  The kernel reads the
-grid; ``fractions.Fraction`` points (``PointSet.points``) are built from it
-only on demand.  A uniform positive scaling keeps every orientation sign,
-projection order and critical direction, so nothing read off the integers
-changes.
+least common multiple of all their denominators.  The grid is the set's
+identity (with its labels) and every routine here reads it;
+``fractions.Fraction`` points (``PointSet.points``) are built from it only
+when a caller asks for them.  A uniform positive scaling keeps every
+orientation sign, projection order and critical direction, so nothing read
+off the integers changes.
 
 The pairs live in flat columns (``Classes``, built once per point set by
 ``group_pairs``): their endpoints in two arrays, counterclockwise by
@@ -51,6 +52,8 @@ DEFAULT_ORACLE_CAP = 15
 CLASS_NAMES = ("a", "b", "c")
 
 Direction = tuple[int, int]
+#: A point as any (x, y) pair of exact numbers.
+XY = Sequence[Fraction | int]
 Pairs = tuple[tuple[int, int], ...]
 
 
@@ -100,22 +103,25 @@ class PointSet(Frozen):
     positive denominator and divides both by their gcd; a file read
     (``io.load_point_set``) and the generators build the grid directly.
     ``from_coords(coords, labels)`` takes rational points and scales them
-    by the lcm of their denominators.  ``points``, the ``Fraction``
-    ``Point``s, are built from the grid only when asked for: by the
-    brute-force oracles, ``crossing_number``, equality, hashing and repr.
+    by the lcm of their denominators.  That grid is canonical, so it is
+    the set's identity: two sets are equal, and hash alike, when their
+    ``coords``, ``scale`` and ``labels`` are.  ``points``, the ``Fraction``
+    ``Point``s, are a view built from the grid only when asked for; no
+    routine of the library reads them.
 
     Labels, when present, must split the points into thirds; this is checked
-    at construction (``normalize_labels``).  General position is *not*
+    at construction, here alone, and they are kept lower-cased.  General
+    position is *not*
     checked here: it falls out of grouping the pairs by critical direction
     (``group_pairs``), which the operations that need it do.
 
-    ``points``, ``classes`` and ``replay`` are computed at most once per
-    instance and kept on it; ``with_labels`` hands them and the grid to
-    the relabeled set, since labels change none of them (the replay's
-    columns are shared under the new labels).
+    Every value computed from the grid is computed at most once per
+    instance and kept in its ``__dict__``: ``points``, ``classes`` and the
+    halfperiod ``circular.build_halfperiod`` keeps.  ``with_labels`` hands
+    them all on to the relabeled set, since labels change none of them.
     """
 
-    _fields = ("points", "labels")
+    _fields = ("coords", "scale", "labels")
     coords: tuple[tuple[int, int], ...]
     scale: int
     labels: tuple[str, ...] | None
@@ -129,7 +135,9 @@ class PointSet(Frozen):
         """The set of the integer points ``coords``, each ``(x, y)`` a
         tuple, over the positive denominator ``scale``: the point
         ``(x / scale, y / scale)``.  Grid and scale are divided by the gcd
-        of ``scale`` and all coordinates."""
+        of ``scale`` and all coordinates.  Raises ``LabelingError`` unless
+        ``labels``, if given, name each point 'a', 'b' or 'c' and each
+        class n/3 points."""
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
         coords = tuple(coords)
@@ -137,7 +145,16 @@ class PointSet(Frozen):
         if c > 1:
             coords, scale = tuple((x // c, y // c) for x, y in coords), scale // c
         if labels is not None:
-            labels = normalize_labels(labels, len(coords))
+            labels, n = tuple(str(c).lower() for c in labels), len(coords)
+            if len(labels) != n:
+                raise LabelingError("labels must match the number of points")
+            if any(c not in CLASS_NAMES for c in labels):
+                raise LabelingError("labels must be 'a', 'b' or 'c'")
+            if n % 3 != 0:
+                raise LabelingError("labeled sets need n divisible by 3")
+            for c in CLASS_NAMES:
+                if labels.count(c) != n // 3:
+                    raise LabelingError(f"class {c!r} must have n/3 members")
         self.__dict__.update(coords=coords, scale=scale, labels=labels)
 
     @property
@@ -163,12 +180,10 @@ class PointSet(Frozen):
         )
 
     def with_labels(self, labels: Iterable[str] | None) -> "PointSet":
+        """The same grid under ``labels``, with every value kept on this set."""
         out = PointSet(self.coords, self.scale, labels)
-        for name in ("points", "classes"):
-            if name in self.__dict__:
-                out.__dict__[name] = self.__dict__[name]
-        if "replay" in self.__dict__:
-            out.__dict__["replay"] = self.replay.with_labels(out.labels)
+        for name, value in self.__dict__.items():
+            out.__dict__.setdefault(name, value)
         return out
 
     @cached_property
@@ -183,36 +198,14 @@ class PointSet(Frozen):
         (``group_pairs``; raises ``GeneralPositionError`` if degenerate)."""
         return group_pairs(self)
 
-    @cached_property
-    def replay(self):
-        """The default-start ``Halfperiod``, replayed once (``circular.replay``)."""
-        from .circular import default_start_direction, replay
-        return replay(self, default_start_direction(self))
 
-
-def normalize_labels(labels: Iterable[str], n: int) -> tuple[str, ...]:
-    """The class labels of n points, lower-cased.  Raises ``LabelingError``
-    unless each point has one of 'a', 'b', 'c' and each class holds n/3
-    points."""
-    labels = tuple(str(c).lower() for c in labels)
-    if len(labels) != n:
-        raise LabelingError("labels must match the number of points")
-    if any(c not in CLASS_NAMES for c in labels):
-        raise LabelingError("labels must be 'a', 'b' or 'c'")
-    if n % 3 != 0:
-        raise LabelingError("labeled sets need n divisible by 3")
-    for c in CLASS_NAMES:
-        if labels.count(c) != n // 3:
-            raise LabelingError(f"class {c!r} must have n/3 members")
-    return labels
-
-
-def orientation(p: Point, q: Point, r: Point) -> int:
-    """Sign of the cross product (q - p) x (r - p).
+def orientation(p: XY, q: XY, r: XY) -> int:
+    """Sign of the cross product (q - p) x (r - p), for any three (x, y)
+    pairs: ``Point``s, or integer points on one grid.
 
     +1 for a counterclockwise turn, -1 for clockwise, 0 for collinear.
     """
-    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (d > 0) - (d < 0)
 
 
@@ -405,19 +398,18 @@ class GeneralPositionDraw:
         return True
 
 
-def _in_triangle(a: Point, b: Point, c: Point, p: Point) -> bool:
+def _in_triangle(a: XY, b: XY, c: XY, p: XY) -> bool:
     # Strict containment; inputs are in general position so no zeros occur.
     return orientation(a, b, p) == orientation(b, c, p) == orientation(c, a, p)
 
 
 def crossing_number(ps: PointSet) -> int:
     """Number of crossings in the straight-line drawing of the complete
-    graph on ``ps``: the count of 4-subsets in convex position.
+    graph on ``ps``: the count of 4-subsets in convex position, on the
+    integer grid.
     """
     ps.classes  # raises GeneralPositionError
-    pts = ps.points
-    if len(pts) < 4:
-        return 0
+    pts = ps.coords
     count = 0
     for a, b, c, d in combinations(pts, 4):
         if not (
@@ -447,23 +439,20 @@ class KSetVector(NamedTuple):
         return cls(n, e, dict(zip(e, accumulate(e.values()))))
 
 
-def k_set_oracle(ps: PointSet, cap: int | None = None) -> KSetVector:
-    """Brute-force k-set counts from directed pair-lines.
+def k_set_oracle(ps: PointSet) -> KSetVector:
+    """Brute-force k-set counts from directed pair-lines, on the integer
+    grid.
 
     Each separable subset is cut off by a line through two points of the
     set, so collecting ``{strictly left of p->q} + {p}`` over all ordered
     pairs and deduplicating yields every separable subset.  Intentionally
-    small scale: refuses n above the cap (``DEFAULT_ORACLE_CAP``, 15,
-    unless the ``cap`` argument gives another).
+    small scale: refuses n above ``DEFAULT_ORACLE_CAP``, 15.
     """
     n = ps.n
-    limit = DEFAULT_ORACLE_CAP if cap is None else cap
-    if n > limit:
-        raise OracleSizeError(f"oracle capped at n <= {limit}, got n = {n}")
+    if n > DEFAULT_ORACLE_CAP:
+        raise OracleSizeError(f"oracle capped at n <= {DEFAULT_ORACLE_CAP}, got n = {n}")
     ps.classes  # raises GeneralPositionError
-    if n < 2:
-        return KSetVector.from_counts(n, {})
-    pts = ps.points
+    pts = ps.coords
     seen: set[frozenset[int]] = set()
     half = n // 2
     for i in range(n):

@@ -16,8 +16,9 @@ reduced by their gcd, with no ``Fraction``.  Any other form
 "+"-signed string) still parses through it, behind a guard on the decimal
 exponent.  A file is written from the grid, each coordinate the reduced
 "p/q" string of ``x / scale``, laid out as ``json.dumps(..., indent=2)``
-lays out ``point_set_to_dict``; coordinates round-trip bit exactly.
-``Fraction`` points (``PointSet.points``) are built by neither.
+lays out the schema's object (``save_point_set`` alone writes it);
+coordinates round-trip bit exactly.  ``Fraction`` points
+(``PointSet.points``) are built by neither.
 """
 
 from __future__ import annotations
@@ -63,23 +64,6 @@ def _ratio(text: str) -> tuple[int, int]:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     return value.numerator, value.denominator
-
-
-def _grid_strings(ps: PointSet) -> list[tuple[str, str]]:
-    """Each point's coordinates as reduced "p/q" strings, off the grid."""
-    m, gcd = ps.scale, math.gcd
-    out = []
-    for x, y in ps.coords:
-        g, h = gcd(x, m), gcd(y, m)
-        out.append((f"{x // g}/{m // g}", f"{y // h}/{m // h}"))
-    return out
-
-
-def point_set_to_dict(ps: PointSet) -> dict:
-    out: dict = {"n": ps.n, "points": [list(p) for p in _grid_strings(ps)]}
-    if ps.labels is not None:
-        out["labels"] = list(ps.labels)
-    return out
 
 
 def point_set_from_dict(data: dict) -> PointSet:
@@ -130,10 +114,15 @@ def _json_list(items: list[str], indent: str) -> str:
 
 
 def save_point_set(ps: PointSet, path: str | Path) -> None:
-    """Write ``ps`` to ``path``: the bytes of
-    ``json.dumps(point_set_to_dict(ps), indent=2)`` and a newline, from the
-    grid's strings without ``json``'s encoder."""
-    points = [f'[\n      "{x}",\n      "{y}"\n    ]' for x, y in _grid_strings(ps)]
+    """Write ``ps`` to ``path`` in the schema: the bytes ``json.dumps(...,
+    indent=2)`` gives for ``{"n": ..., "points": ..., "labels": ...}`` (no
+    "labels" on an unlabeled set) and a newline, from the grid's strings
+    without ``json``'s encoder."""
+    m, gcd = ps.scale, math.gcd
+    points = []
+    for x, y in ps.coords:  # each coordinate as its reduced "p/q" string
+        g, h = gcd(x, m), gcd(y, m)
+        points.append(f'[\n      "{x // g}/{m // g}",\n      "{y // h}/{m // h}"\n    ]')
     text = f'{{\n  "n": {ps.n},\n  "points": {_json_list(points, "  ")}'
     if ps.labels is not None:
         labels = [f'"{c}"' for c in ps.labels]

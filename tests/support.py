@@ -26,7 +26,7 @@ k, instead of reading the halfperiod's one-pass site counts.
 The kernel oracles are the library's earlier kernel: a dict of per-pair
 tuples keyed by primitive direction, sorted by float angle and checked by
 one exact pass of its classes, and a replay that yields the swaps class by
-class.  The flat kernel (``PointSet.classes``, ``PointSet.replay``) must
+class.  The flat kernel (``PointSet.classes``, ``build_halfperiod``) must
 give the same classes, swaps, site counts and splits.
 
 The random-set oracle is the plain rejection loop: each candidate is kept
@@ -448,7 +448,7 @@ def gap_samples_of(classes: list) -> list[Direction]:
 
 
 def sweep_by_classes(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], list[list]]:
-    """The halfperiod ``circular.replay`` records, from the classes of
+    """The halfperiod ``build_halfperiod(ps, u)`` records, from the classes of
     ``classes_by_sorting``, one class at a time, with the same checks: the
     initial permutation and the ``(site, i, j)`` swaps of each class."""
     classes = classes_by_sorting(ps)

@@ -272,7 +272,7 @@ def test_criterion_9_decomposability_soundness(generated_sets):
     for n in (6, 9, 12):
         stripped = generate(n, 7).with_labels(None)
         found = find_partition(stripped)
-        if found is None or check_partition(stripped, found.partition) is None:
+        if found is None or check_partition(stripped.with_labels(found.partition)) is None:
             ok = False
     report(
         "C9 decomposability soundness",

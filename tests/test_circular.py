@@ -27,12 +27,16 @@ from ksetlab.circular import (
     block_roles,
     default_start_direction,
     gap_samples,
-    replay,
 )
 from ksetlab.cli import ANALYZE_COLUMNS, _analyze_rows
 from ksetlab.verify import random_general_position_set
 
-from support import DEGENERATE_SETS, critical_counts_by_recount, sweep_by_classes
+from support import (
+    DEGENERATE_SETS,
+    critical_counts_by_recount,
+    site_counts_by_replay,
+    sweep_by_classes,
+)
 
 TRIANGLE = PointSet.from_coords([(0, 0), (1, 0), (0, 1)])
 HEXAGON = PointSet.from_coords([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
@@ -323,23 +327,49 @@ class TestCrossingCount:
 class TestStartDirection:
     def test_counting_and_decomposition_start_in_the_first_gap(self, monkeypatch):
         # site_counts, build_halfperiod, check_partition and find_partition
-        # read one replay, from gap_samples(ps.classes)[0], cached on the
-        # point set and handed on to its relabeled copies.
+        # read one halfperiod, from gap_samples(ps.classes)[0], replayed by
+        # one swap loop, kept on the point set and handed on to its
+        # relabeled copies.
         ps = generate(9, seed=5)
         fresh = PointSet(ps.coords, ps.scale, ps.labels)
-        starts = []
+        loops = []
+        real = circular.replay_sites
 
-        def recording(ps, u):
-            starts.append(u)
-            return replay(ps, u)
+        def recording(*args):
+            loops.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(circular, "replay", recording)
+        monkeypatch.setattr(circular, "replay_sites", recording)
         site_counts(fresh)
         build_halfperiod(fresh)
         decompose.check_partition(fresh)
         decompose.find_partition(fresh.with_labels(None))
         assert site_counts(fresh.with_labels(None)) == (site_counts(fresh)[0], None)
-        assert starts == [gap_samples(ps.classes)[0]]
+        assert len(loops) == 1
+        start = gap_samples(ps.classes)[0]
+        assert build_halfperiod(fresh).direction == start
+        assert loops[0][1] == sweep_by_classes(ps, start)[0]
+
+
+class TestKeptHalfperiod:
+    """``build_halfperiod(ps)`` keeps the default-start halfperiod on the
+    point set; a relabeled copy reads the same columns under its own
+    labels."""
+
+    @pytest.mark.parametrize("n, seed", [(9, 2), (12, 7), (30, 1)])
+    def test_relabeled_copy_shares_the_columns(self, n, seed):
+        ps = generate(n, seed)
+        kept = build_halfperiod(ps)
+        shuffled = random.Random(seed).sample(ps.labels, n)
+        for labels in (shuffled, None, ps.labels[::-1], ps.labels):
+            copy = ps.with_labels(labels).with_labels(labels)
+            h = build_halfperiod(copy)
+            assert h.sites is kept.sites and h.firsts is kept.firsts
+            assert h.seconds is kept.seconds and h.direction == kept.direction
+            assert h.labels == copy.labels and build_halfperiod(copy) is h
+            # Heterogeneous swaps counted under the copy's labels.
+            assert site_counts(copy) == site_counts_by_replay(copy)
+        assert build_halfperiod(ps) is kept and kept.labels == ps.labels
 
 
 @st.composite
@@ -362,7 +392,7 @@ class TestRotation:
     def test_matches_class_by_class_replay(self, ps, u, replayed_first):
         fresh = PointSet(ps.coords, ps.scale, ps.labels)
         if replayed_first:
-            fresh.replay
+            build_halfperiod(fresh)
         try:
             initial, flips = sweep_by_classes(ps, u)
         except ValueError:  # u ties a pair of projections
@@ -411,7 +441,7 @@ class TestFrozenRecords:
     # PointSet and Halfperiod are read-only records compared by their fields.
     def test_fields_are_read_only(self):
         ps = PointSet.from_coords([(0, 0), (1, 0), (0, 1)])
-        for record, field in ((ps, "points"), (build_halfperiod(ps), "swaps")):
+        for record, field in ((ps, "coords"), (build_halfperiod(ps), "swaps")):
             with pytest.raises(AttributeError):
                 setattr(record, field, ())
             with pytest.raises(AttributeError):
@@ -428,7 +458,8 @@ class TestFrozenRecords:
         assert h is not build_halfperiod(TRIANGLE)
         assert h == build_halfperiod(TRIANGLE) and hash(h) == hash(build_halfperiod(TRIANGLE))
         assert h != build_halfperiod(again)
-        assert repr(ps) == f"PointSet(points={ps.points!r}, labels=None)"
+        assert repr(ps) == "PointSet(coords=((0, 0), (1, 0), (0, 1)), scale=1, labels=None)"
+        assert "points" not in ps.__dict__
         assert repr(h) == (
             f"Halfperiod(n=3, initial_permutation={h.initial_permutation!r}, "
             f"swaps={h.swaps!r}, direction={h.direction!r}, labels=None)"

@@ -96,7 +96,7 @@ class TestCheckPartition:
         labels = ["a"] * 3 + ["b"] * 3 + ["c"] * 3
         ps = PointSet.from_coords(coords, labels)
         assert is_general_position(ps)
-        w = check_partition(ps, labels)
+        w = check_partition(ps)
         if w is not None:
             assert_witness_orders(ps, w)
 
@@ -110,7 +110,7 @@ class TestCheckPartition:
     def test_malformed_partition(self):
         ps = generate(9, seed=0)
         with pytest.raises(LabelingError):
-            check_partition(ps, ["a"] * 9)
+            check_partition(ps.with_labels(["a"] * 9))
         with pytest.raises(LabelingError):
             check_partition(ps.with_labels(None))
 
@@ -124,7 +124,7 @@ class TestFindPartition:
         ps = generate(9, seed=6).with_labels(None)
         w = find_partition(ps)
         assert w is not None
-        assert check_partition(ps, w.partition) is not None
+        assert check_partition(ps.with_labels(w.partition)) is not None
 
     def test_triangle_always_found(self):
         w = find_partition(PointSet.from_coords([(0, 0), (4, 1), (1, 3)]))
@@ -132,15 +132,15 @@ class TestFindPartition:
 
     def test_absence_after_exhausting_all_candidates(self, monkeypatch):
         sweeps = []
-        real = circular_mod.replay
+        real = circular_mod.replay_sites
 
-        def recording(ps, u):
-            sweeps.append(u)
-            return real(ps, u)
+        def recording(*args):
+            sweeps.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(circular_mod, "replay", recording)
+        monkeypatch.setattr(circular_mod, "replay_sites", recording)
         for mode in ("three", "two"):
-            # A fresh copy each time: the replay is cached on the point set.
+            # A fresh copy each time: the halfperiod is kept on the point set.
             assert find_partition(PointSet.from_coords(NON_DECOMPOSABLE_6.points), mode) is None
         # One sweep per search decides every candidate, and none was missed:
         # no balanced labeling passes even the two-condition projection oracle.
@@ -149,11 +149,11 @@ class TestFindPartition:
             assert check_partition_by_sampling(NON_DECOMPOSABLE_6, labels, "two") is None
 
     def test_bad_mode_raises_before_any_sweep(self, monkeypatch):
-        def no_sweep(ps, u):
+        def no_sweep(*args):
             raise AssertionError("swept before checking the mode")
 
         ps = PointSet.from_coords(generate(9, seed=0).points)
-        monkeypatch.setattr(circular_mod, "replay", no_sweep)
+        monkeypatch.setattr(circular_mod, "replay_sites", no_sweep)
         with pytest.raises(ValueError, match="mode"):
             find_partition(ps, mode="one")
 
@@ -183,11 +183,12 @@ class TestFindPartition:
         for mode in ("three", "two"):
             w = find_partition(ps, mode)
             passing = [
-                labels for labels in balanced if check_partition(ps, labels, mode) is not None
+                labels for labels in balanced
+                if check_partition(ps.with_labels(labels), mode) is not None
             ]
             assert (w is None) == (not passing)
             if w is not None:
-                assert w == check_partition(ps, w.partition, mode)
+                assert w == check_partition(ps.with_labels(w.partition), mode)
                 assert w == check_partition_by_sampling(ps, w.partition, mode)
 
     def test_recovers_generated_n30(self):
@@ -310,7 +311,7 @@ class TestWitnessReuse:
 @pytest.mark.parametrize("ps", DEGENERATE_SETS)
 def test_degenerate_sets_rejected(ps):
     with pytest.raises(GeneralPositionError):
-        check_partition(ps, ["a", "b", "c"] * 2)
+        check_partition(ps.with_labels(["a", "b", "c"] * 2))
     with pytest.raises(GeneralPositionError):
         find_partition(ps)
 
@@ -348,9 +349,10 @@ class TestCheckHalfperiod:
 
     @pytest.mark.parametrize("labels", [["a", "b", "c"], ["x"] * 9])
     def test_given_labels_are_checked(self, labels):
-        h = build_halfperiod(generate(9, seed=1))
+        # A halfperiod's labels are its point set's, checked when the set
+        # was built; check_halfperiod takes no others.
         with pytest.raises(LabelingError):
-            check_halfperiod(h, labels=labels)
+            build_halfperiod(generate(9, seed=1).with_labels(labels))
 
     def test_locate_halfperiod_witness(self):
         from ksetlab.decompose import locate_halfperiod_witness
@@ -360,6 +362,24 @@ class TestCheckHalfperiod:
         assert w.halfperiod_indices is not None
         s, t = w.halfperiod_indices
         assert 0 <= s < t <= math.comb(12, 2)
+
+    # Sets whose searched witness has indices in the halfperiod from l1.
+    @pytest.mark.parametrize("n, seed, shape", [
+        (9, 3, "triangle-clusters"), (12, 2, "triangle-clusters"),
+        (12, 3, "triangle-clusters"), (9, 1, "near-optimal-template"),
+    ])
+    def test_locate_on_the_unlabeled_set_find_partition_searched(self, n, seed, shape):
+        # The witness's own partition labels the halfperiod from l1: the
+        # unlabeled set, a fresh copy of it and the set under that
+        # partition give the same indices.
+        unlabeled = generate(n, seed, shape).with_labels(None)
+        w = find_partition(unlabeled)
+        located = locate_halfperiod_witness(unlabeled, w)
+        assert located.halfperiod_indices is not None
+        assert located == locate_halfperiod_witness(unlabeled.with_labels(w.partition), w)
+        assert located == locate_halfperiod_witness(
+            PointSet(unlabeled.coords, unlabeled.scale), w
+        )
 
 
 class TestGenerate:

@@ -1,8 +1,11 @@
+import ast
 import math
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +61,14 @@ class TestOrientation:
 
     def test_cw(self):
         assert orientation(pt(0, 0), pt(0, 1), pt(1, 0)) == -1
+
+    def test_any_xy_pairs(self):
+        # Integer grid points and tuples of Fractions give the sign that
+        # Points give.
+        for p, q, r in permutations([(0, 0), (3, 1), (1, 4), (2, 2)], 3):
+            sign = orientation(pt(*p), pt(*q), pt(*r))
+            assert orientation(p, q, r) == sign
+            assert orientation(*(tuple(map(Fraction, v)) for v in (p, q, r))) == sign
 
     def test_antisymmetric_under_argument_swaps(self):
         # Swapping any two arguments flips the sign (= permutation parity).
@@ -181,6 +192,39 @@ class TestIntegerKernel:
         for scale in (0, -4):
             with pytest.raises(ValueError, match="scale must be positive"):
                 PointSet([(1, 2)], scale)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equal_exactly_when_fraction_points_and_labels_are(self, data):
+        # The grid and the labels are the set's identity.  Two sets, each
+        # built from rationals or as a grid over a multiple of their lcm,
+        # the second the first's points, one of them moved, or all scaled:
+        # equal, and hashed alike, exactly when the Fraction points and the
+        # labels are, with no Fraction point built to compare them.
+        n = data.draw(st.sampled_from([0, 1, 3, 3, 6]))
+        first = data.draw(st.lists(MIXED_POINTS, min_size=n, max_size=n))
+        second = list(first)
+        change = data.draw(st.sampled_from(["same", "moved", "scaled"]))
+        if change == "moved" and n:
+            second[data.draw(st.integers(0, n - 1))] = data.draw(MIXED_POINTS)
+        elif change == "scaled":
+            t = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), 2, 3]))
+            second = [(x * t, y * t) for x, y in first]
+        sets = []
+        for points in (first, second):
+            labels = None if n % 3 else data.draw(st.none() | st.permutations("abc" * (n // 3)))
+            if data.draw(st.booleans()):
+                sets.append(PointSet.from_coords(points, labels))
+            else:
+                m = math.lcm(*(c.denominator for p in points for c in p))
+                m *= data.draw(st.integers(1, 12))
+                sets.append(PointSet([(int(x * m), int(y * m)) for x, y in points], m, labels))
+        a, b = sets
+        equal = a == b
+        assert "points" not in a.__dict__ and "points" not in b.__dict__
+        assert equal == ((a.points, a.labels) == (b.points, b.labels))
+        if equal:
+            assert hash(a) == hash(b)
 
     def test_with_labels_keeps_the_grouping(self):
         ps = generate(9, 0)
@@ -496,8 +540,8 @@ class TestKSetOracle:
         ps = random_general_position_set(16, 7)
         with pytest.raises(OracleSizeError):
             k_set_oracle(ps)
-        # explicit cap raises the limit
-        assert k_set_oracle(ps, cap=16).e[1] >= 3
+        # the cap is the largest n the oracle takes
+        assert k_set_oracle(random_general_position_set(15, 7)).e[1] >= 3
 
     def test_generated_nine_point_set_vs_hull_oracle(self):
         ps = generate(9, seed=2)
@@ -525,3 +569,28 @@ class TestKSetOracle:
         assert k_set_oracle(PointSet(((0, 0),))).e == {}
         two = k_set_oracle(PointSet.from_coords([(0, 0), (1, 0)]))
         assert two.e == {1: 2}
+
+
+def test_geometry_imports_only_errors():
+    # geometry imports no ksetlab module but errors, at the top or inside a
+    # function: read off its source, then seen in a fresh interpreter whose
+    # ksetlab package is bare (its __init__ imports every module).
+    source = Path(geometry.__file__)
+    tree = ast.parse(source.read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"errors"}
+    code = (
+        "import sys, types\n"
+        "package = types.ModuleType('ksetlab')\n"
+        f"package.__path__ = [{str(source.parent)!r}]\n"
+        "sys.modules['ksetlab'] = package\n"
+        "from ksetlab.geometry import PointSet, crossing_number, k_set_oracle\n"
+        "ps = PointSet([(0, 0), (5, 1), (2, 4)], 3, 'abc').with_labels(None)\n"
+        "ps.classes, ps.points, hash(ps), crossing_number(ps), k_set_oracle(ps)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('ksetlab')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "['ksetlab', 'ksetlab.errors', 'ksetlab.geometry']\n"

@@ -37,11 +37,11 @@ from ksetlab.errors import OracleSizeError
 from ksetlab.io import (
     _ratio,
     point_set_from_dict,
-    point_set_to_dict,
 )
 from ksetlab.verify import random_general_position_set
 
 from support import (
+    DEGENERATE_SETS,
     bounds_rows_by_fractions,
     csv_text_by_writer,
     general_position_by_triples,
@@ -221,18 +221,23 @@ class TestPointSetFiles:
         ps = load_point_set(src)
         assert ps.scale == 1 and ps.coords == tuple((1, i * i) for i in range(12))
 
-    def test_non_dyadic_sets_load_unchanged(self):
+    def test_non_dyadic_sets_load_unchanged(self, tmp_path):
         # 60 points whose 120 coordinates have distinct odd prime
         # denominators (an lcm of about 280 digits), and a generated set.
         primes = [p for p in range(3, 700) if all(p % d for d in range(2, p))][:120]
         coords = [(Fraction(i + 1, primes[2 * i]), Fraction(i * i + 1, primes[2 * i + 1]))
                   for i in range(60)]
+        path = tmp_path / "set.json"
         for ps in (PointSet.from_coords(coords), generate(60, 0)):
-            assert point_set_from_dict(point_set_to_dict(ps)) == ps
+            save_point_set(ps, path)
+            assert load_point_set(path) == ps
 
     def test_schema_fields(self, tmp_path):
         ps = generate(6, 0)
-        d = point_set_to_dict(ps)
+        path = tmp_path / "set.json"
+        save_point_set(ps, path)
+        d = json.loads(path.read_text())
+        assert list(d) == ["n", "points", "labels"]
         assert d["n"] == 6 and len(d["points"]) == 6 and len(d["labels"]) == 6
         assert all("/" in x and "/" in y for x, y in d["points"])
 
@@ -936,10 +941,23 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, arg
         ["verify", "--suite", "slack", "--max-b", "-5", "--max-n", "9"],
         ["sweep", "--ns", "6", "--seeds", "0"],
         ["bounds", "--n", "9", "--k", "0"],
+        ["analyze", "--input", "{degenerate}"],
+        ["analyze", "--input", "{triangle}", "--k-range", "5:9"],
+        ["analyze", "--input", "{refused}", "--require-decomp"],
     ],
 )
 def test_usage_error_writes_no_out(tmp_path, capsys, argv):
-    # The arguments are checked before the output is opened.
+    # The arguments are checked before the output is opened; analyze opens
+    # it only once the input has proved usable: a degenerate set, a k range
+    # holding no k and a set --require-decomp refuses leave no file.
+    inputs = {
+        "degenerate": DEGENERATE_SETS[0],
+        "triangle": PointSet.from_coords([(0, 0), (1, 0), (0, 1)]),
+        "refused": random_general_position_set(9, 0),  # no 3-decomposition
+    }
+    for name, ps in inputs.items():
+        save_point_set(ps, tmp_path / f"{name}.json")
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in inputs}) for a in argv]
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
@@ -1055,20 +1073,22 @@ class TestGroupOnce:
                                                  labeled):
         # check_partition's splits (or find_partition's, then the relabeled
         # copy's) and the site counts read one replay of the default-start
-        # halfperiod, cached on the point set.
+        # halfperiod, kept on the point set: one swap loop, from the order
+        # along the default start.
         ps = generate(9, 4)
         path = tmp_path / "in.json"
         save_point_set(ps if labeled else ps.with_labels(None), path)
-        replays = []
-        real = circular.replay
+        initial = circular.build_halfperiod(load_point_set(path)).initial_permutation
+        loops = []
+        real = circular.replay_sites
 
-        def counting(ps, u):
-            replays.append(u)
-            return real(ps, u)
+        def counting(*args):
+            loops.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(circular, "replay", counting)
+        monkeypatch.setattr(circular, "replay_sites", counting)
         assert main(["analyze", "--input", str(path), "--require-decomp"]) == 0
-        assert replays == [circular.default_start_direction(load_point_set(path))]
+        assert [args[1] for args in loops] == [initial]
 
     # Every draw is in general position, so only a failed partition check
     # starts another attempt, and no seed tried fails one on its own:
@@ -1107,15 +1127,16 @@ class TestGroupOnce:
 
     def test_gen_checks_once_per_attempt(self, tmp_path, capsys, monkeypatch):
         # The witness gen prints is the generator's own check: one
-        # check_partition per attempt.  One swap loop per attempt, for its
-        # check's replay; the halfperiod from l1 for (s, t) rotates the
-        # accepted set's columns and runs none.  No Swap tuple is built.
+        # check_partition per attempt.  One swap loop per attempt, for the
+        # halfperiod its check builds; the halfperiod from l1 for (s, t)
+        # rotates the accepted set's columns and runs none.  No Swap tuple
+        # is built.
         calls = []
-        real_replay, real_loop = circular.replay, circular.replay_sites
+        real_build, real_loop = decompose.build_halfperiod, circular.replay_sites
 
-        def replay(*args):
-            result = real_replay(*args)
-            calls.append(("replay", result))
+        def build(*args):
+            result = real_build(*args)
+            calls.append(("halfperiod", result))
             return result
 
         def loop(*args):
@@ -1123,7 +1144,7 @@ class TestGroupOnce:
             return real_loop(*args)
 
         self._fail_odd_checks(monkeypatch, calls)
-        monkeypatch.setattr(circular, "replay", replay)
+        monkeypatch.setattr(decompose, "build_halfperiod", build)
         monkeypatch.setattr(circular, "replay_sites", loop)
         monkeypatch.setattr(circular.Halfperiod, "swaps", property(
             lambda h: calls.append(("swaps", None))
@@ -1135,8 +1156,8 @@ class TestGroupOnce:
         assert "halfperiod witness" in out
         names = [name for name, _ in calls]
         assert "swaps" not in names
-        assert names == ["loop", "replay", "check_partition"] * 2 + ["replay"]
-        _, checked, from_l1 = [r for name, r in calls if name == "replay"]
+        assert names == ["loop", "halfperiod", "check_partition"] * 2 + ["halfperiod"]
+        _, checked, from_l1 = [r for name, r in calls if name == "halfperiod"]
         assert checked.direction == circular.gap_sample(load_point_set(path).classes, 0)
         assert f"l1 = ({from_l1.direction[0]}, {from_l1.direction[1]})" in out
 
