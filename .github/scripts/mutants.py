@@ -60,6 +60,30 @@ MUTANTS = [
      "return (math.isqrt(4 * t - 3) - 1) // 2",
      "return math.isqrt(4 * t - 3) // 2",
      ["tests/test_bounds.py::TestRefinementDepth"]),
+    ("extremal degrees with the block's lower mark off by one", B,
+     "        mark[j - 1 - take] -= 1\n",
+     "        mark[j - take] -= 1\n",
+     ["tests/test_bounds.py::TestExtremalDigraph"]),
+    ("extremal outdegrees returned from the running sum, not the final marks", B,
+     "    ind, mark, run = [0] * s, [0] * (s + 1), 0\n"
+     "    for j in range(s, 1, -1):\n"
+     "        run += mark[j]\n"
+     "        ind[j - 1] = take = min(j - 1, m + run)\n"
+     "        mark[j - 1] += 1\n"
+     "        mark[j - 1 - take] -= 1\n"
+     "    out = [0] * (s + 1)\n"
+     "    for v in range(s, 0, -1):\n"
+     "        out[v - 1] = out[v] + mark[v]\n"
+     "    return ind, out[:s]\n",
+     "    ind, out, mark, run = [0] * s, [0] * s, [0] * (s + 1), 0\n"
+     "    for j in range(s, 1, -1):\n"
+     "        run += mark[j]\n"
+     "        out[j - 1] = run\n"
+     "        ind[j - 1] = take = min(j - 1, m + run)\n"
+     "        mark[j - 1] += 1\n"
+     "        mark[j - 1 - take] -= 1\n"
+     "    return ind, out\n",
+     ["tests/test_bounds.py::TestExtremalDigraph"]),
     ("grid constructor not dividing by the gcd", G,
      "        if c > 1:\n",
      "        if c < 1:\n",

@@ -44,7 +44,9 @@ Quantities computed here:
   E): the edge-maximal digraph on vertices 1..s subject to
   ind(j) <= min(m + outd(j), j-1), built greedily from the top vertex down,
   each receiver taking the nearest lower-indexed senders its budget and
-  supply allow.  E caps how many same-class swaps can avoid criticality.
+  supply allow: ``_extremal_degrees`` computes the greedy's degrees in O(s)
+  per (k, n), and only ``build_extremal_digraph`` expands them into edges.
+  E caps how many same-class swaps can avoid criticality.
 
 * L (``BoundReport.l``): the exact-edge-count refinement
   L(k,n) = 3*C(s+1,2) + (k-s)*n + 3*(C(s,2) - E(k,n)) for s < k < n/2, and
@@ -154,22 +156,31 @@ def _require_extremal_args(k: int, n: int) -> tuple[int, int]:
 
 def build_extremal_digraph(k: int, n: int) -> ValidSwapDigraph:
     """The edge-maximal digraph on vertices 1..n/3 under the degree caps
-    ind(j) <= min(n-2k-1 + outd(j), j-1).
-
-    Receivers are processed from the top index down; each takes edges from
-    the nearest lower-indexed senders, as many as its budget (window plus
-    its already-final outdegree) and supply allow.  Deterministic; its edge
-    count equals ``extremal_edge_count``.
+    ind(j) <= min(n-2k-1 + outd(j), j-1): each receiver j takes its ind(j)
+    nearest lower-indexed senders, ind from ``_extremal_degrees``'s greedy.
+    Deterministic; its edge count equals ``extremal_edge_count``.
     """
     m, s = _require_extremal_args(k, n)
-    outd = [0] * (s + 1)
-    edges = []
+    ind = _extremal_degrees(m, s)[0]
+    return ValidSwapDigraph("synthetic", s, frozenset(
+        (l, j) for j in range(2, s + 1) for l in range(j - ind[j - 1], j)))
+
+
+def _extremal_degrees(m: int, s: int) -> tuple[list[int], list[int]]:
+    """The greedy's indegrees and outdegrees of vertices 1..s at window m, in
+    O(s).  Receiver j, from the top down, takes senders j-take..j-1 and marks
+    the block's two ends; the marks' running sum is the outdegree the next
+    take reads, and the outdegrees returned are summed from the final marks."""
+    ind, mark, run = [0] * s, [0] * (s + 1), 0
     for j in range(s, 1, -1):
-        take = min(j - 1, m + outd[j])
-        for sender in range(j - 1, j - 1 - take, -1):
-            edges.append((sender, j))
-            outd[sender] += 1
-    return ValidSwapDigraph("synthetic", s, frozenset(edges))
+        run += mark[j]
+        ind[j - 1] = take = min(j - 1, m + run)
+        mark[j - 1] += 1
+        mark[j - 1 - take] -= 1
+    out = [0] * (s + 1)
+    for v in range(s, 0, -1):
+        out[v - 1] = out[v] + mark[v]
+    return ind, out[:s]
 
 
 def extremal_edge_summands(k: int, n: int) -> tuple[int, int, int]:

@@ -62,6 +62,10 @@ a time, and the ``bounds`` cells are their ``str`` and ``float``, instead of
 the one integer pass of ``bound_table`` and cells written from the reduced
 numerator and denominator.
 
+The extremal-digraph oracle is the library's earlier greedy: each receiver
+appends its edges one at a time and reads its take from outdegrees kept
+per sender, instead of the block marks of ``bounds._extremal_degrees``.
+
 The CSV oracle is the library's earlier writer: ``csv.writer`` (the excel
 dialect, quoting where a cell needs it, ``\\r\\n`` line ends) over each
 row's cells, instead of one joined line per row written as it comes.
@@ -85,6 +89,7 @@ from ksetlab.bounds import _closed_form, _edge_summands
 from ksetlab.circular import (
     Direction,
     Halfperiod,
+    ValidSwapDigraph,
     interval_sample_directions,
 )
 from ksetlab.decompose import DecompositionWitness, check_partition
@@ -254,6 +259,22 @@ def crossing_lower_bound_by_terms(n: int) -> int:
         if m:
             total += m * math.ceil(kset_lower_bound_by_fractions(k, n)[1])
     return total
+
+
+def extremal_digraph_by_edges(k: int, n: int) -> ValidSwapDigraph:
+    """``bounds.build_extremal_digraph`` edge by edge, for n/3 < k < n/2
+    with a nonempty window: receivers from the top index down, each taking
+    the nearest lower-indexed senders its budget (window plus its final
+    outdegree) and supply allow."""
+    m, s = n - 2 * k - 1, n // 3
+    outd = [0] * (s + 1)
+    edges = []
+    for j in range(s, 1, -1):
+        take = min(j - 1, m + outd[j])
+        for sender in range(j - 1, j - 1 - take, -1):
+            edges.append((sender, j))
+            outd[sender] += 1
+    return ValidSwapDigraph("synthetic", s, frozenset(edges))
 
 
 def random_general_position_set_by_rejection(n: int, seed: int) -> PointSet:

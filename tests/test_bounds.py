@@ -26,6 +26,7 @@ from ksetlab.bounds import (
     BoundReport,
     _bqr,
     _closed_form,
+    _extremal_degrees,
     _threshold,
     bound_report,
     bound_table,
@@ -37,6 +38,7 @@ from support import (
     bound_report_by_fractions,
     bounds_cells_by_fractions,
     crossing_lower_bound_by_terms,
+    extremal_digraph_by_edges,
     kset_lower_bound_by_fractions,
 )
 
@@ -240,6 +242,20 @@ class TestExtremalDigraph:
                 )
                 assert sorted(d.indegrees()) == formula
                 assert sum(formula) == extremal_edge_count(k, n)
+
+    def test_greedy_equals_the_edge_oracle(self):
+        # Every valid (k, n) with n <= 90: the same edges, and the O(s)
+        # degrees equal the edge-by-edge greedy's, outdegree of vertex 1
+        # included.
+        for n in range(6, 91, 3):
+            for k in range(n // 3 + 1, (n - 1) // 2 + 1):
+                m = n - 2 * k - 1
+                if m < 1:
+                    continue
+                oracle = extremal_digraph_by_edges(k, n)
+                assert build_extremal_digraph(k, n).edges == oracle.edges
+                assert _extremal_degrees(m, n // 3) == (oracle.indegrees(),
+                                                        oracle.outdegrees())
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):

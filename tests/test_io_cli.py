@@ -569,7 +569,14 @@ class TestVerifyCommand:
         assert payload["ok"] is True
 
     def test_edges_suite(self, capsys):
-        assert main(["verify", "--suite", "edges", "--max-n", "30"]) == 0
+        # n <= 300 checks the greedy at every (k, n) whose E the pinned
+        # bounds --n-range 6:300 table prints.
+        assert main(["verify", "--suite", "edges", "--max-n", "300"]) == 0
+        printed = sum(r.edges is not None for n in range(6, 301, 3)
+                      for r in bounds.bound_table(n).reports)
+        assert printed == 2401
+        name = json.loads(capsys.readouterr().out)["checks"][0]["name"]
+        assert name == f"edge counts ({printed} pairs)"
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -669,15 +676,10 @@ def _oracle_off_by_one(real):
     )
 
 
-def _complete_digraph(real):
-    # Every edge l -> j, l < j: at k = 5, n = 12 (m = 1) vertex 4 takes
-    # indegree 3, above its cap min(m + outdegree 0, 3).
-    def complete(k, n):
-        s = n // 3
-        edges = frozenset((l, j) for j in range(2, s + 1) for l in range(1, j))
-        return circular.ValidSwapDigraph("synthetic", s, edges)
-
-    return complete
+def _complete_degrees(real):
+    # The degrees of every edge l -> j, l < j: at k = 5, n = 12 (m = 1)
+    # vertex 4 takes indegree 3, above its cap min(m + outdegree 0, 3).
+    return lambda m, s: ([j - 1 for j in range(1, s + 1)], [s - l for l in range(1, s + 1)])
 
 
 def _first_report_below(real):
@@ -701,8 +703,8 @@ _BROKEN_CHECKS = [
     (["edges", "--max-n", "12"], bounds, "extremal_edge_count",
      lambda real: lambda k, n: real(k, n) + 1, "edge counts",
      [("edge counts (1 pairs)", "1 mismatches")]),
-    (["edges", "--max-n", "12"], bounds, "build_extremal_digraph",
-     _complete_digraph, "degree caps",
+    (["edges", "--max-n", "12"], bounds, "_extremal_degrees",
+     _complete_degrees, "degree caps",
      [("edge counts (1 pairs)", "1 mismatches"), ("degree caps", "1 violations"),
       ("indegree multisets", "1 mismatches")]),
     (["edges", "--max-n", "12"], bounds, "_indegree",
