@@ -100,10 +100,18 @@ MUTANTS = [
      "order[lo:hi] = run = sorted(order[lo:hi], key=cmp_to_key(turn))",
      "order[lo:hi] = run = order[lo:hi]",
      ["tests/test_geometry.py::TestAngularSort"]),
-    ("no block reversal in the rotation", C,
-     "                column[block] = column[block][::-1]\n",
-     "                column[block] = column[block]\n",
-     ["tests/test_circular.py::TestRotation"]),
+    ("_start without the half-turn fold", C,
+     "    upper = (-u[0], -u[1]) if flipped else u\n",
+     "    upper = u\n",
+     ["tests/test_circular.py::TestRotation::test_matches_class_by_class_replay"]),
+    ("replay_sites without the per-class block sort", C,
+     "block = sorted(zip(sites[lo:hi], firsts[lo:hi], seconds[lo:hi]))",
+     "block = list(zip(sites[lo:hi], firsts[lo:hi], seconds[lo:hi]))",
+     ["tests/test_circular.py::TestRotation::test_matches_class_by_class_replay"]),
+    ("heterogeneous site counts taken over the homogeneous swaps", C,
+     "zip(self.sites, self.firsts, self.seconds) if labels[i] != labels[j]",
+     "zip(self.sites, self.firsts, self.seconds) if labels[i] == labels[j]",
+     ["tests/test_acceptance.py::test_forced_heterogeneous_profile"]),
     ("_ratio not reducing", IO,
      "        return num // g, den // g\n",
      "        return num, den\n",

@@ -23,18 +23,14 @@ inside each gap between consecutive classes (``gap_sample``), the start
 direction (the first gap's sample) and the order of the swaps: the pair
 order rotated to begin at the first class ahead of the start.  The pairs
 of one class are disjoint and their swaps commute; they are listed by
-increasing left site.  The swaps are replayed once per grid
-(``replay_sites``), from the default start, into the flat columns of a
-``Halfperiod`` that ``build_halfperiod`` alone builds and keeps on the
-point set (a relabeled copy shares the columns); site counts, k-set
-counts, the crossing count and the decomposition checks all read it.
-``replay`` from any other start rotates those columns, since the full turn
-is the halfperiod followed by its mirror: the swaps from the first class
-ahead of the start on, then the ones before it, with the part met in the
-other half turn mirrored, each site s becoming n - s.  A swap outside
-the columns is a ``Swap``, ``(site, i, j)``: points ``i < j`` at sites
-``site``, ``site + 1`` trade; ``Halfperiod.swaps`` builds them only when
-asked.
+increasing left site.  One swap loop (``replay_sites``) replays them into
+the flat columns of a ``Halfperiod``, once per halfperiod that
+``build_halfperiod`` builds, whatever its start.  The default start's
+halfperiod is kept on the point set (a relabeled copy shares the
+columns); site counts, k-set counts, the crossing count and the
+decomposition checks all read it.  A swap outside the columns is a
+``Swap``, ``(site, i, j)``: points ``i < j`` at sites ``site``,
+``site + 1`` trade; ``Halfperiod.swaps`` builds them only when asked.
 """
 
 from __future__ import annotations
@@ -43,9 +39,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
-from itertools import repeat
 from math import comb
-from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GeneralPositionError, LabelingError
@@ -152,56 +146,23 @@ class Halfperiod(Frozen):
 _KEPT = "_halfperiod"  # where build_halfperiod keeps its halfperiod on a point set
 
 
-def _start(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], int, bool]:
+def _start(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], int]:
     """The sweep of ``ps`` from ``u``, which must tie no pair of
-    projections: the order of the points along u, the first class ahead of
-    u, and whether u is opposed to the sweep from the default start."""
+    projections: the order of the points along u and the first class ahead
+    of u."""
     classes = ps.classes  # first: a degenerate set raises GeneralPositionError, not a tie
     height = [u[0] * x + u[1] * y for x, y in ps.coords]
     initial = tuple(sorted(range(len(height)), key=height.__getitem__))
     if any(height[a] == height[b] for a, b in zip(initial, initial[1:])):
         raise ValueError(f"start direction {u} ties a pair of projections")
     # Turning counterclockwise from u, the first class met is the first one
-    # ahead of u taken mod a half turn.  The default sweep turns from between
-    # classes 0 and 1, in the upper half plane, to its negation: it meets u
-    # (up to the gap u lies in) when u is upper and past class 0, or when -u
-    # is upper and not past it.  Otherwise u is opposed to it.
+    # ahead of u taken mod a half turn: the classes lie in the upper half
+    # plane, so a lower u is folded onto its negation first.
     flipped = not (u[1] > 0 or (u[1] == 0 and u[0] > 0))
     upper = (-u[0], -u[1]) if flipped else u
     count = len(classes)
     ahead = bisect_left(range(count), True, key=lambda g: cross(upper, classes.direction(g)) > 0)
-    return initial, ahead % max(count, 1), count > 0 and (ahead > 0) == flipped
-
-
-def replay(ps: PointSet, u: Direction) -> Halfperiod:
-    """The halfperiod of ``ps`` that starts at ``u``, which must tie no pair
-    of projections, with the labels of ``ps``: a rotation of the columns
-    ``build_halfperiod(ps)`` keeps.  Let j be the number of swaps before
-    the first class ahead of u: the new columns are the swaps from j on,
-    then the ones before j.  A swap that the sweep from u meets in the
-    other half turn than the default sweep does trades the same points in
-    the reversed order, so its site s becomes n - s: in the part before j
-    when u continues the default sweep, in the part from j on when u is
-    opposed to it.  Mirroring reverses a class's sites, so each class of
-    several pairs there has its block reversed."""
-    initial, first, opposed = _start(ps, u)
-    # Only the kept columns are read, so no relabeled copy is made, and a
-    # traced build_halfperiod(ps, u) holds no second halfperiod span.
-    base = ps.__dict__.get(_KEPT) or build_halfperiod(ps)
-    classes = ps.classes
-    starts, pairs, n = classes.starts, len(base.sites), len(initial)
-    j = (starts[first] - starts[base.first]) % max(pairs, 1)
-    columns = [column[j:] + column[:j] for column in (base.sites, base.firsts, base.seconds)]
-    lo, hi = (0, pairs - j) if opposed else (pairs - j, pairs)  # the mirrored part
-    sites = columns[0]
-    sites[lo:hi] = array(sites.typecode, map(sub, repeat(n, hi - lo), sites[lo:hi]))
-    for g in classes.multi:
-        at = (starts[g] - starts[first]) % pairs
-        if lo <= at < hi:
-            block = slice(at, at + starts[g + 1] - starts[g])
-            for column in columns:
-                column[block] = column[block][::-1]
-    return Halfperiod(u, initial, first, *columns, ps.labels)
+    return initial, ahead % max(count, 1)
 
 
 def replay_sites(
@@ -258,23 +219,25 @@ def site_counts(ps: PointSet) -> SiteCounts:
 
 def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfperiod:
     """The halfperiod of ``ps`` starting at ``direction``, with the labels
-    of ``ps``.  Without one it starts at ``default_start_direction``: the
-    one swap loop (``replay_sites``) runs once per grid and the halfperiod
-    is kept on the point set, relabeled, sharing its columns, for a copy
-    under other labels (``PointSet.with_labels`` hands it on).  A given
-    direction must tie no pair of projections; ``replay`` rotates the kept
-    columns to it.  Raises ``GeneralPositionError`` on a degenerate set."""
-    if direction is not None:
-        return replay(ps, direction)
+    of ``ps``: one run of the swap loop (``replay_sites``) from the order
+    along it.  A given direction must tie no pair of projections.  Without
+    one it starts at ``default_start_direction``, and its halfperiod is
+    kept on the point set, so the loop runs once per grid: a copy under
+    other labels (``PointSet.with_labels`` hands it on) gets it relabeled,
+    sharing its columns.  Raises ``GeneralPositionError`` on a degenerate
+    set."""
     kept = ps.__dict__.get(_KEPT)
-    if kept is None:
-        u = default_start_direction(ps)
-        initial, first, _ = _start(ps, u)
-        kept = Halfperiod(u, initial, first, *replay_sites(ps.classes, initial, first), ps.labels)
-    elif kept.labels != ps.labels:
-        kept = kept.with_labels(ps.labels)
-    ps.__dict__[_KEPT] = kept
-    return kept
+    if direction is None and kept is not None:
+        if kept.labels != ps.labels:
+            kept = kept.with_labels(ps.labels)
+            ps.__dict__[_KEPT] = kept
+        return kept
+    u = default_start_direction(ps) if direction is None else direction
+    initial, first = _start(ps, u)
+    h = Halfperiod(u, initial, first, *replay_sites(ps.classes, initial, first), ps.labels)
+    if direction is None:
+        ps.__dict__[_KEPT] = h
+    return h
 
 
 class CriticalityReport(NamedTuple):

@@ -24,8 +24,8 @@ The halfperiod indices (s, t) of a witness come from the same walk:
 ``check_halfperiod`` walks a labeled halfperiod whose initial permutation
 is the class blocks x, y, z to the first y,z,x split after the first y,x,z
 one, and ``locate_halfperiod_witness`` runs it on the halfperiod from l1
-of the set under the witness's partition, a rotation of the set's one
-replay (``circular.replay``).  Both read the labels of what they are
+of the set under the witness's partition, which ``build_halfperiod``
+replays with the one swap loop.  Both read the labels of what they are
 given; the labels were checked when the point set was built.
 
 The generator places n/3 points in a small disk at each vertex of a fixed
@@ -227,9 +227,10 @@ def locate_halfperiod_witness(
 ) -> DecompositionWitness:
     """Attach the halfperiod indices (s, t) to a witness: ``check_halfperiod``
     on the halfperiod from the first witness direction of ``ps`` under the
-    witness's partition (a rotation of the set's one replay), whose initial
-    permutation is then the three class blocks.  ``ps`` may be unlabeled,
-    as ``find_partition`` searched it."""
+    witness's partition (one run of the swap loop; the kept default-start
+    halfperiod is left as it was), whose initial permutation is then the
+    three class blocks.  ``ps`` may be unlabeled, as ``find_partition``
+    searched it."""
     h = build_halfperiod(ps.with_labels(witness.partition), witness.directions[0])
     return witness._replace(halfperiod_indices=check_halfperiod(h))
 

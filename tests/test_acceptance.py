@@ -30,6 +30,7 @@ from ksetlab import (
     slack_quartic,
 )
 from ksetlab.bounds import BEST_UPPER_COEFFICIENT, GENERAL_LOWER_COEFFICIENT
+from ksetlab.decompose import GENERATOR_SHAPES
 from ksetlab.verify import random_general_position_set
 
 from support import dot_point
@@ -153,6 +154,25 @@ def test_criterion_3_heterogeneous_exactness(generated_sets):
         "(actual mirrored counts are n, site profile n-i on cluster sets); "
         f"prefix sums {'PASS' if prefix_ok else 'FAIL'}",
     )
+
+
+def test_forced_heterogeneous_profile():
+    # What C3's middle clause meets instead (the proof is in the README):
+    # on the halfperiod from l1, which starts at the class blocks x, y, z
+    # and meets y,x,z before y,z,x, the x-y, x-z and y-z swaps run in
+    # three phases, each forcing its count at every site.  So the
+    # heterogeneous swaps at site i are 2i for i <= n/3 and n - i after.
+    sets = off = 0
+    for shape in GENERATOR_SHAPES:
+        for n in range(6, 61, 3):
+            for seed in range(3):
+                ps = generate(n, seed, shape)
+                h = build_halfperiod(ps, check_partition(ps).directions[0])
+                het = h.site_counts[1]
+                sets += 1
+                off += any(het[i] != min(2 * i, n - i) for i in range(1, n))
+    report("C3 forced heterogeneous profile", off == 0,
+           f"{sets} generated sets, {off} off min(2i, n - i) at some site")
 
 
 def test_criterion_4_kset_bound_at_desk_scale(generated_sets):

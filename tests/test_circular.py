@@ -383,8 +383,9 @@ def small_sets(draw):
 
 
 class TestRotation:
-    """Any start other than the first gap rotates the one replay's columns
-    (``replay``): it must equal the class by class replay from that start."""
+    """A halfperiod from any start is one run of the swap loop
+    (``replay_sites``) from the order along it: it must equal the class by
+    class replay from that start."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(small_sets() | generated_sets(), st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
@@ -405,6 +406,9 @@ class TestRotation:
         assert (h.direction, h.labels) == (u, ps.labels)
 
     def test_one_swap_loop_per_point_set(self, monkeypatch):
+        # The default start runs one loop per grid and keeps its halfperiod;
+        # each build from a given start runs exactly one loop and leaves the
+        # kept halfperiod, or its absence, as it was.
         loops = []
         real = circular.replay_sites
 
@@ -415,10 +419,24 @@ class TestRotation:
         monkeypatch.setattr(circular, "replay_sites", counting)
         ps = random_general_position_set(12, 3)
         samples = gap_samples(ps.classes)
-        for u in samples + [(-x, -y) for x, y in samples]:
-            initial, flips = sweep_by_classes(ps, u)
-            assert build_halfperiod(ps, u).swaps == tuple(s for f in flips for s in f)
-        assert len(loops) == 1
+        starts = samples + [(-x, -y) for x, y in samples]
+
+        def build_each_start(kept):
+            for u in starts:
+                initial, flips = sweep_by_classes(ps, u)
+                before = len(loops)
+                assert build_halfperiod(ps, u).swaps == tuple(s for f in flips for s in f)
+                assert len(loops) == before + 1
+                assert ps.__dict__.get(circular._KEPT) is kept
+
+        build_each_start(None)
+        kept = build_halfperiod(ps)
+        assert len(loops) == len(starts) + 1
+        assert build_halfperiod(ps) is kept
+        assert build_halfperiod(ps.with_labels("abc" * 4)).sites is kept.sites
+        assert len(loops) == len(starts) + 1
+        build_each_start(kept)
+        assert len(loops) == 2 * len(starts) + 1
 
 
 class TestHalfperiodInvariants:

@@ -1130,9 +1130,9 @@ class TestGroupOnce:
     def test_gen_checks_once_per_attempt(self, tmp_path, capsys, monkeypatch):
         # The witness gen prints is the generator's own check: one
         # check_partition per attempt.  One swap loop per attempt, for the
-        # halfperiod its check builds; the halfperiod from l1 for (s, t)
-        # rotates the accepted set's columns and runs none.  No Swap tuple
-        # is built.
+        # default-start halfperiod its check builds and keeps; the
+        # halfperiod from l1 for (s, t) runs one more loop and leaves the
+        # kept one as it was.  No Swap tuple is built.
         calls = []
         real_build, real_loop = decompose.build_halfperiod, circular.replay_sites
 
@@ -1158,7 +1158,7 @@ class TestGroupOnce:
         assert "halfperiod witness" in out
         names = [name for name, _ in calls]
         assert "swaps" not in names
-        assert names == ["loop", "halfperiod", "check_partition"] * 2 + ["halfperiod"]
+        assert names == ["loop", "halfperiod", "check_partition"] * 2 + ["loop", "halfperiod"]
         _, checked, from_l1 = [r for name, r in calls if name == "halfperiod"]
         assert checked.direction == circular.gap_sample(load_point_set(path).classes, 0)
         assert f"l1 = ({from_l1.direction[0]}, {from_l1.direction[1]})" in out
