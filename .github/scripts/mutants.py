@@ -33,6 +33,7 @@ B = "src/ksetlab/bounds.py"
 G = "src/ksetlab/geometry.py"
 C = "src/ksetlab/circular.py"
 IO = "src/ksetlab/io.py"
+V = "src/ksetlab/verify.py"
 
 #: (name, file, old text, new text, pytest selection)
 MUTANTS = [
@@ -84,6 +85,14 @@ MUTANTS = [
      "        mark[j - 1 - take] -= 1\n"
      "    return ind, out\n",
      ["tests/test_bounds.py::TestExtremalDigraph"]),
+    ("indegree walk repeating each value b + 2 times", B,
+     "ind += [d] * (b + 1)",
+     "ind += [d] * (b + 2)",
+     ["tests/test_bounds.py::TestExtremalDigraph::test_indegree_walk_matches_bqr"]),
+    ("edges suite's outdegree cap loosened by one", V,
+     "d > v or d > m + o for",
+     "d > v or d > m + o + 1 for",
+     ["tests/test_io_cli.py::TestVerifyChecksCanFail"]),
     ("grid constructor not dividing by the gcd", G,
      "        if c > 1:\n",
      "        if c < 1:\n",

@@ -37,8 +37,11 @@ Quantities computed here:
       j = i*C(b+1,2) + q*(b+1) + r,   0 <= q < i,  1 <= r <= b+1,
       C(b+1,2) < j/i <= C(b+2,2).
 
-  Applied to (m, s) it drives the extremal-digraph edge count; applied to
-  (m, i) it gives that digraph's per-vertex indegrees m*b + q.
+  Applied to (m, s) it drives the extremal-digraph edge count.  Vertex i
+  of that digraph has indegree m*b + q for the (b, q, r) of (m, i); the
+  vertices run in (b, q, r) order, so ``_indegrees`` lists all s of them,
+  sorted, in one O(s) walk: for b = 0, 1, ... and q = 0..m-1 it emits
+  m*b + q once per r = 1..b+1, and cuts the list at s.
 
 * ``build_extremal_digraph`` (and its closed form ``extremal_edge_count``,
   E): the edge-maximal digraph on vertices 1..s subject to
@@ -127,10 +130,10 @@ def _bqr(i: int, j: int) -> tuple[int, int, int]:
     """The unique (b, q, r) with j = i*C(b+1,2) + q*(b+1) + r, 0 <= q < i
     and 1 <= r <= b+1, for positive i and j; asserts its invariants."""
     b = _threshold(j, i)
-    rem = j - i * math.comb(b + 1, 2)
-    q, r = divmod(rem - 1, b + 1)
+    tri = b * (b + 1) // 2  # C(b+1,2)
+    q, r = divmod(j - i * tri - 1, b + 1)
     r += 1
-    assert j == i * math.comb(b + 1, 2) + q * (b + 1) + r
+    assert j == i * tri + q * (b + 1) + r
     assert 0 <= q < i and 1 <= r <= b + 1
     return b, q, r
 
@@ -139,9 +142,11 @@ def _closed_form(k: int, n: int, m: int) -> tuple[int, int, int]:
     """The refinement depth b and Y(k,n) = num/den as ``(b, num, den)``,
     den > 0 and the fraction not reduced, for a nonempty window m: the one
     place Y is computed, called by ``_reports`` alone."""
-    base = 9 * math.comb(k + 1, 2) + 9 * math.comb(max(k - n // 3 + 1, 0), 2) - 1
+    # 9*C(k+1,2) + 9*C(k-s+1,2) - 1, the second term open for k > s.
+    x = k - n // 3
+    base = 9 * (k + 1) * k // 2 + (9 * (x + 1) * x // 2 if x > 0 else 0) - 1
     # J, the last open j (1 when none is): 4j(j+1) <= 8n // (3(m+3)).
-    J = max(1, (math.isqrt(8 * n // (3 * m + 9) + 1) - 1) // 2)
+    J = (math.isqrt(8 * n // (3 * m + 9) + 1) - 1) // 2 or 1
     terms = 2 * n * n + 3 * (J + 1) * ((m * m - 1) * (J * J + 4 * J + 6) - 4 * n * m)
     return _threshold(n, m), 8 * (J + 1) * base + (J - 1) * terms, 24 * (J + 1)
 
@@ -192,8 +197,9 @@ def extremal_edge_summands(k: int, n: int) -> tuple[int, int, int]:
 
 def _edge_summands(m: int, s: int) -> tuple[int, int, int]:
     b, q, r = _bqr(m, s)
-    part_a = 2 * m * m * math.comb(b + 1, 3) + math.comb(b + 1, 2) * math.comb(m, 2)
-    part_b = 2 * m * q * math.comb(b + 1, 2) + math.comb(q, 2) * (b + 1)
+    tri = b * (b + 1) // 2  # C(b+1,2); C(b+1,3) is tri*(b-1)/3
+    part_a = 2 * m * m * (tri * (b - 1) // 3) + tri * (m * (m - 1) // 2)
+    part_b = 2 * m * q * tri + q * (q - 1) // 2 * (b + 1)
     part_c = r * (m * b + q)
     return (part_a, part_b, part_c)
 
@@ -206,18 +212,27 @@ def extremal_edge_count(k: int, n: int) -> int:
 
 def extremal_indegree(k: int, n: int, i: int) -> int:
     """Closed-form indegree m*b + q of vertex i in the extremal digraph,
-    where (b, q, _) decomposes i over m (b = 0 when i <= m).  The greedy
-    construction realizes exactly this indegree multiset."""
+    where (b, q, _) decomposes i over m (b = 0 when i <= m): the i-th value
+    of ``_indegrees``'s walk.  The greedy construction realizes exactly this
+    indegree multiset."""
     m, s = _require_extremal_args(k, n)
     if not 1 <= i <= s:
         raise ValueError(f"vertex index must be in 1..{s}, got {i}")
-    return _indegree(m, i)
+    return _indegrees(m, i)[-1]
 
 
-def _indegree(m: int, i: int) -> int:
-    """``extremal_indegree`` at window m, for a valid (k, n) and vertex i."""
-    b, q, _ = _bqr(m, i)
-    return m * b + q
+def _indegrees(m: int, s: int) -> list[int]:
+    """The closed-form indegrees m*b + q of vertices 1..s at window m, in
+    O(s): vertices are numbered in (b, q, r) order, so for b = 0, 1, ... and
+    q = 0..m-1 the walk emits m*b + q once per r = 1..b+1, and the list,
+    cut at s, comes out sorted."""
+    ind, b = [], 0
+    while len(ind) < s:
+        for d in range(m * b, m * b + m):
+            ind += [d] * (b + 1)
+        b += 1
+    del ind[s:]
+    return ind
 
 
 class BoundReport(NamedTuple):
@@ -250,12 +265,12 @@ def _reports(n: int, ks: Iterable[int], keep: Container[int] | None = None
     ``_closed_form``, reduced, and ceil(Y), hom, E and L (checked >= Y) from it.
     Returns the reports built for the k in ``keep`` (all without) and sum m*ceil(Y)."""
     s = n // 3
-    het_s, pairs_s = 3 * math.comb(s + 1, 2), math.comb(s, 2)
-    reports, crossing = [], 0
+    het_s, pairs_s = 3 * (s + 1) * s // 2, s * (s - 1) // 2
+    reports, crossing, new = [], 0, tuple.__new__
     for k in ks:
         m = n - 2 * k - 1
         # 3*C(k+1,2): het and L for k <= s, ceil(Y)'s fallback for m = 0.
-        low = 3 * math.comb(k + 1, 2)
+        low = 3 * (k + 1) * k // 2
         het = low if k <= s else het_s + (k - s) * n
         depth = num = den = hom = edges = summands = sharp = None
         ceil_y = low
@@ -276,8 +291,9 @@ def _reports(n: int, ks: Iterable[int], keep: Container[int] | None = None
                                      f"{num}/{den} at k={k}, n={n}")
         crossing += m * ceil_y
         if keep is None or k in keep:
-            reports.append(BoundReport(n, k, m, s, depth, num, den, ceil_y, het, hom,
-                                       edges, summands, sharp))
+            # The fields in order, without NamedTuple's generated __new__.
+            reports.append(new(BoundReport, (n, k, m, s, depth, num, den, ceil_y, het,
+                                             hom, edges, summands, sharp)))
     return reports, crossing
 
 

@@ -194,16 +194,21 @@ def _bounds_rows(ns: Iterable[int], only_k: int | None) -> Iterator[str]:
     as ``str`` writes a ``Fraction``: p/q in lowest terms, p when q = 1."""
     for n in ns:
         table = bounds_mod.bound_table(n, None if only_k is None else (only_k,))
+        head = f"{n},"
         tail = f"{table.crossing},{table.crossing / comb(n, 4):.8f}"
         for _, k, m, _, depth, num, den, ceil_y, het, hom, edges, _, l in table.reports:
+            e = UNDEF if edges is None else edges
             if num is None:  # m = 0, for n >= 6 at a k > n/3: hom, L and E undefined too
-                yield (f"{n},{k},{m},{UNDEF},{UNDEF},{UNDEF},{ceil_y},{het},"
+                yield (f"{head}{k},{m},{UNDEF},{UNDEF},{UNDEF},{ceil_y},{het},"
                        f"{UNDEF},{UNDEF},{UNDEF},{tail}")
+            elif den == 1:  # Y and hom are integers, written as such
+                yield f"{head}{k},{m},{depth},{num},{num:.6f},{ceil_y},{het},{hom},{l},{e},{tail}"
+            elif hom:
+                yield (f"{head}{k},{m},{depth},{num}/{den},{num / den:.6f},{ceil_y},{het},"
+                       f"{hom}/{den},{l},{e},{tail}")
             else:
-                q = "" if den == 1 else f"/{den}"
-                yield (f"{n},{k},{m},{depth},{num}{q},{num / den:.6f},{ceil_y},{het},"
-                       f"{f'{hom}{q}' if hom else 0},{l},"
-                       f"{UNDEF if edges is None else edges},{tail}")
+                yield (f"{head}{k},{m},{depth},{num}/{den},{num / den:.6f},{ceil_y},{het},"
+                       f"0,{l},{e},{tail}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -103,7 +103,8 @@ def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:
 
 def edges_suite(max_n: int = 60) -> SuiteResult:
     """The greedy extremal digraph's degrees vs closed-form edge count, degree
-    caps, and the closed-form indegree multiset, for valid (k, n) to max_n."""
+    caps, and the closed-form indegree multiset (``bounds._indegrees``'s
+    sorted walk, O(s) per (k, n)), for valid (k, n) to max_n."""
     pairs = 0
     bad_count = bad_degree = bad_multiset = 0
     for n in range(6, max_n + 1, 3):
@@ -116,12 +117,10 @@ def edges_suite(max_n: int = 60) -> SuiteResult:
             ind, out = bounds._extremal_degrees(m, s)
             if sum(ind) != bounds.extremal_edge_count(k, n):
                 bad_count += 1
-            if any(
-                ind[j - 1] > min(m + out[j - 1], j - 1) for j in range(1, s + 1)
-            ):
+            # Vertex j = v + 1: ind(j) <= min(m + outd(j), j - 1).
+            if any(d > v or d > m + o for v, d, o in zip(range(s), ind, out)):
                 bad_degree += 1
-            formula = sorted(bounds._indegree(m, i) for i in range(1, s + 1))
-            if sorted(ind) != formula:
+            if sorted(ind) != bounds._indegrees(m, s):
                 bad_multiset += 1
     return _finish("edges", [
         _tally(f"edge counts ({pairs} pairs)", bad_count, "greedy = closed form"),

@@ -27,6 +27,7 @@ from ksetlab.bounds import (
     _bqr,
     _closed_form,
     _extremal_degrees,
+    _indegrees,
     _threshold,
     bound_report,
     bound_table,
@@ -242,6 +243,25 @@ class TestExtremalDigraph:
                 )
                 assert sorted(d.indegrees()) == formula
                 assert sum(formula) == extremal_edge_count(k, n)
+
+    def test_indegree_walk_matches_bqr(self):
+        # Vertex i's value in the walk is m*b + q for (b, q, _) = _bqr(m, i),
+        # for every cut s, windows m wider than s included.
+        for m in range(1, 61):
+            expected = [m * b + q for b, q, _ in (_bqr(m, i) for i in range(1, 151))]
+            for s in range(1, 151):
+                assert _indegrees(m, s) == expected[:s]
+
+    def test_extremal_indegree_unchanged_through_n_90(self):
+        # Every valid (k, n) with n <= 90 and every vertex: m*b + q as (b, q, _)
+        # decomposes i over m.
+        for n in range(6, 91, 3):
+            for k in range(n // 3 + 1, (n - 1) // 2 + 1):
+                m = n - 2 * k - 1
+                if m < 1:
+                    continue
+                assert [extremal_indegree(k, n, i) for i in range(1, n // 3 + 1)] == [
+                    m * b + q for b, q, _ in (_bqr(m, i) for i in range(1, n // 3 + 1))]
 
     def test_greedy_equals_the_edge_oracle(self):
         # Every valid (k, n) with n <= 90: the same edges, and the O(s)

@@ -707,8 +707,8 @@ _BROKEN_CHECKS = [
      _complete_degrees, "degree caps",
      [("edge counts (1 pairs)", "1 mismatches"), ("degree caps", "1 violations"),
       ("indegree multisets", "1 mismatches")]),
-    (["edges", "--max-n", "12"], bounds, "_indegree",
-     lambda real: lambda m, i: real(m, i) + 1, "indegree multisets",
+    (["edges", "--max-n", "12"], bounds, "_indegrees",
+     lambda real: lambda m, s: [*real(m, s)[:-1], real(m, s)[-1] + 1], "indegree multisets",
      [("indegree multisets", "1 mismatches")]),
     (["slack", "--max-b", "2", "--max-n", "12"], bounds, "slack_quartic",
      lambda real: lambda b, r: Fraction(-1) if (b, r) == (1, 2) else real(b, r),
@@ -742,6 +742,22 @@ class TestVerifyChecksCanFail:
         failed = [(c["name"], c["detail"]) for c in payload["checks"] if not c["ok"]]
         assert any(c.startswith(check) for c, _ in failed), failed
         assert failed == failures
+
+    def test_a_cap_exceeded_by_one_fails(self, monkeypatch, capsys):
+        # Each outdegree one short where positive: at k = 5, n = 12 (m = 1)
+        # the greedy's vertex 3, indegree 2 and outdegree 1, then exceeds its
+        # cap min(m + 0, 2) by exactly one; its indegrees stay as built.
+        real = bounds._extremal_degrees
+
+        def short(m, s):
+            ind, out = real(m, s)
+            return ind, [max(o - 1, 0) for o in out]
+
+        monkeypatch.setattr(bounds, "_extremal_degrees", short)
+        assert main(["verify", "--suite", "edges", "--max-n", "12"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        failed = [(c["name"], c["detail"]) for c in payload["checks"] if not c["ok"]]
+        assert failed == [("degree caps", "1 violations")]
 
     def test_random_sets_refuse_after_their_draws(self, monkeypatch):
         monkeypatch.setattr(verify, "DRAWS_PER_POINT", 0)
