@@ -32,6 +32,7 @@ TIMEOUT_S = 900
 B = "src/ksetlab/bounds.py"
 G = "src/ksetlab/geometry.py"
 C = "src/ksetlab/circular.py"
+D = "src/ksetlab/decompose.py"
 IO = "src/ksetlab/io.py"
 V = "src/ksetlab/verify.py"
 
@@ -141,6 +142,26 @@ MUTANTS = [
      "        kept = kept.with_labels(ps.labels)\n",
      "        pass\n",
      ["tests/test_circular.py::TestKeptHalfperiod"]),
+    ("_witness not negating a reversal's sample", D,
+     "directions.append((sign * x, sign * y))",
+     "directions.append((x, y))",
+     ["tests/test_decompose.py::TestMatchesSamplingOracle"]),
+    ("_splits_along missing the 2s boundary", D,
+     "if not site % s:",
+     "if site == s:",
+     ["tests/test_geometry.py::TestFlatKernel::test_matches_dict_kernel"]),
+    ("check_halfperiod without the mirrored order", D,
+     "for orders in ((y, x, z), (y, z, x)), ((x, z, y), (z, x, y)):",
+     "for orders in (((y, x, z), (y, z, x)),):",
+     ["tests/test_decompose.py::TestCheckHalfperiod"
+      "::test_locate_on_the_unlabeled_set_find_partition_searched"]),
+    ("_ratio letting Fraction's ZeroDivisionError escape", IO,
+     "    try:\n"
+     "        value = Fraction(text)\n"
+     "    except ZeroDivisionError:\n"
+     "        raise ValueError(f\"zero denominator in {text!r}\") from None\n",
+     "    value = Fraction(text)\n",
+     ["tests/test_io_cli.py::test_exit_code_contract"]),
 ]
 
 

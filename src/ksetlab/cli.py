@@ -86,8 +86,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if d is not None:
             print(f"{name} = ({d[0]}, {d[1]})")
     if witness.halfperiod_indices is not None:
-        s, t = witness.halfperiod_indices
-        print(f"halfperiod witness: permutations {s} (b,a,c) and {t} (b,c,a)")
+        s, t, (first, second) = witness.halfperiod_indices
+        print(f"halfperiod witness: permutations {s} ({','.join(first)}) and {t} "
+              f"({','.join(second)})")
     return 0
 
 

@@ -12,9 +12,10 @@ s = n/3 (the only ones that move a point between thirds), yielding the
 split each leaves.  ``_read_splits`` walks the halfperiod from the first
 gap that ``build_halfperiod(ps)`` keeps on the point set, groups its swaps
 by class (``PointSet.classes``) and maps the split left after each class
-of flips to the first gap realizing it.  That gap's sample realizes the
-split, and the negated sample its reversal (third t becomes 2 - t); a
-witness (``_witness``) builds the samples of its own 2-3 splits only.
+of flips to the first gap realizing it, always to the closing class: one
+whole read serves every lookup.  That gap's sample realizes the split,
+and the negated sample its reversal (third t becomes 2 - t); a witness
+(``_witness``) builds the samples of its own 2-3 splits only.
 ``check_partition`` looks up the splits of the set's own labels (the
 direction-sampling check it replaces is kept as a test oracle);
 ``find_partition`` decides every split read and its reversal, thirds 0, 1,
@@ -23,10 +24,12 @@ direction-sampling check it replaces is kept as a test oracle);
 The halfperiod indices (s, t) of a witness come from the same walk:
 ``check_halfperiod`` walks a labeled halfperiod whose initial permutation
 is the class blocks x, y, z to the first y,z,x split after the first y,x,z
-one, and ``locate_halfperiod_witness`` runs it on the halfperiod from l1
-of the set under the witness's partition, which ``build_halfperiod``
-replays with the one swap loop.  Both read the labels of what they are
-given; the labels were checked when the point set was built.
+one, or else to the first z,x,y after the first x,z,y (the mirrored
+orientation), and says which pair it read.  ``locate_halfperiod_witness``
+runs it on the halfperiod from l1 of the set under the witness's
+partition, which ``build_halfperiod`` replays with the one swap loop.
+Both read the labels of what they are given; the labels were checked when
+the point set was built.
 
 The generator places n/3 points in a small disk at each vertex of a fixed
 triangle; as the disk radius shrinks the projection orders converge to the
@@ -44,7 +47,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import groupby
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .circular import Direction, Halfperiod, block_roles, build_halfperiod, gap_sample
 from .errors import GeneralPositionError, LabelingError
@@ -67,15 +70,19 @@ _BLOCK_ORDERS = {"three": ("abc", "bac", "bca"), "two": ("abc", "bac")}
 #: A split into thirds: entry p is the third (0, 1 or 2) of point p.
 Split = tuple[int, ...]
 
+#: Permutation indices (s, t) in a halfperiod and the block orders they read.
+HalfperiodIndices = tuple[int, int, tuple[tuple[str, ...], tuple[str, ...]]]
+
 
 class DecompositionWitness(NamedTuple):
     """A verified decomposition: the per-point classes, the three witness
     directions (the third is None in two-condition mode), and optionally the
-    halfperiod indices (s, t) locating the b,a,c and b,c,a permutations."""
+    halfperiod indices (s, t) with the block orders they read
+    (``check_halfperiod``)."""
 
     partition: tuple[str, ...]
     directions: tuple[Direction, Direction, Direction | None]
-    halfperiod_indices: tuple[int, int] | None = None
+    halfperiod_indices: HalfperiodIndices | None = None
 
 
 def _block_orders(mode: str) -> tuple[str, ...]:
@@ -106,27 +113,22 @@ def _splits_along(h: Halfperiod) -> Iterator[tuple[int, Split]]:
             yield k, tuple(third)
 
 
-def _read_splits(ps: PointSet, wanted: Collection[Split] = ()) -> dict[Split, int]:
+def _read_splits(ps: PointSet) -> dict[Split, int]:
     """Map each split into thirds that one sweep reads to the first gap
     realizing it.  The sweep (``build_halfperiod(ps)``) starts at the first
     gap's sample (``default_start_direction``) and meets classes 1, 2, ...
     in turn; class g opens gap g, and the last class met, 0, closes the
-    halfperiod.  Stops once every split in ``wanted`` is mapped, and with
-    none wanted reads the whole halfperiod."""
+    halfperiod.  The walk always reads the whole halfperiod, and one map
+    serves every lookup, ``check_partition``'s and ``find_partition``'s."""
     r, starts = build_halfperiod(ps), ps.classes.starts
     cut, final = starts[r.first], (r.first or len(ps.classes)) - 1
     steps, pairs = _splits_along(r), len(r.sites)
     first = {next(steps)[1]: 0}
-    missing = set(wanted).difference(first)  # the wanted splits not yet mapped
     for g, moved in groupby(steps, lambda step: bisect_right(starts, (step[0] + cut) % pairs) - 1):
         if g == final:
             break
         *_, (_, split) = moved  # the split left after class g
         first.setdefault(split, g)
-        if wanted:
-            missing.discard(split)
-            if not missing:
-                break
     return first
 
 
@@ -159,17 +161,17 @@ def check_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness |
     ``mode='three'`` (default) requires the block orders a,b,c / b,a,c /
     b,c,a; ``mode='two'`` requires only the first two.
 
-    Each block order is a split into thirds, looked up in the splits one
-    sweep reads (``_read_splits``, stopped once all are read): its witness
-    is the first realizing direction among the gap samples
-    (``gap_samples``), else the first among their negations.
+    Each block order is a split into thirds, looked up in the whole map of
+    the splits one sweep reads (``_read_splits``, the map
+    ``find_partition`` reads too): its witness is the first realizing
+    direction among the gap samples (``gap_samples``), else the first
+    among their negations.
     """
     orders = _block_orders(mode)
     part = ps.labels
     if part is None:
         raise LabelingError("check_partition needs a labeled point set")
-    wanted = _splits(part, orders)
-    return _witness(ps, part, wanted, _read_splits(ps, wanted))
+    return _witness(ps, part, _splits(part, orders), _read_splits(ps))
 
 
 def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | None:
@@ -195,14 +197,17 @@ def find_partition(ps: PointSet, mode: str = "three") -> DecompositionWitness | 
     return None
 
 
-def check_halfperiod(h: Halfperiod) -> tuple[int, int] | None:
+def check_halfperiod(h: Halfperiod) -> HalfperiodIndices | None:
     """Locate the decomposition witnesses inside a halfperiod, under its
     labels; raises ``LabelingError`` on an unlabeled one.
 
     The initial permutation must consist of three pure class blocks
     (x, y, z); the function then scans for the earliest index s whose
-    permutation reads y,x,z in blocks and the earliest t > s reading y,z,x.
-    Returns (s, t) (0-based permutation indices) or None.  Only the splits
+    permutation reads y,x,z in blocks and the earliest t > s reading y,z,x,
+    and failing that for the mirrored pair, x,z,y before z,x,y (from l1,
+    the reversals of b,c,a and b,a,c, which the negated l3 and l2 realize).
+    Returns (s, t, orders) (0-based permutation indices and the two block
+    orders they read) or None.  Only the splits
     ``_splits_along`` walks are read, and no swap as a ``Swap``.
     """
     labels = h.labels
@@ -212,13 +217,13 @@ def check_halfperiod(h: Halfperiod) -> tuple[int, int] | None:
     if roles is None:
         return None
     x, y, z = roles
-    targets = _splits(labels, ((y, x, z), (y, z, x)))
-    found: list[int] = []
-    for k, split in _splits_along(h):
-        if split == targets[len(found)]:
-            found.append(k + 1)
-            if len(found) == 2:
-                return found[0], found[1]
+    for orders in ((y, x, z), (y, z, x)), ((x, z, y), (z, x, y)):
+        targets, found = _splits(labels, orders), []
+        for k, split in _splits_along(h):
+            if split == targets[len(found)]:
+                found.append(k + 1)
+                if len(found) == 2:
+                    return found[0], found[1], orders
     return None
 
 

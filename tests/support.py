@@ -514,12 +514,11 @@ def site_counts_by_replay(ps: PointSet) -> tuple:
     return tuple(counts), None if het is None else tuple(het)
 
 
-def read_splits_by_replay(ps: PointSet, wanted: tuple = ()) -> list:
-    """``decompose._read_splits(ps, wanted)`` as a list of items, from
+def read_splits_by_replay(ps: PointSet) -> list:
+    """``decompose._read_splits(ps)`` as a list of items, from
     ``sweep_by_classes``: the split into thirds after each class that
     moves a point across site s or 2s, with the sample of the gap after
-    it, first occurrence kept, up to the first such class after which
-    every wanted split is read."""
+    it, first occurrence kept."""
     samples = gap_samples_of(classes_by_sorting(ps))
     initial, flips = sweep_by_classes(ps, samples[0])
     s = ps.n // 3
@@ -535,8 +534,6 @@ def read_splits_by_replay(ps: PointSet, wanted: tuple = ()) -> list:
                 moved = True
         if moved:
             first.setdefault(tuple(third), u)
-            if wanted and all(w in first for w in wanted):
-                break
     return list(first.items())
 
 
@@ -614,9 +611,10 @@ def check_partition_by_sampling(
     return DecompositionWitness(part, (found[0], found[1], l3))
 
 
-def block_pattern_indices_by_permutations(h: Halfperiod) -> tuple[int, int] | None:
+def block_pattern_indices_by_permutations(h: Halfperiod) -> tuple | None:
     """``check_halfperiod`` by reading the blocks of every permutation of
-    the labeled halfperiod ``h``."""
+    the labeled halfperiod ``h``: y,x,z before y,z,x, else the mirrored
+    x,z,y before z,x,y."""
 
     def blocks(perm: tuple[int, ...]) -> tuple[str, ...] | None:
         s = h.n // 3
@@ -630,11 +628,15 @@ def block_pattern_indices_by_permutations(h: Halfperiod) -> tuple[int, int] | No
     if roles is None or len(set(roles)) != 3:
         return None
     x, y, z = roles
-    s_idx = next((i for i, p in enumerate(perms) if blocks(p) == (y, x, z)), None)
-    if s_idx is None:
-        return None
-    t_idx = next((i for i in range(s_idx + 1, len(perms)) if blocks(perms[i]) == (y, z, x)), None)
-    return None if t_idx is None else (s_idx, t_idx)
+    for first, second in ((y, x, z), (y, z, x)), ((x, z, y), (z, x, y)):
+        s_idx = next((i for i, p in enumerate(perms) if blocks(p) == first), None)
+        if s_idx is None:
+            continue
+        t_idx = next((i for i in range(s_idx + 1, len(perms)) if blocks(perms[i]) == second),
+                     None)
+        if t_idx is not None:
+            return s_idx, t_idx, (first, second)
+    return None
 
 
 def convex_hull(points: list[Point]) -> list[Point]:

@@ -323,7 +323,8 @@ class TestCheckHalfperiod:
         h = build_halfperiod(ps, w.directions[0])
         st = check_halfperiod(h)
         assert st is not None
-        s, t = st
+        s, t, orders = st
+        assert orders == (("b", "a", "c"), ("b", "c", "a"))
         assert 0 <= s < t <= math.comb(9, 2)
 
     def test_non_block_initial_permutation(self):
@@ -360,22 +361,24 @@ class TestCheckHalfperiod:
         ps = generate(12, seed=2)
         w = locate_halfperiod_witness(ps, check_partition(ps))
         assert w.halfperiod_indices is not None
-        s, t = w.halfperiod_indices
+        s, t, _ = w.halfperiod_indices
         assert 0 <= s < t <= math.comb(12, 2)
 
-    # Sets whose searched witness has indices in the halfperiod from l1.
-    @pytest.mark.parametrize("n, seed, shape", [
-        (9, 3, "triangle-clusters"), (12, 2, "triangle-clusters"),
-        (12, 3, "triangle-clusters"), (9, 1, "near-optimal-template"),
-    ])
+    @pytest.mark.parametrize("shape", GENERATOR_SHAPES)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [9, 12, 30])
     def test_locate_on_the_unlabeled_set_find_partition_searched(self, n, seed, shape):
-        # The witness's own partition labels the halfperiod from l1: the
+        # The witness's own partition labels the halfperiod from l1, which
+        # meets y,x,z before y,z,x or the mirrored x,z,y before z,x,y: every
+        # searched witness has indices, the permutation oracle's, and the
         # unlabeled set, a fresh copy of it and the set under that
-        # partition give the same indices.
+        # partition give the same.
         unlabeled = generate(n, seed, shape).with_labels(None)
         w = find_partition(unlabeled)
         located = locate_halfperiod_witness(unlabeled, w)
         assert located.halfperiod_indices is not None
+        h = build_halfperiod(unlabeled.with_labels(w.partition), w.directions[0])
+        assert located.halfperiod_indices == block_pattern_indices_by_permutations(h)
         assert located == locate_halfperiod_witness(unlabeled.with_labels(w.partition), w)
         assert located == locate_halfperiod_witness(
             PointSet(unlabeled.coords, unlabeled.scale), w

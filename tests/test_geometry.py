@@ -392,10 +392,10 @@ class TestAngularSort:
                     assert error <= abs(Fraction(neighbour) - exact)
 
 
-def read_splits(ps, wanted=()):
-    """``decompose._read_splits(ps, wanted)`` as a list of items, each
-    split with the sample of its gap."""
-    first = decompose._read_splits(ps, wanted)
+def read_splits(ps):
+    """``decompose._read_splits(ps)`` as a list of items, each split with
+    the sample of its gap."""
+    first = decompose._read_splits(ps)
     return [(split, gap_sample(ps.classes, g)) for split, g in first.items()]
 
 
@@ -462,19 +462,6 @@ class TestFlatKernel:
     @given(kernel_inputs())
     def test_matches_dict_kernel(self, ps):
         assert flat_kernel(ps) == reference_kernel(ps)
-
-    @pytest.mark.parametrize("n, seed", [(9, 0), (12, 1), (30, 2), (42, 3)])
-    def test_read_stops_after_the_class_mapping_every_wanted_split(self, n, seed):
-        # The wanted splits of check_partition, the first split alone, every
-        # third split read with the last one, and a tuple that is no split
-        # (the whole halfperiod is read): the map is read up to the first
-        # class after which every wanted split is mapped.
-        ps = generate(n, seed)
-        full = [split for split, _ in read_splits_by_replay(ps)]
-        wanted = [decompose._splits(ps.labels, ("abc", "bac", "bca")), [full[0]], [(3,) * n]]
-        wanted += [[split, full[-1]] for split in full[::3]]
-        for w in wanted:
-            assert read_splits(ps, w) == read_splits_by_replay(ps, tuple(w))
 
     def test_large_coordinates_at_n_150(self):
         rng = random.Random(150)

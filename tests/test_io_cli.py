@@ -924,6 +924,217 @@ def test_exit_two_from_a_shell(tmp_path, argv):
     assert proc.stdout == ""
 
 
+#: Unicode digits a coordinate may be spelt in: Arabic-Indic and full-width.
+_ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+#: Coordinates the reader must refuse: zero denominators, read as two ints
+#: or (signed with "+" or padded) by ``Fraction``, forms ``Fraction``
+#: rejects, an exponent and a digit run past the int digit limit, and JSON
+#: values of the wrong type.
+_BAD_COORDINATES = st.builds(
+    "{1}{0}{2}/0{1}".format, st.sampled_from(["", "-", "+"]), st.sampled_from(["", " "]),
+    st.integers(0, 99),
+) | st.sampled_from([
+    "1/-2", "1/2/3", "", "x", "nan", "inf", "1e99999", "1" * 4301, None, True, [1, 2], {"p": 1},
+])
+#: Point counts, mostly multiples of 3, at most 60.
+_NS = st.integers(-1, 20).map(lambda k: 3 * k) | st.integers(-3, 60)
+#: Files that hold no point-set object.
+_BAD_TEXTS = ["", "{", "[" * 40, "nul", '{"points": [}', "[]", "3", '"points"', "null"]
+
+
+def _spelling(draw, value: Fraction):
+    """``value`` as a point-set file may spell it: reduced or not (with
+    digit runs up to about 100 long, under the int digit limit), signed,
+    padded, in Unicode digits, or as a JSON integer or an exponent."""
+    p, q = value.numerator, value.denominator
+    k = draw(st.integers(1, 9) | st.integers(40, 100).map(lambda e: 10**e))
+    forms = [f"{p}/{q}", f"{p * k}/{q * k}", f"+{p}/{q}" if p >= 0 else f"-{-p}/{q}",
+             f" {p}/{q}\t", f"{p}/{q}".translate(_ARABIC), f"{p}/{q}".translate(_FULL_WIDTH)]
+    if q == 1:
+        forms += [p, f"{p}e0", f"{p * 10}e-1", f"{p}.000"]
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def contract_documents(draw):
+    """The text of a point-set file, n <= 60, around the schema: a
+    generated 3-decomposable set, a random general-position set or a
+    small drawn one (duplicates and collinear triples among them),
+    perhaps with a point duplicated, dropped or a midpoint added, spelt in
+    every form the reader takes; and in about half of them one fault: text
+    that is no such object, a wrong or missing key, a bad entry, a refused
+    coordinate or bad labels."""
+    fault = draw(st.sampled_from([None] * 8 + ["text", "top", "n", "points", "entry",
+                                               "coordinate", "coordinate", "labels", "key"]))
+    if fault == "text":
+        return draw(st.sampled_from(_BAD_TEXTS))
+    kind = draw(st.sampled_from(["generated", "random", "drawn"]))
+    labels = None
+    if kind == "drawn":
+        small = st.integers(-4, 4)
+        points = [(Fraction(x), Fraction(y))
+                  for x, y in draw(st.lists(st.tuples(small, small), max_size=9))]
+    else:
+        if kind == "generated":
+            ps = generate(3 * draw(st.integers(1, 20)), draw(st.integers(0, 3)),
+                          draw(st.sampled_from(decompose.GENERATOR_SHAPES)))
+            labels = list(ps.labels) if draw(st.booleans()) else None
+        else:
+            ps = random_general_position_set(draw(_NS.filter(lambda n: n >= 0)),
+                                             draw(st.integers(0, 3)))
+        points = [(Fraction(x, ps.scale), Fraction(y, ps.scale)) for x, y in ps.coords]
+    if len(points) >= 2 and not draw(st.integers(0, 3)):
+        i, j = draw(st.integers(0, len(points) - 1)), draw(st.integers(0, len(points) - 1))
+        edit = draw(st.sampled_from(["duplicate", "midpoint", "drop"]))
+        if edit == "duplicate":
+            points.append(points[i])
+        elif edit == "midpoint":
+            points.append(((points[i][0] + points[j][0]) / 2, (points[i][1] + points[j][1]) / 2))
+        else:
+            del points[i]
+    n = len(points)
+    cells = [[_spelling(draw, x), _spelling(draw, y)] for x, y in points]
+    if labels is None and n % 3 == 0 and draw(st.booleans()):
+        labels = list(draw(st.permutations("abc" * (n // 3))))
+    if labels is not None and draw(st.booleans()):
+        labels = [c.upper() for c in labels]
+    if fault == "labels":
+        labels = labels or ["a", "b", "c"] * (n // 3)
+        labels = draw(st.sampled_from([
+            labels[1:], labels + ["a"], ["d"] + labels[1:], [1] + labels[1:], [None] * n,
+            "".join(labels), ["a"] * n, {"labels": labels},
+        ]))
+    if cells and fault == "coordinate":
+        cells[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = draw(_BAD_COORDINATES)
+    if cells and fault == "entry":
+        cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [["1/2"], ["1/2", "1/3", "1/5"], "1/2", {"x": "1/2", "y": "1/3"}, None]))
+    doc = {"n": n, "points": cells, "labels": labels}
+    if fault == "n":
+        doc["n"] = draw(st.sampled_from([n + 1, -1, str(n), float(n), True, None]))
+    if fault == "points":
+        doc["points"] = draw(st.sampled_from(["1/2", {}, 3, None]))
+    if fault == "key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault != "n" and draw(st.booleans()):
+        del doc["n"]  # n is optional
+    if fault == "top":
+        return json.dumps(draw(st.sampled_from([[doc], "points", 3, None])))
+    return json.dumps(doc)
+
+
+#: Where an ``--out`` goes: a fresh file, or one in a missing directory.
+_OUTS = st.sampled_from(["{tmp}/out"] * 3 + ["{tmp}/missing/out"])
+
+
+def _range_texts():
+    """LO:HI ranges, well formed or not."""
+    ranges = st.builds("{}:{}".format, st.integers(-3, 40), st.integers(-3, 60))
+    return ranges | st.sampled_from(["", "x", ":", "5", "1:2:3", "a:b", " 2 : 9 "])
+
+
+@st.composite
+def contract_cases(draw):
+    """argv for one command, from its own options, and the text of the
+    file ``analyze`` reads.  Values are small, negative, empty or
+    malformed, but each passes argparse (an int option gets an int; each
+    option is written ``--name=value``, so a value may start with "-"),
+    with ``--parallel`` <= 2, n <= 60 and ``--max-b`` <= 50.  Every option
+    of a chosen suite is given, since some suites' defaults run for
+    seconds."""
+    command = draw(st.sampled_from(["gen", "analyze", "bounds", "verify", "sweep"]))
+    argv, document = [command], None
+
+    def option(name, values, always=False):
+        if always or draw(st.booleans()):
+            argv.append(f"{name}={draw(values)}")
+
+    shapes = st.sampled_from(decompose.GENERATOR_SHAPES)
+    if command == "gen":
+        option("--n", _NS, True)
+        option("--seed", st.integers(-3, 3), True)
+        option("--shape", shapes)
+        option("--out", _OUTS, True)
+    elif command == "analyze":
+        document = draw(contract_documents())
+        option("--input", st.sampled_from(["{tmp}/in.json"] * 8 + ["{tmp}/none.json", "{tmp}"]),
+               True)
+        option("--k-range", _range_texts())
+        if draw(st.booleans()):
+            argv.append("--require-decomp")
+        option("--decomp-mode", st.sampled_from(["three", "two"]))
+        option("--out", _OUTS)
+    elif command == "bounds":
+        way = draw(st.sampled_from(["--n", "--n-range", "--coefficient", None]))
+        if way == "--n":
+            option(way, _NS, True)
+        elif way == "--n-range":
+            option(way, _range_texts(), True)
+        elif way:
+            argv.append(way)
+        option("--k", st.integers(-2, 40))
+        option("--out", _OUTS)
+    elif command == "verify":
+        suite = draw(st.sampled_from(sorted(verify.SUITES) + ["all", None]))
+        if suite is not None:
+            argv.append(f"--suite={suite}")
+        suites = verify.SUITES if suite in ("all", None) else [suite]
+        needed = {o for name in suites for o in verify.SUITE_OPTIONS[name]}
+        values = {"max_n": _NS, "sets_per_n": st.integers(-1, 2), "max_b": st.integers(-2, 50),
+                  "terms": st.integers(40, 2000)}
+        for name, drawn in values.items():
+            option(f"--{name.replace('_', '-')}", drawn, name in needed)
+        option("--out", _OUTS)
+    else:
+        ns = st.lists(_NS.map(str) | st.sampled_from(["", "x", " 9", "6.0"]),
+                      min_size=1, max_size=2)
+        argv.append(f"--ns={','.join(draw(ns))}")
+        option("--seeds", st.integers(-1, 2), True)
+        option("--shape", shapes)
+        option("--parallel", st.integers(-1, 2))
+        option("--out", _OUTS)
+    return argv, document
+
+
+def _false_cells(text):
+    """Whether a CSV's ``satisfied`` column holds ``false``."""
+    return any(row.get("satisfied") == "false" for row in csv.DictReader(io.StringIO(text)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(contract_cases())
+@example((["analyze", "--input={tmp}/in.json"], json.dumps({"points": [["+1/0", "0"]]})))
+def test_exit_code_contract(case):
+    # Every command, in process: exit 0, 1 or 2 and no exception; 2 with
+    # one error: line and no --out file; 1 exactly when a satisfied cell
+    # is false (analyze, sweep) or a check failed (verify).
+    argv, document = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.format(tmp=tmp) for a in argv]
+        if document is not None:
+            Path(tmp, "in.json").write_text(document)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        outs = [a.partition("=")[2] for a in argv if a.startswith("--out=")]
+        path = Path(outs[0]) if outs else None
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert path is None or not path.exists()
+            return
+        assert "error:" not in err.getvalue()
+        written = path.read_text() if path is not None and path.exists() else out.getvalue()
+        if argv[0] in ("analyze", "sweep"):
+            assert (code == 1) == _false_cells(written)
+        elif argv[0] == "verify":
+            assert (code == 1) == (json.loads(written)["ok"] is False)
+        else:
+            assert code == 0
+
+
 @pytest.mark.parametrize(
     "argv, module, name",
     [
