@@ -135,17 +135,29 @@ MUTANTS = [
      '_fields = ("coords", "labels")',
      ["tests/test_geometry.py::TestIntegerKernel"]),
     ("crossing_count weighting a swap at site i by i instead of i - 1", C,
-     "sum(c * (i - 1) * (n - i - 1) for i, c in enumerate(counts))",
-     "sum(c * i * (n - i - 1) for i, c in enumerate(counts))",
+     "sum(c * (i - 1) * (n - i - 1) for i, c in enumerate(h.site_counts[0]))",
+     "sum(c * i * (n - i - 1) for i, c in enumerate(h.site_counts[0]))",
      ["tests/test_circular.py::TestCrossingCount"]),
     ("build_halfperiod not relabeling the kept halfperiod", C,
-     "        kept = kept.with_labels(ps.labels)\n",
-     "        pass\n",
+     "                ps.labels,\n",
+     "                kept.labels,\n",
      ["tests/test_circular.py::TestKeptHalfperiod"]),
+    ("replay_sites without its non-adjacent swap guard", C,
+     "        if x - y not in (1, -1):\n",
+     "        if False:\n",
+     ["tests/test_circular.py::TestSwapLoopGuards::test_non_adjacent_swap"]),
+    ("replay_sites without its reversal guard", C,
+     "    if any(pos[p] != len(pos) - 1 - site for site, p in enumerate(initial)):\n",
+     "    if False:\n",
+     ["tests/test_circular.py::TestSwapLoopGuards::test_replay_that_does_not_reverse"]),
     ("_witness not negating a reversal's sample", D,
      "directions.append((sign * x, sign * y))",
      "directions.append((x, y))",
      ["tests/test_decompose.py::TestMatchesSamplingOracle"]),
+    ("_read_splits cutting the sweep at class 0's start, not class 1's", D,
+     "cut = starts[1] if pairs else 0",
+     "cut = starts[0] if pairs else 0",
+     ["tests/test_geometry.py::TestFlatKernel::test_matches_dict_kernel"]),
     ("_splits_along missing the 2s boundary", D,
      "if not site % s:",
      "if site == s:",

@@ -25,7 +25,8 @@ order rotated to begin at the first class ahead of the start.  The pairs
 of one class are disjoint and their swaps commute; they are listed by
 increasing left site.  One swap loop (``replay_sites``) replays them into
 the flat columns of a ``Halfperiod``, once per halfperiod that
-``build_halfperiod`` builds, whatever its start.  The default start's
+``build_halfperiod`` builds, whatever its start; it is the one way to a
+halfperiod, under the point set's checked labels.  The default start's
 halfperiod is kept on the point set (a relabeled copy shares the
 columns); site counts, k-set counts, the crossing count and the
 decomposition checks all read it.  A swap outside the columns is a
@@ -85,11 +86,11 @@ class Halfperiod(Frozen):
     columns: ``initial_permutation`` is the order of the points along
     ``direction``, and swap ``k`` trades points ``firsts[k]`` and
     ``seconds[k]`` at sites ``sites[k]``, ``sites[k] + 1`` (1-based).
-    Class ``first`` of ``PointSet.classes`` flips first, then the classes
-    after it, wrapping around; the last permutation reverses the first.
-    ``labels`` are the point set's (None without).  It compares, hashes and
-    shows as its ``n``, ``initial_permutation``, ``swaps`` (each ``Swap``,
-    built on first use), ``direction`` and ``labels``."""
+    The classes flip in turn from the first one ahead of ``direction``; the
+    last permutation reverses the first.  ``build_halfperiod`` builds it,
+    with the point set's ``labels`` (None without).  It compares, hashes
+    and shows as its ``n``, ``initial_permutation``, ``swaps`` (each
+    ``Swap``, built on first use), ``direction`` and ``labels``."""
 
     _fields = ("n", "initial_permutation", "swaps", "direction", "labels")
 
@@ -97,7 +98,6 @@ class Halfperiod(Frozen):
         self,
         direction: Direction,
         initial_permutation: tuple[int, ...],
-        first: int,
         sites: array,
         firsts: array,
         seconds: array,
@@ -105,15 +105,8 @@ class Halfperiod(Frozen):
     ) -> None:
         self.__dict__.update(
             n=len(initial_permutation), direction=direction,
-            initial_permutation=initial_permutation, first=first, sites=sites, firsts=firsts,
+            initial_permutation=initial_permutation, sites=sites, firsts=firsts,
             seconds=seconds, labels=labels,
-        )
-
-    def with_labels(self, labels: tuple[str, ...] | None) -> "Halfperiod":
-        """The same halfperiod, sharing its columns, with other labels."""
-        return Halfperiod(
-            self.direction, self.initial_permutation, self.first, self.sites, self.firsts,
-            self.seconds, labels,
         )
 
     @cached_property
@@ -210,31 +203,26 @@ def block_roles(perm: Sequence[int], labels: Sequence[str]) -> tuple[str, str, s
     return roles if len(set(roles)) == 3 else None  # type: ignore[return-value]
 
 
-def site_counts(ps: PointSet) -> SiteCounts:
-    """The swaps at each site of the halfperiod of ``ps``, and the
-    heterogeneous ones among them, counted off its one replay:
-    ``build_halfperiod(ps).site_counts``."""
-    return build_halfperiod(ps).site_counts
-
-
 def build_halfperiod(ps: PointSet, direction: Direction | None = None) -> Halfperiod:
     """The halfperiod of ``ps`` starting at ``direction``, with the labels
     of ``ps``: one run of the swap loop (``replay_sites``) from the order
     along it.  A given direction must tie no pair of projections.  Without
     one it starts at ``default_start_direction``, and its halfperiod is
     kept on the point set, so the loop runs once per grid: a copy under
-    other labels (``PointSet.with_labels`` hands it on) gets it relabeled,
-    sharing its columns.  Raises ``GeneralPositionError`` on a degenerate
-    set."""
+    other labels, to which ``PointSet.with_labels`` hands it on, gets a
+    ``Halfperiod`` with its own labels on first read, sharing the columns.
+    Raises ``GeneralPositionError`` on a degenerate set."""
     kept = ps.__dict__.get(_KEPT)
     if direction is None and kept is not None:
         if kept.labels != ps.labels:
-            kept = kept.with_labels(ps.labels)
-            ps.__dict__[_KEPT] = kept
+            kept = ps.__dict__[_KEPT] = Halfperiod(
+                kept.direction, kept.initial_permutation, kept.sites, kept.firsts, kept.seconds,
+                ps.labels,
+            )
         return kept
     u = default_start_direction(ps) if direction is None else direction
     initial, first = _start(ps, u)
-    h = Halfperiod(u, initial, first, *replay_sites(ps.classes, initial, first), ps.labels)
+    h = Halfperiod(u, initial, *replay_sites(ps.classes, initial, first), ps.labels)
     if direction is None:
         ps.__dict__[_KEPT] = h
     return h
@@ -305,16 +293,15 @@ def kset_vector_from_halfperiod(h: Halfperiod) -> KSetVector:
     return kset_vector_from_sites(h.n, h.site_counts[0])
 
 
-def crossing_count(ps: PointSet) -> int:
+def crossing_count(h: Halfperiod) -> int:
     """The crossings of the straight-line drawing of the complete graph on
-    ``ps``, from the site counts c_i of its one replay:
+    the points of ``h``, from its site counts c_i:
     3*C(n,4) - sum_i c_i*(i-1)*(n-i-1).  The line of a swap at site i
     separates (i-1)*(n-i-1) pairs, and a 4-set holds two such separations
     if convex, three if not.  O(n) after the replay;
     ``geometry.crossing_number`` is its O(n^4) oracle."""
-    n = ps.n
-    counts = site_counts(ps)[0]
-    return 3 * comb(n, 4) - sum(c * (i - 1) * (n - i - 1) for i, c in enumerate(counts))
+    n = h.n
+    return 3 * comb(n, 4) - sum(c * (i - 1) * (n - i - 1) for i, c in enumerate(h.site_counts[0]))
 
 
 class ValidSwapDigraph(NamedTuple):

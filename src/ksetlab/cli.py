@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from math import comb
 from typing import Iterable, Iterator, TextIO
@@ -63,12 +64,18 @@ def _output(path: str | None) -> Iterator[TextIO]:
     ``bounds``, ``verify`` and ``sweep`` enter this before they compute, so
     that an unwritable ``--out`` fails before any work; ``analyze`` and
     ``gen`` open their output only once their input has proved usable, so
-    that an input fault leaves no file."""
+    that an input fault leaves no file.  A command that raises leaves no
+    file either: the one opened here is removed."""
     if not path:
         yield sys.stdout
         return
     with open(path, "w", newline="") as out:
-        yield out
+        try:
+            yield out
+        except BaseException:
+            out.close()
+            os.remove(path)
+            raise
 
 
 def _write_csv(out: TextIO, columns: list[str], lines: Iterable[str]) -> None:
@@ -96,7 +103,7 @@ def _analyze_rows(ps: PointSet, k_lo: int, k_hi: int) -> list[list]:
     """The ``analyze`` rows for k_lo <= k <= k_hi, in ``ANALYZE_COLUMNS``
     order."""
     n = ps.n
-    counts, het_counts = circular.site_counts(ps)
+    counts, het_counts = circular.build_halfperiod(ps).site_counts
     vec = circular.kset_vector_from_sites(n, counts)
     # The (<=k)-critical swaps are those at sites 1..k and n-k..n-1, e_{<=k}
     # of them; the heterogeneous ones are summed the same way.

@@ -116,16 +116,17 @@ def _splits_along(h: Halfperiod) -> Iterator[tuple[int, Split]]:
 def _read_splits(ps: PointSet) -> dict[Split, int]:
     """Map each split into thirds that one sweep reads to the first gap
     realizing it.  The sweep (``build_halfperiod(ps)``) starts at the first
-    gap's sample (``default_start_direction``) and meets classes 1, 2, ...
-    in turn; class g opens gap g, and the last class met, 0, closes the
-    halfperiod.  The walk always reads the whole halfperiod, and one map
-    serves every lookup, ``check_partition``'s and ``find_partition``'s."""
+    gap's sample (``default_start_direction``), so its swaps begin with
+    class 1 (the cut) and meet classes 2, 3, ... in turn; class g opens gap
+    g, and the last class met, 0, closes the halfperiod.  The walk always
+    reads the whole halfperiod, and one map serves every lookup,
+    ``check_partition``'s and ``find_partition``'s."""
     r, starts = build_halfperiod(ps), ps.classes.starts
-    cut, final = starts[r.first], (r.first or len(ps.classes)) - 1
     steps, pairs = _splits_along(r), len(r.sites)
+    cut = starts[1] if pairs else 0  # swap 0 is class 1's first pair
     first = {next(steps)[1]: 0}
     for g, moved in groupby(steps, lambda step: bisect_right(starts, (step[0] + cut) % pairs) - 1):
-        if g == final:
+        if g == 0:
             break
         *_, (_, split) = moved  # the split left after class g
         first.setdefault(split, g)

@@ -118,7 +118,9 @@ class PointSet(Frozen):
     Every value computed from the grid is computed at most once per
     instance and kept in its ``__dict__``: ``points``, ``classes`` and the
     halfperiod ``circular.build_halfperiod`` keeps.  ``with_labels`` hands
-    them all on to the relabeled set, since labels change none of them.
+    them all on to the relabeled set: labels change neither the points nor
+    the classes, and the kept halfperiod, which carries labels, is
+    relabeled by ``build_halfperiod`` on first read.
     """
 
     _fields = ("coords", "scale", "labels")

@@ -93,8 +93,7 @@ def oracle_suite(max_n: int = 12, sets_per_n: int = 20) -> SuiteResult:
     ]
     return _finish("oracle", [
         _tally(name, sum(
-            circular.kset_vector_from_sites(ps.n, circular.site_counts(ps)[0])
-            != k_set_oracle(ps)
+            circular.kset_vector_from_halfperiod(circular.build_halfperiod(ps)) != k_set_oracle(ps)
             for ps in sets
         ), "halfperiod counts = oracle counts")
         for name, sets in groups

@@ -502,7 +502,7 @@ def sweep_by_classes(ps: PointSet, u: Direction) -> tuple[tuple[int, ...], list[
 
 
 def site_counts_by_replay(ps: PointSet) -> tuple:
-    """``site_counts(ps)`` tallied swap by swap off ``sweep_by_classes``
+    """``build_halfperiod(ps).site_counts`` tallied swap by swap off ``sweep_by_classes``
     from the first gap's sample."""
     _, flips = sweep_by_classes(ps, gap_samples_of(classes_by_sorting(ps))[0])
     counts = [0] * max(ps.n, 1)

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,6 @@ from ksetlab import (
     k_set_oracle,
     kset_vector_from_halfperiod,
     kset_vector_from_sites,
-    site_counts,
 )
 from ksetlab import circular, decompose
 from ksetlab.circular import (
@@ -29,6 +29,7 @@ from ksetlab.circular import (
     gap_samples,
 )
 from ksetlab.cli import ANALYZE_COLUMNS, _analyze_rows
+from ksetlab.geometry import Classes
 from ksetlab.verify import random_general_position_set
 
 from support import (
@@ -265,7 +266,7 @@ class TestCountingSweep:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(grid_sets() | generated_sets(), st.data())
     def test_matches_halfperiod(self, ps, data):
-        counts, het = site_counts(ps)
+        counts, het = build_halfperiod(ps).site_counts
         # Site by site it is the halfperiod from the default start, the
         # first gap's sample...
         h = build_halfperiod(ps)
@@ -297,7 +298,7 @@ class TestCountingSweep:
 
 
 class TestCrossingCount:
-    """``crossing_count`` reads the crossings off the one replay's site
+    """``crossing_count`` reads the crossings off a halfperiod's site
     counts; ``crossing_number`` counts the convex quadruples one by one."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -307,26 +308,27 @@ class TestCrossingCount:
             ps = generate(3 * -(-n // 3), seed)
         else:
             ps = random_general_position_set(n, seed)
-        assert crossing_count(ps) == crossing_number(ps)
+        assert crossing_count(build_halfperiod(ps)) == crossing_number(ps)
 
     @pytest.mark.parametrize("n, crossings", [(9, 84), (12, 375), (15, 895)])
     def test_generated_sets(self, n, crossings):
         ps = generate(n, 0)
-        assert crossing_count(ps) == crossing_number(ps) == crossings
+        assert crossing_count(build_halfperiod(ps)) == crossing_number(ps) == crossings
 
     def test_small_and_convex_sets(self):
-        assert crossing_count(TRIANGLE) == 0
-        assert crossing_count(HEXAGON) == math.comb(6, 4)  # every quadruple is convex
+        assert crossing_count(build_halfperiod(TRIANGLE)) == 0
+        # Every quadruple of the hexagon is convex.
+        assert crossing_count(build_halfperiod(HEXAGON)) == math.comb(6, 4)
 
     @pytest.mark.parametrize("ps", DEGENERATE_SETS)
     def test_degenerate_sets_rejected(self, ps):
         with pytest.raises(GeneralPositionError):
-            crossing_count(ps)
+            crossing_count(build_halfperiod(ps))
 
 
 class TestStartDirection:
     def test_counting_and_decomposition_start_in_the_first_gap(self, monkeypatch):
-        # site_counts, build_halfperiod, check_partition and find_partition
+        # The site counts, build_halfperiod, check_partition and find_partition
         # read one halfperiod, from gap_samples(ps.classes)[0], replayed by
         # one swap loop, kept on the point set and handed on to its
         # relabeled copies.
@@ -340,11 +342,11 @@ class TestStartDirection:
             return real(*args)
 
         monkeypatch.setattr(circular, "replay_sites", recording)
-        site_counts(fresh)
-        build_halfperiod(fresh)
+        build_halfperiod(fresh).site_counts
         decompose.check_partition(fresh)
         decompose.find_partition(fresh.with_labels(None))
-        assert site_counts(fresh.with_labels(None)) == (site_counts(fresh)[0], None)
+        unlabeled = build_halfperiod(fresh.with_labels(None)).site_counts
+        assert unlabeled == (build_halfperiod(fresh).site_counts[0], None)
         assert len(loops) == 1
         start = gap_samples(ps.classes)[0]
         assert build_halfperiod(fresh).direction == start
@@ -368,7 +370,7 @@ class TestKeptHalfperiod:
             assert h.seconds is kept.seconds and h.direction == kept.direction
             assert h.labels == copy.labels and build_halfperiod(copy) is h
             # Heterogeneous swaps counted under the copy's labels.
-            assert site_counts(copy) == site_counts_by_replay(copy)
+            assert h.site_counts == site_counts_by_replay(copy)
         assert build_halfperiod(ps) is kept and kept.labels == ps.labels
 
 
@@ -439,6 +441,26 @@ class TestRotation:
         assert len(loops) == 2 * len(starts) + 1
 
 
+class TestSwapLoopGuards:
+    """``replay_sites`` refuses a swap of two points that are not
+    neighbours, and a replay whose last order is not the first reversed."""
+
+    def test_non_adjacent_swap(self):
+        ps = PointSet.from_coords([(0, 0), (4, 1), (1, 3), (3, 5)])
+        initial, first = circular._start(ps, default_start_direction(ps))
+        circular.replay_sites(ps.classes, initial, first)
+        with pytest.raises(GeneralPositionError, match="non-adjacent"):
+            circular.replay_sites(ps.classes, initial[1:] + initial[:1], first)
+
+    def test_replay_that_does_not_reverse(self):
+        # Pair (0, 1) listed twice and pair (0, 2) not at all: every swap
+        # trades neighbours, but the order comes back as (0, 2, 1).
+        a, b = array("I", [0, 0, 1]), array("I", [1, 1, 2])
+        classes = Classes(TRIANGLE.coords, a, b, array("I", [0, 1, 2, 3]), ())
+        with pytest.raises(GeneralPositionError, match="did not reverse"):
+            circular.replay_sites(classes, (0, 1, 2), 0)
+
+
 class TestHalfperiodInvariants:
     # From the default start direction or any gap sample or its negation.
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -452,7 +474,7 @@ class TestHalfperiodInvariants:
         perms = replayed(h)
         assert perms[-1] == perms[0][::-1]
         assert sum(h.site_counts[0]) == math.comb(ps.n, 2)
-        assert sum(site_counts(ps)[0]) == math.comb(ps.n, 2)
+        assert sum(build_halfperiod(ps).site_counts[0]) == math.comb(ps.n, 2)
 
 
 class TestFrozenRecords:
@@ -504,7 +526,7 @@ def unimodular_maps(draw):
 
 
 def kset_vector(ps):
-    return kset_vector_from_sites(ps.n, site_counts(ps)[0])
+    return kset_vector_from_sites(ps.n, build_halfperiod(ps).site_counts[0])
 
 
 class TestKSetVectorInvariance:

@@ -28,7 +28,6 @@ from ksetlab.circular import (
     gap_sample,
     gap_samples,
     kset_vector_from_sites,
-    site_counts,
 )
 from ksetlab.geometry import KSetVector, group_pairs, slope_keys
 from ksetlab.verify import random_general_position_set
@@ -322,7 +321,7 @@ class TestAngularSort:
         calls = self._count_exact_sorts(monkeypatch)
         assert list(ps.classes) == by_fractions(ps) == classes_by_sorting(ps)
         assert len(calls) == 2
-        assert kset_vector_from_sites(ps.n, site_counts(ps)[0]) == k_set_oracle(ps)
+        assert kset_vector_from_sites(ps.n, build_halfperiod(ps).site_counts[0]) == k_set_oracle(ps)
 
     def test_float_order_accepted_without_near_ties(self, monkeypatch):
         for n, seed in ((12, 5), (30, 6)):
@@ -413,7 +412,7 @@ def flat_kernel(ps):
     out = {
         "classes": classes,
         "samples": samples,
-        "site_counts": site_counts(ps),
+        "site_counts": build_halfperiod(ps).site_counts,
         "halfperiods": [(h.initial_permutation, h.swaps) for h in halfperiods],
     }
     if ps.n and ps.n % 3 == 0:
@@ -472,7 +471,7 @@ class TestFlatKernel:
             classes = classes_by_sorting(ps)
             assert list(ps.classes) == classes
             assert len(classes) == math.comb(150, 2)
-            assert site_counts(ps) == site_counts_by_replay(ps)
+            assert build_halfperiod(ps).site_counts == site_counts_by_replay(ps)
             assert read_splits(ps) == read_splits_by_replay(ps)
             samples = gap_samples_of(classes)
             assert gap_samples(ps.classes) == samples

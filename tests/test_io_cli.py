@@ -290,13 +290,18 @@ class TestGenCommand:
         assert err == "error: n must be a positive multiple of 3, got 8\n"
         assert not out.exists()
 
-    def test_gen_that_gives_up_exits_two(self, tmp_path, capsys, monkeypatch):
-        # Every attempt fails the partition check, so the generator gives up.
+    @pytest.mark.parametrize("argv, seed", [
+        (["gen", "--n", "9", "--seed", "4"], 4),
+        (["sweep", "--ns", "9", "--seeds", "1"], 0),
+    ], ids=["gen", "sweep"])
+    def test_gen_that_gives_up_exits_two(self, tmp_path, capsys, monkeypatch, argv, seed):
+        # Every attempt fails the partition check, so the generator gives up;
+        # sweep (serial) removes the --out file it opened before the work.
         monkeypatch.setattr(decompose, "check_partition", lambda ps: None)
         out = tmp_path / "x.json"
-        assert main(["gen", "--n", "9", "--seed", "4", "--out", str(out)]) == 2
+        assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: generator gave up on n=9, seed=4 after 256 ")
+        assert err.startswith(f"error: generator gave up on n=9, seed={seed} after 256 ")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -8,8 +8,7 @@ the README; the ``verify`` and ``sweep`` examples show none and take
 minutes, so they are not run.  The ``bounds`` example's ``cr_lower`` cell
 (318) will change when the finite-n crossing bound is corrected (ROADMAP
 item 1); the README and this test are re-pinned together then.  The
-``gen`` example must stay byte-identical through the generator rework
-(ROADMAP item 2).
+``gen`` example must stay byte-identical whenever the generator changes.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ PINNED = [
     "bounds --coefficient",
 ]
 
-#: ``ksetlab.__all__``, in its order: the 44 public names.
+#: ``ksetlab.__all__``, in its order: the 43 public names.
 PUBLIC = [
     "BoundReport", "BoundTable", "CriticalityReport", "DecompositionWitness",
     "DEFAULT_ORACLE_CAP", "GeneralPositionError", "Halfperiod", "KSetVector",
@@ -48,7 +47,7 @@ PUBLIC = [
     "generate_with_witness", "is_general_position", "k_set_oracle", "kset_lower_bound",
     "kset_vector_from_halfperiod", "kset_vector_from_sites", "load_point_set",
     "locate_halfperiod_witness", "orientation", "save_point_set",
-    "series_and_integral_report", "site_counts", "slack_quartic",
+    "series_and_integral_report", "slack_quartic",
 ]
 
 
@@ -117,7 +116,7 @@ def test_benchmark_traced_names_exist():
 
 def test_public_surface():
     # A name added to or dropped from the package's exports changes this list.
-    assert len(PUBLIC) == 44 and len(set(PUBLIC)) == len(PUBLIC)
+    assert len(PUBLIC) == 43 and len(set(PUBLIC)) == len(PUBLIC)
     assert ksetlab.__all__ == PUBLIC
     assert all(hasattr(ksetlab, name) for name in PUBLIC)
     namespace: dict = {}
